@@ -14,9 +14,8 @@ from .harness import RunStats, TrialRecord, run_campaign, run_trial, sweep
 from .ldpc import (PeelingDecoder, StaircaseCode, build_irregular_staircase,
                    build_regular_staircase, load_degree_distribution)
 from .trellis import (LookupMasks, RscSpec, TransitionTable, UNKNOWN,
-                      build_lookup_masks, build_transition_table, format_mask,
-                      mask_and)
-from .turbo import (Interleaver, PunctureMap, TurboCodeSpec, encode,
+                      format_mask)
+from .turbo import (Interleaver, PunctureMap, TurboCodeSpec,
                     identity_interleaver, load_interleaver,
                     make_pr_interleaver, make_puncture_map, make_turbo_spec,
                     parse_puncture_patterns)
@@ -26,9 +25,8 @@ __all__ = [
     "boundary_masks", "RunStats", "TrialRecord", "run_campaign", "run_trial",
     "sweep", "PeelingDecoder", "StaircaseCode", "build_irregular_staircase",
     "build_regular_staircase", "load_degree_distribution", "LookupMasks",
-    "RscSpec", "TransitionTable", "UNKNOWN", "build_lookup_masks",
-    "build_transition_table", "format_mask", "mask_and", "Interleaver",
-    "PunctureMap", "TurboCodeSpec", "encode", "identity_interleaver",
+    "RscSpec", "TransitionTable", "UNKNOWN", "format_mask", "Interleaver",
+    "PunctureMap", "TurboCodeSpec", "identity_interleaver",
     "load_interleaver", "make_pr_interleaver", "make_puncture_map",
     "make_turbo_spec", "parse_puncture_patterns",
 ]

@@ -14,12 +14,12 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .decoder import Status, TurboErasureDecoder
-from .harness import CSV_HEADER, run_campaign, run_trial, stats_row
+from .decoder import Status
+from .harness import CSV_HEADER, run_campaign, run_trial, stats_row, sweep
 from .ldpc import (build_irregular_staircase, build_regular_staircase,
                    load_degree_distribution)
-from .trellis import RscSpec, UNKNOWN, build_lookup_masks, build_transition_table, format_mask
-from .turbo import (encode, identity_interleaver, load_interleaver,
+from .trellis import LookupMasks, RscSpec, TransitionTable, UNKNOWN, format_mask
+from .turbo import (identity_interleaver, load_interleaver,
                     make_pr_interleaver, make_puncture_map, make_turbo_spec,
                     parse_puncture_patterns)
 
@@ -31,10 +31,6 @@ def _parse_poly(text: str, base: str) -> tuple[int, int, int]:
     fb, fw = int(fb_s, radix), int(fw_s, radix)
     length = max(fb.bit_length(), fw.bit_length())
     return fb, fw, length
-
-
-def _parse_rate(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _make_interleaver(spec_text: str, k: int):
@@ -54,7 +50,7 @@ def _make_interleaver(spec_text: str, k: int):
 def _make_code(args):
     """Builds the code under test from resolved flags; returns (code, tag)."""
     name = args.code
-    rate = _parse_rate(args.rate)
+    rate = Fraction(args.rate)
     if name == "turbo":
         fb, fw, length = _parse_poly(args.poly, args.base)
         rsc = RscSpec(fb, fw, length)
@@ -105,8 +101,8 @@ def _write_bits(path: str, bits) -> None:
 
 def cmd_table(args) -> int:
     fb, fw, length = _parse_poly(args.code_poly, args.base)
-    table = build_transition_table(RscSpec(fb, fw, length))
-    masks = build_lookup_masks(table)
+    table = TransitionTable(RscSpec(fb, fw, length))
+    masks = LookupMasks(table)
     _echo_config(args)
     print(f"transition table of RSC ({fb:o},{fw:o})_8, L={length}:")
     print(table.to_text())
@@ -120,34 +116,40 @@ def cmd_table(args) -> int:
 
 def cmd_encode(args) -> int:
     _require(args, "k", "infile", "outfile")
-    spec, _ = _make_code(args)
-    _echo_config(args, spec)
+    code, _ = _make_code(args)
+    _echo_config(args, code)
     info = _read_bits(args.infile, args.k)
-    _write_bits(args.outfile, encode(spec, info))
+    _write_bits(args.outfile, code.encode(info))
     return 0
 
 
 def cmd_decode(args) -> int:
     _require(args, "k", "received")
-    spec, _ = _make_code(args)
-    _echo_config(args, spec)
-    decoder = TurboErasureDecoder(spec)
+    code, _ = _make_code(args)
+    _echo_config(args, code)
+    decoder = code.start_decoder()
     outcome = decoder.outcome()
+    r = 0
     with open(args.received) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            idx_s, bit_s = line.split()
-            outcome = decoder.receive(int(idx_s), int(bit_s))
+            try:
+                idx_s, bit_s = line.split()
+                outcome = decoder.receive(int(idx_s), int(bit_s))
+            except ValueError as exc:
+                raise ValueError(
+                    f"{args.received}, line {lineno} {line!r}: {exc}") from None
+            r += 1
             known = sum(b is not None for b in decoder.determined_bits())
-            print(f"r={decoder.r} determined={known}")
+            print(f"r={r} determined={known}")
             if outcome.status is not Status.IN_PROGRESS:
                 break
     print(f"outcome: {outcome.status.value}")
     if outcome.status is Status.SUCCESS:
         bits = "".join(str(b) for b in decoder.determined_bits())
-        print(f"r_stop={outcome.r_stop} mu={outcome.mu:.6f}")
+        print(f"r_stop={r} mu={r / code.K:.6f}")
         print(f"info={bits}")
         return 0
     return 1
@@ -172,7 +174,7 @@ def cmd_simulate(args) -> int:
     _echo_config(args, code)
     stats = run_campaign(code, args.trials, args.seed)
     rows = [CSV_HEADER,
-            stats_row(args.code, _parse_rate(args.rate), args.k, tag,
+            stats_row(args.code, Fraction(args.rate), args.k, tag,
                       args.trials, args.seed, stats)]
     _emit(rows, args.out)
     return 0
@@ -181,16 +183,15 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     _require(args, "k_list")
     _echo_config(args)
-    rows = [CSV_HEADER]
-    for name in args.code_list.split(","):
-        for rate in args.rate_list.split(","):
-            for k in args.k_list.split(","):
-                sub = argparse.Namespace(**vars(args))
-                sub.code, sub.rate, sub.k = name, rate, int(k)
-                code, tag = _make_code(sub)
-                stats = run_campaign(code, args.trials, args.seed)
-                rows.append(stats_row(name, _parse_rate(rate), int(k), tag,
-                                      args.trials, args.seed, stats))
+
+    def make_code(name, k, rate):
+        sub = argparse.Namespace(**vars(args))
+        sub.code, sub.rate, sub.k = name, rate, k
+        return _make_code(sub)
+
+    rows = sweep(make_code, [int(k) for k in args.k_list.split(",")],
+                 args.rate_list.split(","), args.code_list.split(","),
+                 args.trials, args.seed)
     _emit(rows, args.out)
     if args.emit_plot:
         _write_plot_script(args.emit_plot, args.out)

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .trellis import LookupMasks, TransitionTable, build_lookup_masks
+from .trellis import LookupMasks, TransitionTable
 from .turbo import PARITY1, PARITY2, SYSTEMATIC, TurboCodeSpec
 
 
@@ -31,8 +31,6 @@ class Status(Enum):
 @dataclass(frozen=True)
 class DecodeOutcome:
     status: Status
-    r_stop: int | None = None
-    mu: float | None = None
 
 
 def boundary_masks(table: TransitionTable, k: int) -> list[int]:
@@ -44,6 +42,14 @@ def boundary_masks(table: TransitionTable, k: int) -> list[int]:
     can return to the zero state in the steps that remain; in the
     interior both conditions are vacuous and the mask is the full
     adjacency.
+
+    The decoder starts from these masks without closing them, which is
+    sound because they already are a closure fixpoint.  The 0 -> 0
+    self-loop and the (L-1)-step shift register make both reachability
+    tests exact, so every surviving transition lies on a terminated
+    path: no row or column is emptied by a neighbour.  And no bit is
+    forced before reception: every step t < K has at least L-1 steps
+    left, so transitions on both inputs survive.
     """
     S = table.n_states
     L = table.spec.constraint_length
@@ -75,12 +81,30 @@ def boundary_masks(table: TransitionTable, k: int) -> list[int]:
     return masks
 
 
+def check_reception(index: int, value: int, n: int, received,
+                    contradiction: bool) -> None:
+    """The input contract of every decoder's ``receive``.
+
+    Raises ValueError unless ``index`` lies in 0..n-1 and is not yet
+    marked in ``received``, ``value`` is 0 or 1, and the decoder is not
+    in a contradiction.
+    """
+    if not 0 <= index < n:
+        raise ValueError(f"symbol index {index} out of range 0..{n - 1}")
+    if value not in (0, 1):
+        raise ValueError(f"symbol {index}: value {value!r} is not 0 or 1")
+    if received[index]:
+        raise ValueError(f"symbol {index} was already received")
+    if contradiction:
+        raise ValueError(f"symbol {index}: decoder is in a contradiction state")
+
+
 class _ClosureEngine:
     """Worklist fixpoint over one or two mask chains."""
 
     def __init__(self, table: TransitionTable, k: int, n_chains: int):
         self.table = table
-        self.lm: LookupMasks = build_lookup_masks(table)
+        self.lm = LookupMasks(table)
         self.K = k
         init = boundary_masks(table, k)
         self.n_steps = len(init)
@@ -93,31 +117,6 @@ class _ClosureEngine:
 
     def _counterpart(self, d: int, t: int) -> tuple[int, int] | None:
         return None
-
-    def _initial_close(self) -> None:
-        """Closes the structural boundary constraints once, at construction.
-
-        For the shipped codes the boundary masks are already a fixpoint,
-        but short blocks (K close to L) can force bits before anything is
-        received.
-        """
-        lm = self.lm
-        for d in range(len(self.masks)):
-            for t in range(self.K):
-                m = self.masks[d][t]
-                for b in (0, 1):
-                    if not m & ~lm.info[b]:
-                        self.determined[d][t] = b
-                        self.unknown[d] -= 1
-                        other = self._counterpart(d, t)
-                        if other is not None:
-                            self._apply(other[0], other[1], lm.info[b])
-                        break
-            for t in range(self.n_steps):
-                if not self._queued[d][t]:
-                    self._queued[d][t] = 1
-                    self._queue.append((d, t))
-        self._drain()
 
     def _apply(self, d: int, t: int, and_mask: int) -> None:
         old = self.masks[d][t]
@@ -181,18 +180,20 @@ class TurboErasureDecoder(_ClosureEngine):
         self._pi = spec.interleaver.pi
         self._pi_inv = spec.interleaver.pi_inv
         self._received = bytearray(spec.N)
-        self.r = 0
-        self.r_stop: int | None = None
-        self._initial_close()
 
     def _counterpart(self, d: int, t: int) -> tuple[int, int]:
         return (1, self._pi_inv[t]) if d == 0 else (0, self._pi[t])
 
     def receive(self, symbol_index: int, value: int) -> DecodeOutcome:
-        if self._received[symbol_index]:
-            raise ValueError(f"symbol {symbol_index} was already received")
-        if self.contradiction:
-            raise ValueError("decoder is in a contradiction state")
+        """Takes one codeword symbol and closes the constraints it adds.
+
+        Raises ValueError, before changing any state, if the index is
+        outside 0..N-1, the value is not 0 or 1, the symbol was received
+        before, or the decoder is already in a contradiction.
+        """
+        check_reception(symbol_index, value, self.spec.N, self._received,
+                        self.contradiction)
+        value = int(value)
         self._received[symbol_index] = 1
         stream, t = self.spec.layout[symbol_index]
         lm = self.lm
@@ -205,16 +206,13 @@ class TurboErasureDecoder(_ClosureEngine):
             assert stream == PARITY2
             self._apply(1, t, lm.parity[value])
         self._drain()
-        self.r += 1
-        if self.r_stop is None and not self.contradiction and self.unknown[0] == 0:
-            self.r_stop = self.r
         return self.outcome()
 
     def outcome(self) -> DecodeOutcome:
         if self.contradiction:
             return DecodeOutcome(Status.CONTRADICTION)
-        if self.r_stop is not None:
-            return DecodeOutcome(Status.SUCCESS, self.r_stop, self.r_stop / self.K)
+        if self.unknown[0] == 0:
+            return DecodeOutcome(Status.SUCCESS)
         return DecodeOutcome(Status.IN_PROGRESS)
 
     def determined_bits(self) -> list[int | None]:
@@ -231,7 +229,6 @@ class RscErasureDecoder(_ClosureEngine):
 
     def __init__(self, table: TransitionTable, k: int):
         super().__init__(table, k, 1)
-        self._initial_close()
 
     def receive_info(self, t: int, value: int) -> None:
         self._apply(0, t, self.lm.info[value])

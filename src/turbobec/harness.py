@@ -58,7 +58,8 @@ def run_trial(code, base_seed: int, index: int = 0,
     """One seeded encode / random-arrival decode; records r_stop.
 
     ``code`` is any object with K, N, encode() and start_decoder(),
-    i.e. a TurboCodeSpec or a StaircaseCode.  ``trace``, if given,
+    i.e. a TurboCodeSpec or a StaircaseCode.  Decoders report only their
+    status; r_stop is counted here, not by the decoders.  ``trace``, if given,
     collects the number of determined information bits after each
     reception.
     """

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .decoder import DecodeOutcome, Status
+from .decoder import DecodeOutcome, Status, check_reception
 
 
 @dataclass(frozen=True)
@@ -202,6 +202,9 @@ class PeelingDecoder:
         self.code = code
         n = code.N
         self.values: list[int | None] = [None] * n
+        # Received symbols, kept apart from ``values``: receiving a symbol
+        # that peeling already pinned down is legal (and may contradict).
+        self._received = bytearray(n)
         self._var_checks = [[] for _ in range(n)]
         self._unknown = []
         self._xor = bytearray(code.M)
@@ -216,6 +219,15 @@ class PeelingDecoder:
         self.contradiction = False
 
     def receive(self, variable_index: int, value: int) -> DecodeOutcome:
+        """Takes one codeword symbol and peels every check it resolves.
+
+        Raises ValueError, before changing any state, if the index is
+        outside 0..N-1, the value is not 0 or 1, the symbol was received
+        before, or the decoder is already in a contradiction.
+        """
+        check_reception(variable_index, value, self.code.N, self._received,
+                        self.contradiction)
+        self._received[variable_index] = 1
         self._settle(variable_index, int(value))
         return self.outcome()
 

@@ -30,15 +30,11 @@ class RscSpec:
     feedback_poly: int
     forward_poly: int
     constraint_length: int
-    k: int = 1
-    n: int = 2
 
     def __post_init__(self):
         L = self.constraint_length
         if L < 2:
             raise ValueError("constraint length must be >= 2")
-        if self.k != 1 or self.n != 2:
-            raise ValueError("only rate-1/2 (k=1, n=2) constituents are supported")
         for name in ("feedback_poly", "forward_poly"):
             p = getattr(self, name)
             if not 0 < p < (1 << L):
@@ -132,15 +128,6 @@ class TransitionTable:
         return "\n".join([header] + rows)
 
 
-def build_transition_table(spec: RscSpec) -> TransitionTable:
-    return TransitionTable(spec)
-
-
-def mask_and(a: int, b: int) -> int:
-    """Elementwise AND of two same-sized transition masks."""
-    return a & b
-
-
 def format_mask(mask: int, n_states: int) -> str:
     rows = []
     for i in range(n_states):
@@ -155,7 +142,8 @@ class LookupMasks:
     Indexed by ``(b1, b2)`` with each coordinate in {0, 1, UNKNOWN}.
     ``full`` is the unconstrained adjacency mask, ``info[b]`` keeps only
     transitions with information bit b, ``parity[b]`` only those with
-    parity bit b.
+    parity bit b.  ``row_masks[i]`` and ``col_masks[j]`` select row i and
+    column j, so ``not mask & row_masks[i]`` tests for an all-zero row.
     """
 
     def __init__(self, table: TransitionTable):
@@ -179,21 +167,3 @@ class LookupMasks:
         self.col_masks = tuple(
             sum(1 << (i * S + j) for i in range(S)) for j in range(S)
         )
-
-    def zero_rows(self, mask: int) -> list[int]:
-        return [i for i, rm in enumerate(self.row_masks) if not mask & rm]
-
-    def zero_cols(self, mask: int) -> list[int]:
-        return [j for j, cm in enumerate(self.col_masks) if not mask & cm]
-
-    def is_subset_info(self, mask: int, bit: int) -> bool:
-        """True iff every allowed transition of ``mask`` carries info bit ``bit``.
-
-        The empty mask trivially satisfies this; callers treat emptiness
-        as a contradiction before asking.
-        """
-        return not mask & ~self.info[bit]
-
-
-def build_lookup_masks(table: TransitionTable) -> LookupMasks:
-    return LookupMasks(table)

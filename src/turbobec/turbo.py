@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .trellis import RscSpec, TransitionTable, build_transition_table
+from .trellis import RscSpec, TransitionTable
 
 SYSTEMATIC, PARITY1, PARITY2 = 0, 1, 2
 _STREAM_NAMES = {SYSTEMATIC: "s", PARITY1: "p1", PARITY2: "p2"}
@@ -31,11 +31,13 @@ class Interleaver:
 
     def __post_init__(self):
         k = len(self.pi)
-        if sorted(self.pi) != list(range(k)):
-            raise ValueError("interleaver is not a permutation of 0..K-1")
-        inv = [0] * k
-        for i, j in enumerate(self.pi):
-            inv[j] = i
+        inv = [None] * k
+        for i, e in enumerate(self.pi):
+            if not 0 <= e < k:
+                raise ValueError(f"interleaver entry {e} out of range for K={k}")
+            if inv[e] is not None:
+                raise ValueError(f"interleaver entry {e} appears twice")
+            inv[e] = i
         object.__setattr__(self, "pi_inv", tuple(inv))
 
     def __len__(self) -> int:
@@ -72,14 +74,6 @@ def load_interleaver(path) -> Interleaver:
     """Reads one permutation image per line (ASCII integers)."""
     with open(path) as fh:
         entries = [int(line) for line in fh if line.strip()]
-    k = len(entries)
-    seen = set()
-    for e in entries:
-        if not 0 <= e < k:
-            raise ValueError(f"interleaver entry {e} out of range for K={k}")
-        if e in seen:
-            raise ValueError(f"interleaver entry {e} appears twice")
-        seen.add(e)
     return Interleaver(tuple(entries), kind=f"file:{path}")
 
 
@@ -160,7 +154,7 @@ class TurboCodeSpec:
     def __post_init__(self):
         if len(self.interleaver) != self.K:
             raise ValueError("interleaver size must equal K")
-        object.__setattr__(self, "table", build_transition_table(self.rsc))
+        object.__setattr__(self, "table", TransitionTable(self.rsc))
         layout = []
         for t in range(self.K):
             for stream in (SYSTEMATIC, PARITY1, PARITY2):
@@ -185,7 +179,16 @@ class TurboCodeSpec:
         )
 
     def encode(self, info) -> np.ndarray:
-        return encode(self, info)
+        """Transmitted bit sequence of length N for a K-bit information word."""
+        info = np.asarray(info, dtype=np.uint8)
+        if info.shape != (self.K,):
+            raise ValueError(f"information word must have length {self.K}")
+        streams = {
+            SYSTEMATIC: info,
+            PARITY1: rsc_parity(self.table, info),
+            PARITY2: rsc_parity(self.table, self.interleaver.scramble(info)),
+        }
+        return np.array([streams[s][t] for s, t in self.layout], dtype=np.uint8)
 
     def start_decoder(self):
         from .decoder import TurboErasureDecoder
@@ -220,15 +223,3 @@ def rsc_parity(table: TransitionTable, info: np.ndarray) -> np.ndarray:
     assert state == 0, "termination failed to reach the zero state"
     return out
 
-
-def encode(spec: TurboCodeSpec, info) -> np.ndarray:
-    """Transmitted bit sequence of length N for a K-bit information word."""
-    info = np.asarray(info, dtype=np.uint8)
-    if info.shape != (spec.K,):
-        raise ValueError(f"information word must have length {spec.K}")
-    streams = {
-        SYSTEMATIC: info,
-        PARITY1: rsc_parity(spec.table, info),
-        PARITY2: rsc_parity(spec.table, spec.interleaver.scramble(info)),
-    }
-    return np.array([streams[s][t] for s, t in spec.layout], dtype=np.uint8)

@@ -9,11 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from turbobec import (RscErasureDecoder, RscSpec, Status, boundary_masks,
-                      build_lookup_masks, build_regular_staircase,
-                      build_transition_table, encode, format_mask,
-                      make_pr_interleaver, make_turbo_spec, run_campaign,
-                      run_trial)
+from turbobec import (LookupMasks, RscErasureDecoder, RscSpec, Status,
+                      TransitionTable, boundary_masks, build_regular_staircase,
+                      format_mask, make_pr_interleaver, make_turbo_spec,
+                      run_campaign, run_trial)
 from turbobec.harness import trial_rng
 
 from conftest import enumerate_codeword_paths, oracle75, rng_for
@@ -42,8 +41,8 @@ def turbo_campaigns():
 
 
 def test_golden_structures():
-    table = build_transition_table(RSC75)
-    masks = build_lookup_masks(table)
+    table = TransitionTable(RSC75)
+    masks = LookupMasks(table)
     got = {(i, j): (b1, b2) for i, j, b1, b2 in table.transitions()}
     expect = {(0, 0): (0, 0), (0, 2): (1, 1), (1, 0): (1, 1), (1, 2): (0, 0),
               (2, 1): (1, 0), (2, 3): (0, 1), (3, 1): (0, 1), (3, 3): (1, 0)}
@@ -105,7 +104,7 @@ def test_punctured_turbo_trend(turbo_campaigns):
 
 def test_single_trellis_oracle_equivalence(oracle75):
     k = 8
-    table = build_transition_table(RSC75)
+    table = TransitionTable(RSC75)
     paths = enumerate_codeword_paths(oracle75, k)
     rng = rng_for(2025, 1)
     ok = True
@@ -142,7 +141,7 @@ def test_turbo_soundness_oracle():
     for _ in range(200):
         spec = turbo_spec(8, seed=int(rng.integers(0, 1 << 16)))
         info = rng.integers(0, 2, 8, dtype=np.uint8)
-        cw = encode(spec, info)
+        cw = spec.encode(info)
         dec = spec.start_decoder()
         for idx in rng.permutation(spec.N):
             out = dec.receive(int(idx), int(cw[int(idx)]))
@@ -161,7 +160,7 @@ def test_order_independence():
     for _ in range(50):
         spec = turbo_spec(8, seed=int(rng.integers(0, 1 << 16)))
         info = rng.integers(0, 2, 8, dtype=np.uint8)
-        cw = encode(spec, info)
+        cw = spec.encode(info)
         subset = [int(x) for x in
                   rng.permutation(spec.N)[: int(rng.integers(1, spec.N + 1))]]
         finals = []
@@ -195,7 +194,7 @@ def test_completion_and_bounds():
     for _ in range(10):
         spec = turbo_spec(16, seed=int(rng.integers(0, 1 << 16)))
         info = rng.integers(0, 2, 16, dtype=np.uint8)
-        cw = encode(spec, info)
+        cw = spec.encode(info)
         dec = spec.start_decoder()
         out = dec.outcome()
         for i in range(spec.N):
@@ -210,7 +209,7 @@ def test_round_trips():
     for rate in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
         spec = turbo_spec(32, rate)
         info = rng.integers(0, 2, 32, dtype=np.uint8)
-        cw = encode(spec, info)
+        cw = spec.encode(info)
         dec = spec.start_decoder()
         for i in range(spec.N):
             dec.receive(i, int(cw[i]))

@@ -56,6 +56,44 @@ class TestEncodeDecode:
         assert code == 1  # still in progress
         assert "r=1 determined=" in out and "r=2 determined=" in out
 
+    def test_ldpc_file_round_trip(self, tmp_path, capsys):
+        infile = tmp_path / "info.hex"
+        outfile = tmp_path / "cw.hex"
+        infile.write_text("a7\n")  # 10100111
+        flags = ("--code", "ldpc-regular", "--k", "8", "--rate", "1/2")
+        code, _, _ = run(capsys, "encode", *flags,
+                         "--in", str(infile), "--out", str(outfile))
+        assert code == 0
+        cw_hex = outfile.read_text().strip()
+        bits = [int(c, 16) >> s & 1 for c in cw_hex for s in (3, 2, 1, 0)][:16]
+        assert bits[:8] == [1, 0, 1, 0, 0, 1, 1, 1]  # systematic
+
+        received = tmp_path / "rx.txt"
+        received.write_text("".join(f"{i} {bits[i]}\n" for i in reversed(range(16))))
+        code, out, _ = run(capsys, "decode", *flags, "--received", str(received))
+        assert code == 0
+        assert "outcome: success" in out
+        assert "info=10100111" in out
+
+    @pytest.mark.parametrize("lines, message", [
+        ("999 0\n", "symbol index 999 out of range"),
+        ("0 2\n", "value 2 is not 0 or 1"),
+        ("-1 0\n", "symbol index -1 out of range"),
+        ("0 0\n0 0\n", "line 2 '0 0': symbol 0 was already received"),
+        ("0\n", "line 1 '0'"),
+        ("0 1 1\n", "line 1 '0 1 1'"),
+        ("zero one\n", "line 1 'zero one'"),
+    ], ids=["index-too-big", "bit-2", "negative-index", "duplicate",
+            "one-field", "three-fields", "not-integers"])
+    def test_decode_rejects_bad_receptions(self, tmp_path, capsys, lines,
+                                           message):
+        received = tmp_path / "rx.txt"
+        received.write_text(lines)
+        code, _, err = run(capsys, "decode", "--k", "8", "--received",
+                           str(received))
+        assert code == 2
+        assert f"error: {received}, " in err and message in err
+
 
 class TestSimulate:
     def test_csv_schema(self, tmp_path, capsys):

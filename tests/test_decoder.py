@@ -3,19 +3,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from turbobec import (RscErasureDecoder, RscSpec, Status, boundary_masks,
-                      build_transition_table, encode, format_mask,
+from turbobec import (LookupMasks, RscErasureDecoder, RscSpec, Status,
+                      TransitionTable, boundary_masks, format_mask,
                       make_pr_interleaver, make_turbo_spec)
 from turbobec.turbo import PARITY1, SYSTEMATIC
 
-from conftest import rng_for
+from conftest import RegisterOracle, enumerate_codeword_paths, rng_for
 
 RSC75 = RscSpec(0o7, 0o5, 3)
 
 
 @pytest.fixture(scope="module")
 def table75():
-    return build_transition_table(RSC75)
+    return TransitionTable(RSC75)
 
 
 def mask_rows(mask, n=4):
@@ -29,7 +29,7 @@ def turbo_spec(k, rate=Fraction(1, 3), seed=1):
 def random_instance(k, rate, rng, seed=1):
     spec = turbo_spec(k, rate, seed=int(rng.integers(0, 1 << 16)))
     info = rng.integers(0, 2, k, dtype=np.uint8)
-    cw = encode(spec, info)
+    cw = spec.encode(info)
     order = [int(x) for x in rng.permutation(spec.N)]
     return spec, info, cw, order
 
@@ -67,11 +67,33 @@ class TestInitialization:
         assert dec.outcome().status is Status.IN_PROGRESS
 
     def test_eight_state_boundaries_are_path_consistent(self):
-        table = build_transition_table(RscSpec(0o13, 0o15, 4))
+        table = TransitionTable(RscSpec(0o13, 0o15, 4))
         m = boundary_masks(table, 8)
         # First step leaves the zero state only; last step enters it only.
         assert mask_rows(m[0], 8)[1:] == ["0" * 8] * 7
         assert all(row[1:] == "0" * 7 for row in mask_rows(m[-1], 8))
+
+    @pytest.mark.parametrize("fb, fw, length", [
+        (0o7, 0o5, 3), (0o13, 0o15, 4), (0o17, 0o15, 4), (0o3, 0o2, 2),
+        (0o23, 0o35, 5)], ids=["75", "1315", "1715", "32", "2335"])
+    def test_boundary_masks_are_a_closure_fixpoint(self, fb, fw, length):
+        # The decoder starts from boundary_masks without closing them:
+        # they must already be exactly the terminated paths' transitions,
+        # with no information bit forced before anything is received.
+        table = TransitionTable(RscSpec(fb, fw, length))
+        info = LookupMasks(table).info
+        oracle = RegisterOracle(fb, fw, length)
+        S = table.n_states
+        for k in (1, 2, 3, 8):
+            expect = [0] * (k + length - 1)
+            for _, _, states in enumerate_codeword_paths(oracle, k):
+                for t in range(len(expect)):
+                    expect[t] |= 1 << (states[t] * S + states[t + 1])
+            masks = boundary_masks(table, k)
+            assert masks == expect, f"K={k}"
+            for t in range(k):
+                assert masks[t] & ~info[0] and masks[t] & ~info[1], (
+                    f"K={k}: bit {t} forced before reception")
 
 
 class TestFigureTwoScenario:
@@ -123,7 +145,7 @@ class TestReception:
     def test_contradiction_on_corrupted_word(self):
         spec = turbo_spec(8, seed=5)
         info = np.zeros(8, dtype=np.uint8)
-        cw = encode(spec, info)
+        cw = spec.encode(info)
         cw[1] ^= 1  # flip one parity bit: no longer a codeword
         outcome = None
         dec = spec.start_decoder()
@@ -133,8 +155,41 @@ class TestReception:
                 break
         assert outcome.status is Status.CONTRADICTION
         remaining = next(i for i in range(spec.N) if not dec._received[i])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="contradiction"):
             dec.receive(remaining, 0)
+
+    @pytest.mark.parametrize("index, value, message", [
+        (-1, 0, "index -1 out of range"),
+        (24, 0, "index 24 out of range"),
+        (0, 2, "value 2 is not 0 or 1"),
+        (5, 0, "symbol 5 was already received"),
+    ])
+    def test_invalid_reception_changes_nothing(self, index, value, message):
+        spec = turbo_spec(8, seed=3)
+        cw = spec.encode(np.zeros(8, dtype=np.uint8))
+        dec = spec.start_decoder()
+        dec.receive(5, int(cw[5]))
+        before = ([list(c) for c in dec.masks], [list(c) for c in dec.determined],
+                  bytes(dec._received))
+        with pytest.raises(ValueError, match=message):
+            dec.receive(index, value)
+        after = ([list(c) for c in dec.masks], [list(c) for c in dec.determined],
+                 bytes(dec._received))
+        assert after == before
+
+    def test_rejected_call_leaves_decoder_usable(self):
+        spec = turbo_spec(8, seed=3)
+        info = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
+        cw = spec.encode(info)
+        dec = spec.start_decoder()
+        dec.receive(0, int(cw[0]))
+        for index, value in ((-1, 0), (spec.N, 0), (1, 2), (0, int(cw[0]))):
+            with pytest.raises(ValueError):
+                dec.receive(index, value)
+        for i in range(1, spec.N):
+            out = dec.receive(i, int(cw[i]))
+        assert out.status is Status.SUCCESS
+        assert dec.determined_bits() == list(info)
 
 
 class TestProperties:
@@ -186,10 +241,13 @@ class TestProperties:
             spec, info, cw, order = random_instance(16, rate, rng)
             dec = spec.start_decoder()
             out = dec.outcome()
-            for idx in order:
+            r_stop = None
+            for count, idx in enumerate(order, start=1):
                 out = dec.receive(idx, int(cw[idx]))
+                if r_stop is None and out.status is Status.SUCCESS:
+                    r_stop = count
             assert out.status is Status.SUCCESS
-            assert 16 <= out.r_stop <= spec.N
+            assert 16 <= r_stop <= spec.N
             assert dec.determined_bits() == list(info)
 
     def test_removal_work_is_linear_in_k(self, table75):

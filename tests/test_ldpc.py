@@ -211,3 +211,41 @@ class TestPeeling:
         dec.receive(0, 1)        # forces v1 = 1
         out = dec.receive(1, 0)  # disagrees with the forced value
         assert out.status is Status.CONTRADICTION
+
+    def test_reception_after_contradiction_rejected(self):
+        code = StaircaseCode(1, 2, ((0,),))  # v0 = v1 = v2
+        dec = PeelingDecoder(code)
+        dec.receive(0, 1)
+        assert dec.receive(1, 0).status is Status.CONTRADICTION
+        with pytest.raises(ValueError, match="symbol 2: decoder is in a contradiction"):
+            dec.receive(2, 1)
+
+    @pytest.mark.parametrize("index, value, message", [
+        (-1, 0, "index -1 out of range"),
+        (32, 0, "index 32 out of range"),
+        (0, 2, "value 2 is not 0 or 1"),
+        (5, 0, "symbol 5 was already received"),
+    ])
+    def test_invalid_reception_changes_nothing(self, index, value, message):
+        code = build_regular_staircase(16, Fraction(1, 2), seed=6)
+        dec = PeelingDecoder(code)
+        dec.receive(5, 0)
+        before = (list(dec.values), list(dec._unknown), bytes(dec._xor))
+        with pytest.raises(ValueError, match=message):
+            dec.receive(index, value)
+        assert (list(dec.values), list(dec._unknown), bytes(dec._xor)) == before
+
+    def test_rejected_call_leaves_decoder_usable(self):
+        rng = rng_for(55, 5)
+        code = random_code(rng)
+        info = rng.integers(0, 2, code.K, dtype=np.uint8)
+        cw = code.encode(info)
+        dec = PeelingDecoder(code)
+        dec.receive(0, int(cw[0]))
+        for index, value in ((-1, 0), (code.N, 0), (1, 2), (0, int(cw[0]))):
+            with pytest.raises(ValueError):
+                dec.receive(index, value)
+        for v in range(1, code.N):
+            out = dec.receive(v, int(cw[v]))
+        assert out.status is Status.SUCCESS
+        assert dec.determined_bits() == list(info)

@@ -1,7 +1,6 @@
 import pytest
 
-from turbobec import (RscSpec, UNKNOWN, build_lookup_masks,
-                      build_transition_table, format_mask, mask_and)
+from turbobec import LookupMasks, RscSpec, TransitionTable, UNKNOWN, format_mask
 
 from conftest import RegisterOracle
 
@@ -12,12 +11,12 @@ def mask_rows(mask: int, n_states: int) -> list[str]:
 
 @pytest.fixture(scope="module")
 def table75():
-    return build_transition_table(RscSpec(0o7, 0o5, 3))
+    return TransitionTable(RscSpec(0o7, 0o5, 3))
 
 
 @pytest.fixture(scope="module")
 def masks75(table75):
-    return build_lookup_masks(table75)
+    return LookupMasks(table75)
 
 
 # Published table of the four-state (7,5)_8 code, 0-based states.
@@ -37,7 +36,7 @@ class TestTransitionTable:
     def test_degrees_are_two(self):
         for fb, fw, length in [(0o7, 0o5, 3), (0o13, 0o15, 4), (0o17, 0o15, 4),
                                (0o3, 0o2, 2), (0o23, 0o35, 5)]:
-            table = build_transition_table(RscSpec(fb, fw, length))
+            table = TransitionTable(RscSpec(fb, fw, length))
             outdeg = {}
             indeg = {}
             for i, j, _, _ in table.transitions():
@@ -48,13 +47,13 @@ class TestTransitionTable:
 
     def test_systematic_labels_distinct(self, table75):
         for fb, fw, length in [(0o7, 0o5, 3), (0o13, 0o15, 4)]:
-            table = build_transition_table(RscSpec(fb, fw, length))
+            table = TransitionTable(RscSpec(fb, fw, length))
             for s in range(table.n_states):
                 pair = [b1 for i, j, b1, b2 in table.transitions() if i == s]
                 assert sorted(pair) == [0, 1]
 
     def test_eight_state_matches_register_oracle(self):
-        table = build_transition_table(RscSpec(0o13, 0o15, 4))
+        table = TransitionTable(RscSpec(0o13, 0o15, 4))
         oracle = RegisterOracle(0o13, 0o15, 4)
         expect = oracle.transitions()
         got = {(i, j): (b1, b2) for i, j, b1, b2 in table.transitions()}
@@ -90,12 +89,12 @@ class TestLookupMasks:
     def test_known_pairs_are_intersections(self, masks75):
         for b1 in (0, 1):
             for b2 in (0, 1):
-                assert masks75.by_constraint[(b1, b2)] == mask_and(
-                    masks75.info[b1], masks75.parity[b2])
+                assert masks75.by_constraint[(b1, b2)] == (
+                    masks75.info[b1] & masks75.parity[b2])
 
     def test_fully_known_masks_partition_transitions(self):
         for fb, fw, length in [(0o7, 0o5, 3), (0o13, 0o15, 4)]:
-            masks = build_lookup_masks(build_transition_table(RscSpec(fb, fw, length)))
+            masks = LookupMasks(TransitionTable(RscSpec(fb, fw, length)))
             total = sum(masks.by_constraint[(b1, b2)].bit_count()
                         for b1 in (0, 1) for b2 in (0, 1))
             assert total == 1 << length  # 2^{k+L-1} with k=1
@@ -110,27 +109,38 @@ class TestLookupMasks:
 
     def test_mask_and_algebra(self, masks75):
         m = masks75.by_constraint[(0, 1)]
-        assert mask_and(m, masks75.full) == m
-        assert mask_and(m, m) == m
-        assert mask_and(masks75.info[0], masks75.parity[1]) == m
+        assert (m & masks75.full) == m
+        assert (m & m) == m
+        assert (masks75.info[0] & masks75.parity[1]) == m
 
     def test_figure_two_survivors(self, masks75):
         # b1=0 combined with b2=1 leaves e3->e4 and e4->e2.
-        m = mask_and(masks75.info[0], masks75.parity[1])
+        m = masks75.info[0] & masks75.parity[1]
         assert mask_rows(m, 4) == ["0000", "0000", "0001", "0100"]
 
     def test_zero_rows_and_cols(self, masks75):
-        m = mask_and(masks75.info[0], masks75.parity[1])
-        assert masks75.zero_rows(m) == [0, 1]
-        assert masks75.zero_cols(m) == [0, 2]
-        assert masks75.zero_rows(masks75.full) == []
-        assert masks75.zero_cols(masks75.full) == []
-        assert masks75.zero_rows(0) == [0, 1, 2, 3]
-        assert masks75.zero_cols(0) == [0, 1, 2, 3]
+        # The decoder's all-zero tests: ``not mask & row_masks[i]``.
+        def zero_rows(mask):
+            return [i for i, rm in enumerate(masks75.row_masks) if not mask & rm]
+
+        def zero_cols(mask):
+            return [j for j, cm in enumerate(masks75.col_masks) if not mask & cm]
+
+        m = masks75.info[0] & masks75.parity[1]
+        assert zero_rows(m) == [0, 1]
+        assert zero_cols(m) == [0, 2]
+        assert zero_rows(masks75.full) == []
+        assert zero_cols(masks75.full) == []
+        assert zero_rows(0) == [0, 1, 2, 3]
+        assert zero_cols(0) == [0, 1, 2, 3]
 
     def test_is_subset_info(self, masks75):
-        survivors = mask_and(masks75.info[0], masks75.parity[1])
-        assert masks75.is_subset_info(survivors, 0)
-        assert not masks75.is_subset_info(survivors, 1)
-        assert not masks75.is_subset_info(masks75.full, 0)
-        assert masks75.is_subset_info(masks75.info[1], 1)
+        # The decoder's bit test: ``not mask & ~info[b]``.
+        def is_subset_info(mask, bit):
+            return not mask & ~masks75.info[bit]
+
+        survivors = masks75.info[0] & masks75.parity[1]
+        assert is_subset_info(survivors, 0)
+        assert not is_subset_info(survivors, 1)
+        assert not is_subset_info(masks75.full, 0)
+        assert is_subset_info(masks75.info[1], 1)

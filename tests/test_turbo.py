@@ -3,10 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from turbobec import (RscSpec, Status, TurboCodeSpec, encode,
-                      identity_interleaver, load_interleaver,
-                      make_pr_interleaver, make_puncture_map, make_turbo_spec,
-                      parse_puncture_patterns)
+from turbobec import (RscSpec, Status, TurboCodeSpec, identity_interleaver,
+                      load_interleaver, make_pr_interleaver, make_puncture_map,
+                      make_turbo_spec, parse_puncture_patterns)
 from turbobec.turbo import PARITY1, PARITY2, SYSTEMATIC, rsc_parity
 
 from conftest import RegisterOracle, rng_for
@@ -51,13 +50,13 @@ class TestInterleaver:
     def test_load_rejects_duplicates(self, tmp_path):
         p = tmp_path / "pi.txt"
         p.write_text("1\n1\n0\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="entry 1 appears twice"):
             load_interleaver(p)
 
     def test_load_rejects_out_of_range(self, tmp_path):
         p = tmp_path / "pi.txt"
         p.write_text("0\n3\n1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="entry 3 out of range for K=3"):
             load_interleaver(p)
 
 
@@ -107,13 +106,13 @@ class TestPunctureMap:
 class TestEncoder:
     def test_zero_word_maps_to_zero(self):
         spec = turbo_spec(8, interleaver=identity_interleaver(8))
-        assert not encode(spec, np.zeros(8, dtype=np.uint8)).any()
+        assert not spec.encode(np.zeros(8, dtype=np.uint8)).any()
 
     def test_impulse_response_against_register_oracle(self, oracle75):
         spec = turbo_spec(8, interleaver=identity_interleaver(8))
         info = [1, 0, 0, 0, 0, 0, 0, 0]
         expect_parity, _ = oracle75.terminated_parity(info)
-        cw = encode(spec, info)
+        cw = spec.encode(info)
         assert list(cw[0::3]) == info
         assert list(cw[1::3]) == expect_parity
         assert list(cw[2::3]) == expect_parity  # identity interleaver
@@ -123,7 +122,7 @@ class TestEncoder:
         spec = turbo_spec(32, seed=5)
         for _ in range(20):
             info = rng.integers(0, 2, 32)
-            cw = encode(spec, info)
+            cw = spec.encode(info)
             p1, _ = oracle75.terminated_parity(list(info))
             p2, _ = oracle75.terminated_parity(list(spec.interleaver.scramble(info)))
             assert list(cw[0::3]) == list(info)
@@ -136,8 +135,8 @@ class TestEncoder:
         for _ in range(10):
             a = rng.integers(0, 2, 24, dtype=np.uint8)
             b = rng.integers(0, 2, 24, dtype=np.uint8)
-            assert np.array_equal(encode(spec, a) ^ encode(spec, b),
-                                  encode(spec, a ^ b))
+            assert np.array_equal(spec.encode(a) ^ spec.encode(b),
+                                  spec.encode(a ^ b))
 
     def test_termination_reaches_zero_state(self, oracle75):
         # rsc_parity asserts the zero state internally; cross-check with
@@ -156,7 +155,7 @@ class TestEncoder:
     def test_length_mismatch(self):
         spec = turbo_spec(8)
         with pytest.raises(ValueError):
-            encode(spec, np.zeros(9, dtype=np.uint8))
+            spec.encode(np.zeros(9, dtype=np.uint8))
 
     def test_interleaver_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -167,7 +166,7 @@ class TestEncoder:
         for rate in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
             spec = turbo_spec(16, rate, seed=11)
             info = rng.integers(0, 2, 16, dtype=np.uint8)
-            cw = encode(spec, info)
+            cw = spec.encode(info)
             dec = spec.start_decoder()
             outcome = dec.outcome()
             for i in range(spec.N):
