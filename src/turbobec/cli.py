@@ -42,9 +42,9 @@ def _make_interleaver(spec_text: str, k: int):
     if kind == "file":
         pi = load_interleaver(arg)
         if len(pi) != k:
-            raise SystemExit(f"interleaver file has length {len(pi)}, expected {k}")
+            raise ValueError(f"interleaver file has length {len(pi)}, expected {k}")
         return pi
-    raise SystemExit(f"unknown interleaver spec '{spec_text}'")
+    raise ValueError(f"unknown interleaver spec '{spec_text}'")
 
 
 def _make_code(args):
@@ -59,7 +59,7 @@ def _make_code(args):
                     if args.puncture else make_puncture_map(rate, args.k))
         spec = make_turbo_spec(rsc, args.k, interleaver, puncture=puncture)
         if spec.rate != rate:
-            raise SystemExit(
+            raise ValueError(
                 f"puncture pattern gives rate {spec.rate}, requested {rate}")
         return spec, args.interleaver
     if name == "ldpc-regular":
@@ -67,7 +67,7 @@ def _make_code(args):
     if name.startswith("ldpc-irregular:"):
         dist = load_degree_distribution(name.split(":", 1)[1])
         return build_irregular_staircase(args.k, rate, dist, args.seed), "-"
-    raise SystemExit(f"unknown code family '{name}'")
+    raise ValueError(f"unknown code family '{name}'")
 
 
 def _echo_config(args, code=None) -> None:
@@ -85,7 +85,7 @@ def _read_bits(path: str, count: int) -> list[int]:
         v = int(ch, 16)
         bits.extend((v >> s) & 1 for s in (3, 2, 1, 0))
     if len(bits) < count:
-        raise SystemExit(f"{path}: expected at least {count} bits, found {len(bits)}")
+        raise ValueError(f"{path}: expected at least {count} bits, found {len(bits)}")
     return bits[:count]
 
 
@@ -142,8 +142,7 @@ def cmd_decode(args) -> int:
                 raise ValueError(
                     f"{args.received}, line {lineno} {line!r}: {exc}") from None
             r += 1
-            known = sum(b is not None for b in decoder.determined_bits())
-            print(f"r={r} determined={known}")
+            print(f"r={r} determined={decoder.known_count()}")
             if outcome.status is not Status.IN_PROGRESS:
                 break
     print(f"outcome: {outcome.status.value}")
@@ -294,11 +293,16 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            defaults = json.load(fh)
+            try:
+                defaults = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
+        if not isinstance(defaults, dict):
+            raise ValueError(f"{args.config}: expected a JSON object of flag values")
         # Flags given on the command line win over config-file values.
         for key, value in defaults.items():
             if not hasattr(args, key):
-                raise SystemExit(f"config key '{key}' is not a known flag")
+                raise ValueError(f"config key '{key}' is not a known flag")
             if not _given_on_command_line(key, argv):
                 setattr(args, key, value)
     return args
@@ -308,15 +312,15 @@ def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name) is None:
             flag = _FLAG_ALIASES.get(name, "--" + name.replace("_", "-"))
-            raise SystemExit(f"error: {flag} is required (flag or config)")
+            raise ValueError(f"{flag} is required (flag or config)")
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
-    args = _apply_config(parser, argv)
     try:
+        args = _apply_config(parser, argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,14 @@ transitions all agree is duplicated into the other trellis.  The whole
 closure is run by one FIFO worklist of (trellis, step) entries, which
 makes the result independent of reception order.
 
+What a step mask implies for its neighbours and its information bit
+depends on the mask value alone, so the decoder never scans rows and
+columns itself: it looks the mask up in ``LookupMasks.memo``, which
+computes each entry the first time it is met.  The lookup masks (memo
+included) and the boundary masks are per-code constants, built once by
+the ``TurboCodeSpec`` and shared by all of its decoders; each decoder
+copies the boundary masks into its own chains.
+
 Masks only ever lose entries, so total work is bounded by the number of
 transitions in both trellises: linear in the interleaver size.
 """
@@ -18,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .trellis import LookupMasks, TransitionTable
+from .trellis import UNKNOWN, LookupMasks, TransitionTable, boundary_masks
 from .turbo import PARITY1, PARITY2, SYSTEMATIC, TurboCodeSpec
 
 
@@ -31,54 +39,6 @@ class Status(Enum):
 @dataclass(frozen=True)
 class DecodeOutcome:
     status: Status
-
-
-def boundary_masks(table: TransitionTable, k: int) -> list[int]:
-    """Initial per-step masks for a terminated K-step trellis.
-
-    Steps 0..K-1 carry information bits, the last L-1 steps the
-    (untransmitted) termination tail.  A transition survives iff its
-    origin is reachable from the zero state in t steps and its target
-    can return to the zero state in the steps that remain; in the
-    interior both conditions are vacuous and the mask is the full
-    adjacency.
-
-    The decoder starts from these masks without closing them, which is
-    sound because they already are a closure fixpoint.  The 0 -> 0
-    self-loop and the (L-1)-step shift register make both reachability
-    tests exact, so every surviving transition lies on a terminated
-    path: no row or column is emptied by a neighbour.  And no bit is
-    forced before reception: every step t < K has at least L-1 steps
-    left, so transitions on both inputs survive.
-    """
-    S = table.n_states
-    L = table.spec.constraint_length
-    n_steps = k + L - 1
-
-    reach_fwd = [{0}]
-    while len(reach_fwd) < L:
-        cur = reach_fwd[-1]
-        reach_fwd.append({table.next_state[s][u] for s in cur for u in (0, 1)})
-    preds = [[] for _ in range(S)]
-    for i, j, _, _ in table.transitions():
-        preds[j].append(i)
-    reach_zero = [{0}]
-    while len(reach_zero) < L:
-        cur = reach_zero[-1]
-        reach_zero.append({p for s in cur for p in preds[s]})
-
-    all_states = set(range(S))
-    masks = []
-    for t in range(n_steps):
-        from_ok = reach_fwd[t] if t < L - 1 else all_states
-        left = n_steps - 1 - t
-        to_ok = reach_zero[left] if left < L - 1 else all_states
-        m = 0
-        for i, j, _, _ in table.transitions():
-            if i in from_ok and j in to_ok:
-                m |= 1 << (i * S + j)
-        masks.append(m)
-    return masks
 
 
 def check_reception(index: int, value: int, n: int, received,
@@ -100,13 +60,17 @@ def check_reception(index: int, value: int, n: int, received,
 
 
 class _ClosureEngine:
-    """Worklist fixpoint over one or two mask chains."""
+    """Worklist fixpoint over one or two mask chains.
 
-    def __init__(self, table: TransitionTable, k: int, n_chains: int):
-        self.table = table
-        self.lm = LookupMasks(table)
+    ``lm`` and ``init`` are per-code constants shared by every decoder of
+    the code: the lookup masks, whose memo fills as decoders meet new
+    step masks, and the boundary masks, which each chain copies and
+    never writes back.
+    """
+
+    def __init__(self, lm: LookupMasks, init, k: int, n_chains: int):
+        self.lm = lm
         self.K = k
-        init = boundary_masks(table, k)
         self.n_steps = len(init)
         self.masks = [list(init) for _ in range(n_chains)]
         self.determined = [[None] * k for _ in range(n_chains)]
@@ -119,24 +83,24 @@ class _ClosureEngine:
         return None
 
     def _apply(self, d: int, t: int, and_mask: int) -> None:
-        old = self.masks[d][t]
+        chain = self.masks[d]
+        old = chain[t]
         new = old & and_mask
         if new == old:
             return
-        self.masks[d][t] = new
+        chain[t] = new
         if new == 0:
             self.contradiction = True
             return
         if t < self.K and self.determined[d][t] is None:
             lm = self.lm
-            for b in (0, 1):
-                if not new & ~lm.info[b]:
-                    self.determined[d][t] = b
-                    self.unknown[d] -= 1
-                    other = self._counterpart(d, t)
-                    if other is not None:
-                        self._apply(other[0], other[1], lm.info[b])
-                    break
+            b = (lm.memo.get(new) or lm.rule(new))[2]
+            if b != UNKNOWN:
+                self.determined[d][t] = b
+                self.unknown[d] -= 1
+                other = self._counterpart(d, t)
+                if other is not None:
+                    self._apply(other[0], other[1], lm.info[b])
         if not self._queued[d][t]:
             self._queued[d][t] = 1
             self._queue.append((d, t))
@@ -144,26 +108,17 @@ class _ClosureEngine:
     def _drain(self) -> None:
         q = self._queue
         lm = self.lm
-        row_masks, col_masks = lm.row_masks, lm.col_masks
+        memo = lm.memo
         last = self.n_steps - 1
         while q:
             d, t = q.popleft()
             self._queued[d][t] = 0
             m = self.masks[d][t]
-            if t > 0:
-                rem = 0
-                for u, rm in enumerate(row_masks):
-                    if not m & rm:
-                        rem |= col_masks[u]
-                if rem:
-                    self._apply(d, t - 1, ~rem)
-            if t < last:
-                rem = 0
-                for v, cm in enumerate(col_masks):
-                    if not m & cm:
-                        rem |= row_masks[v]
-                if rem:
-                    self._apply(d, t + 1, ~rem)
+            keep_left, keep_right, _ = memo.get(m) or lm.rule(m)
+            if keep_left and t > 0:
+                self._apply(d, t - 1, keep_left)
+            if keep_right and t < last:
+                self._apply(d, t + 1, keep_right)
 
 
 class TurboErasureDecoder(_ClosureEngine):
@@ -175,7 +130,7 @@ class TurboErasureDecoder(_ClosureEngine):
     """
 
     def __init__(self, spec: TurboCodeSpec):
-        super().__init__(spec.table, spec.K, 2)
+        super().__init__(spec.lookup, spec.boundary, spec.K, 2)
         self.spec = spec
         self._pi = spec.interleaver.pi
         self._pi_inv = spec.interleaver.pi_inv
@@ -219,6 +174,10 @@ class TurboErasureDecoder(_ClosureEngine):
         """Per-step info-bit knowledge of the first trellis."""
         return list(self.determined[0])
 
+    def known_count(self) -> int:
+        """How many entries of :meth:`determined_bits` are not None."""
+        return self.K - self.unknown[0]
+
 
 class RscErasureDecoder(_ClosureEngine):
     """Constraint closure on a single terminated RSC trellis.
@@ -228,7 +187,7 @@ class RscErasureDecoder(_ClosureEngine):
     """
 
     def __init__(self, table: TransitionTable, k: int):
-        super().__init__(table, k, 1)
+        super().__init__(LookupMasks(table), boundary_masks(table, k), k, 1)
 
     def receive_info(self, t: int, value: int) -> None:
         self._apply(0, t, self.lm.info[value])

@@ -59,9 +59,9 @@ def run_trial(code, base_seed: int, index: int = 0,
 
     ``code`` is any object with K, N, encode() and start_decoder(),
     i.e. a TurboCodeSpec or a StaircaseCode.  Decoders report only their
-    status; r_stop is counted here, not by the decoders.  ``trace``, if given,
-    collects the number of determined information bits after each
-    reception.
+    status; r_stop is counted here, not by the decoders.  ``trace``, if
+    given, collects the decoder's known_count() (determined information
+    bits) after each reception.
     """
     rng = trial_rng(base_seed, index)
     info = rng.integers(0, 2, code.K, dtype=np.uint8)
@@ -73,7 +73,7 @@ def run_trial(code, base_seed: int, index: int = 0,
         sym = int(sym)
         outcome = decoder.receive(sym, int(codeword[sym]))
         if trace is not None:
-            trace.append(sum(b is not None for b in decoder.determined_bits()))
+            trace.append(decoder.known_count())
         if outcome.status is Status.CONTRADICTION:
             raise RuntimeError(
                 "contradiction while decoding a genuine codeword; decoder bug"

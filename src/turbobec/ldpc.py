@@ -261,3 +261,7 @@ class PeelingDecoder:
 
     def determined_bits(self) -> list[int | None]:
         return self.values[: self.code.K]
+
+    def known_count(self) -> int:
+        """How many entries of :meth:`determined_bits` are not None."""
+        return self.code.K - self.unknown_info

@@ -1,13 +1,14 @@
 """Trellis model of rate-1/2 recursive systematic convolutional (RSC) codes.
 
 Derives the state-transition table of an RSC constituent from its octal
-generator polynomials and precomputes the 3^2 label-constraint lookup
-masks used by the erasure decoder.
+generator polynomials, precomputes the 3^2 label-constraint lookup
+masks used by the erasure decoder, and builds the boundary masks of a
+terminated trellis.
 
 A transition mask is stored as a plain int: entry (i, j) of the
 state-to-state matrix is bit ``i * n_states + j``.  The decoding loop is
-dominated by logical ANDs and all-zero row/column checks, both of which
-are single integer operations in this representation.
+logical ANDs plus the all-zero row/column checks of ``LookupMasks.rule``,
+which run once per distinct mask and are looked up after that.
 """
 
 from __future__ import annotations
@@ -144,6 +145,13 @@ class LookupMasks:
     transitions with information bit b, ``parity[b]`` only those with
     parity bit b.  ``row_masks[i]`` and ``col_masks[j]`` select row i and
     column j, so ``not mask & row_masks[i]`` tests for an all-zero row.
+
+    ``memo`` maps a step mask to what the decoder derives from it, as
+    filled by :meth:`rule`.  It starts empty and grows by one entry per
+    distinct mask met.  100 decoded K=1024 words met 50 of the 256
+    subsets of ``full`` for the (7,5) code, 298 of 65,536 for (13,15)
+    and about 2,350 for the 16-state (23,35) code, so no table over all
+    subsets is ever built.
     """
 
     def __init__(self, table: TransitionTable):
@@ -167,3 +175,79 @@ class LookupMasks:
         self.col_masks = tuple(
             sum(1 << (i * S + j) for i in range(S)) for j in range(S)
         )
+        self.memo: dict[int, tuple[int, int, int]] = {}
+
+    def rule(self, mask: int) -> tuple[int, int, int]:
+        """(keep_left, keep_right, info_bit) of a step mask; fills ``memo``.
+
+        An empty row i of ``mask`` means no surviving transition leaves
+        state i, so the previous step must not enter it: ``keep_left``
+        ANDs out column i there.  Likewise an empty column j clears row j
+        of the next step through ``keep_right``.  Either is 0 when it
+        would remove nothing.  ``info_bit`` is b if every transition in
+        ``mask`` carries information bit b, else UNKNOWN.
+        """
+        rows, cols = self.row_masks, self.col_masks
+        gone_left = gone_right = 0
+        for i in range(self.n_states):
+            if not mask & rows[i]:
+                gone_left |= cols[i]
+            if not mask & cols[i]:
+                gone_right |= rows[i]
+        info_bit = UNKNOWN
+        for b in (0, 1):
+            if not mask & ~self.info[b]:
+                info_bit = b
+                break
+        entry = (~gone_left if gone_left else 0,
+                 ~gone_right if gone_right else 0, info_bit)
+        self.memo[mask] = entry
+        return entry
+
+
+def boundary_masks(table: TransitionTable, k: int) -> list[int]:
+    """Initial per-step masks for a terminated K-step trellis.
+
+    Steps 0..K-1 carry information bits, the last L-1 steps the
+    (untransmitted) termination tail.  A transition survives iff its
+    origin is reachable from the zero state in t steps and its target
+    can return to the zero state in the steps that remain; in the
+    interior both conditions are vacuous and the mask is the full
+    adjacency.
+
+    The decoder starts from these masks without closing them, which is
+    sound because they already are a closure fixpoint.  The 0 -> 0
+    self-loop and the (L-1)-step shift register make both reachability
+    tests exact, so every surviving transition lies on a terminated
+    path: no row or column is emptied by a neighbour.  And no bit is
+    forced before reception: every step t < K has at least L-1 steps
+    left, so transitions on both inputs survive.
+    """
+    S = table.n_states
+    L = table.spec.constraint_length
+    n_steps = k + L - 1
+
+    reach_fwd = [{0}]
+    while len(reach_fwd) < L:
+        cur = reach_fwd[-1]
+        reach_fwd.append({table.next_state[s][u] for s in cur for u in (0, 1)})
+    preds = [[] for _ in range(S)]
+    for i, j, _, _ in table.transitions():
+        preds[j].append(i)
+    reach_zero = [{0}]
+    while len(reach_zero) < L:
+        cur = reach_zero[-1]
+        reach_zero.append({p for s in cur for p in preds[s]})
+
+    all_states = set(range(S))
+    masks = []
+    for t in range(n_steps):
+        from_ok = reach_fwd[t] if t < L - 1 else all_states
+        left = n_steps - 1 - t
+        to_ok = reach_zero[left] if left < L - 1 else all_states
+        m = 0
+        for i, j, _, _ in table.transitions():
+            if i in from_ok and j in to_ok:
+                m |= 1 << (i * S + j)
+        masks.append(m)
+    return masks

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .trellis import RscSpec, TransitionTable
+from .trellis import LookupMasks, RscSpec, TransitionTable, boundary_masks
 
 SYSTEMATIC, PARITY1, PARITY2 = 0, 1, 2
 _STREAM_NAMES = {SYSTEMATIC: "s", PARITY1: "p1", PARITY2: "p2"}
@@ -126,7 +127,9 @@ def make_puncture_map(rate: Fraction, k: int) -> PunctureMap:
         raise ValueError(f"unsupported rate {rate}; presets are 1/3, 1/2, 2/3")
     pm = _PRESETS[rate]
     n = pm.kept_count(k)  # validates divisibility
-    assert n * rate == k
+    if n * rate != k:
+        raise ValueError(f"puncture preset for rate {rate} keeps {n} of {k} "
+                         f"bits, which is rate {Fraction(k, n)}")
     return pm
 
 
@@ -161,6 +164,16 @@ class TurboCodeSpec:
                 if self.puncture.keeps(stream, t):
                     layout.append((stream, t))
         object.__setattr__(self, "layout", tuple(layout))
+
+    @cached_property
+    def lookup(self) -> LookupMasks:
+        """Lookup masks shared by every decoder of this code, memo included."""
+        return LookupMasks(self.table)
+
+    @cached_property
+    def boundary(self) -> tuple[int, ...]:
+        """Initial step masks, built once; decoders copy them."""
+        return tuple(boundary_masks(self.table, self.K))
 
     @property
     def N(self) -> int:
@@ -220,6 +233,7 @@ def rsc_parity(table: TransitionTable, info: np.ndarray) -> np.ndarray:
     for _ in range(table.spec.constraint_length - 1):
         u = table.termination_input(state)
         state = nxt[state][u]
-    assert state == 0, "termination failed to reach the zero state"
+    if state != 0:
+        raise RuntimeError("termination failed to reach the zero state")
     return out
 

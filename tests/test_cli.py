@@ -123,8 +123,9 @@ class TestSimulate:
         assert "period" in err
 
     def test_unknown_code_family(self, capsys):
-        with pytest.raises(SystemExit):
-            run(capsys, "simulate", "--code", "nope", "--k", "8")
+        code, _, err = run(capsys, "simulate", "--code", "nope", "--k", "8")
+        assert code == 2
+        assert "error: unknown code family 'nope'" in err
 
 
 class TestSweep:
@@ -155,8 +156,42 @@ class TestConfig:
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"bogus": 1}))
-        with pytest.raises(SystemExit):
-            run(capsys, "simulate", "--config", str(cfg), "--k", "8")
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--k", "8")
+        assert code == 2
+        assert "error: config key 'bogus' is not a known flag" in err
+
+
+class TestMalformedInput:
+    """Every malformed file or flag ends in exit 2 and one error line.
+
+    An unknown --code and an unknown config key are covered above.
+    """
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--config", "{tmp}/bad.json"], "bad.json: not valid JSON"),
+        (["simulate", "--config", "{tmp}/list.json"], "expected a JSON object"),
+        (["simulate", "--config", "{tmp}/missing.json"], "missing.json"),
+        (["simulate", "--k", "8", "--interleaver", "shuffle"],
+         "unknown interleaver spec 'shuffle'"),
+        (["simulate", "--k", "8", "--interleaver", "file:{tmp}/pi.txt"],
+         "interleaver file has length 3, expected 8"),
+        (["encode", "--k", "16", "--in", "{tmp}/info.hex",
+          "--out", "{tmp}/cw.hex"], "expected at least 16 bits, found 8"),
+        (["simulate", "--trials", "1"], "--k is required"),
+    ], ids=["config-not-json", "config-not-object", "config-missing",
+            "unknown-interleaver", "interleaver-length",
+            "too-few-bits", "missing-k"])
+    def test_exit_code_two(self, tmp_path, capsys, argv, message):
+        (tmp_path / "bad.json").write_text("{\"k\": 8,")
+        (tmp_path / "list.json").write_text("[8]")
+        (tmp_path / "pi.txt").write_text("2\n0\n1\n")
+        (tmp_path / "info.hex").write_text("a7\n")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("error: ")
+        assert message in err
 
 
 class TestVersion:

@@ -307,3 +307,53 @@ class TestPerTrellisExactness:
                     assert dec.determined_bits()[t] == agreed.pop()
                 else:
                     assert dec.determined_bits()[t] is None
+
+
+class TestPerCodeConstants:
+    """Decoders of one spec share its lookup masks and boundary masks."""
+
+    def test_decoding_leaves_shared_boundary_untouched(self):
+        spec = turbo_spec(64, seed=5)
+        cw = spec.encode(rng_for(78, 0).integers(0, 2, 64, dtype=np.uint8))
+        dec = spec.start_decoder()
+        assert dec.lm is spec.lookup
+        for i in range(spec.N):
+            dec.receive(i, int(cw[i]))
+        assert dec.outcome().status is Status.SUCCESS
+        assert list(spec.boundary) == boundary_masks(spec.table, spec.K)
+        fresh = spec.start_decoder()
+        assert fresh.masks == [list(spec.boundary)] * 2
+        assert fresh.lm is spec.lookup
+
+    @pytest.mark.parametrize("rsc, rate", [
+        (RSC75, Fraction(1, 3)), (RscSpec(0o13, 0o15, 4), Fraction(1, 2))],
+        ids=["75", "1315"])
+    def test_interleaved_decoders_match_sequential(self, rsc, rate):
+        k = 32
+
+        def build():
+            return make_turbo_spec(rsc, k, make_pr_interleaver(k, 9), rate=rate)
+
+        rng = rng_for(78, 1)
+        spec = build()
+        words = [spec.encode(rng.integers(0, 2, k, dtype=np.uint8))
+                 for _ in range(2)]
+        orders = [[int(x) for x in rng.permutation(spec.N)] for _ in range(2)]
+
+        def step(dec, cw, idx):
+            status = dec.receive(idx, int(cw[idx])).status
+            return status, dec.determined_bits()
+
+        sequential = build()
+        alone = []
+        for cw, order in zip(words, orders):
+            dec = sequential.start_decoder()
+            alone.append([step(dec, cw, idx) for idx in order])
+
+        decs = [spec.start_decoder(), spec.start_decoder()]
+        together = [[], []]
+        for pair in zip(*orders):
+            for j in (0, 1):
+                together[j].append(step(decs[j], words[j], pair[j]))
+        assert together == alone
+        assert all(trace[-1][0] is Status.SUCCESS for trace in together)

@@ -70,6 +70,22 @@ class TestTrials:
         var = sum((m - stats.mu_av) ** 2 for m in mus) / 9
         assert stats.mu_std == pytest.approx(math.sqrt(var))
 
+    @pytest.mark.parametrize("build", [
+        lambda: turbo_spec(32, Fraction(1, 2)),
+        lambda: build_regular_staircase(32, Fraction(1, 3), seed=2),
+    ], ids=["turbo", "ldpc"])
+    def test_known_count_tracks_determined_bits(self, build):
+        code = build()
+        rng = trial_rng(12, 0)
+        cw = code.encode(rng.integers(0, 2, code.K, dtype=np.uint8))
+        dec = code.start_decoder()
+        assert dec.known_count() == 0
+        for sym in rng.permutation(code.N):
+            dec.receive(int(sym), int(cw[sym]))
+            assert dec.known_count() == sum(
+                b is not None for b in dec.determined_bits())
+        assert dec.known_count() == code.K
+
     def test_trace_monotone(self):
         spec = turbo_spec(16)
         trace = []

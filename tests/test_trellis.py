@@ -144,3 +144,48 @@ class TestLookupMasks:
         assert not is_subset_info(survivors, 1)
         assert not is_subset_info(masks75.full, 0)
         assert is_subset_info(masks75.info[1], 1)
+
+
+def subsets(mask: int):
+    """Every sub-mask of ``mask``, each once."""
+    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    for pick in range(1 << len(bits)):
+        yield sum(b for i, b in enumerate(bits) if pick >> i & 1)
+
+
+class TestMemo:
+    @pytest.mark.parametrize("fb, fw, length", [(0o7, 0o5, 3), (0o13, 0o15, 4)],
+                             ids=["75", "1315"])
+    def test_rule_matches_row_col_scan(self, fb, fw, length):
+        lm = LookupMasks(TransitionTable(RscSpec(fb, fw, length)))
+        assert lm.memo == {}
+        count = 0
+        for m in subsets(lm.full):
+            gone_left = gone_right = 0
+            for i in range(lm.n_states):
+                if not m & lm.row_masks[i]:
+                    gone_left |= lm.col_masks[i]
+                if not m & lm.col_masks[i]:
+                    gone_right |= lm.row_masks[i]
+            bits = [b for b in (0, 1) if not m & ~lm.info[b]]
+            expect = (~gone_left if gone_left else 0,
+                      ~gone_right if gone_right else 0,
+                      bits[0] if bits else UNKNOWN)
+            assert lm.rule(m) == expect, format_mask(m, lm.n_states)
+            assert lm.memo[m] == expect
+            count += 1
+        assert count == 1 << lm.full.bit_count()
+        assert len(lm.memo) == count
+
+    def test_keep_masks_clear_only_dead_states(self, masks75):
+        # e3->e4 and e4->e2 survive: states e1, e2 have no successor here,
+        # so the step before must not enter them; e1, e3 no predecessor,
+        # so the step after must not leave them.
+        keep_left, keep_right, info_bit = masks75.rule(
+            masks75.info[0] & masks75.parity[1])
+        assert mask_rows(masks75.full & keep_left, 4) == [
+            "0010", "0010", "0001", "0001"]
+        assert mask_rows(masks75.full & keep_right, 4) == [
+            "0000", "1010", "0000", "0101"]
+        assert info_bit == 0
+        assert masks75.rule(masks75.full) == (0, 0, UNKNOWN)

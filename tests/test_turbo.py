@@ -3,9 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from turbobec import (RscSpec, Status, TurboCodeSpec, identity_interleaver,
-                      load_interleaver, make_pr_interleaver, make_puncture_map,
-                      make_turbo_spec, parse_puncture_patterns)
+from turbobec import (PunctureMap, RscSpec, Status, TransitionTable,
+                      TurboCodeSpec, identity_interleaver, load_interleaver,
+                      make_pr_interleaver, make_puncture_map, make_turbo_spec,
+                      parse_puncture_patterns, turbo)
 from turbobec.turbo import PARITY1, PARITY2, SYSTEMATIC, rsc_parity
 
 from conftest import RegisterOracle, rng_for
@@ -92,6 +93,14 @@ class TestPunctureMap:
         with pytest.raises(ValueError):
             make_puncture_map(Fraction(2, 3), 1022)
 
+    def test_preset_with_wrong_rate_rejected(self, monkeypatch):
+        # A preset keeping every parity bit is rate 1/3, not the 1/2 it is
+        # filed under; the check must not depend on ``assert``.
+        monkeypatch.setattr(turbo, "_PRESETS",
+                            {Fraction(1, 2): PunctureMap(1, (True,), (True,))})
+        with pytest.raises(ValueError, match="rate 1/3"):
+            make_puncture_map(Fraction(1, 2), 16)
+
     def test_pattern_override(self):
         pm = parse_puncture_patterns("p1=10,p2=01")
         assert pm.keeps(PARITY1, 0) and not pm.keeps(PARITY1, 1)
@@ -139,7 +148,7 @@ class TestEncoder:
                                   spec.encode(a ^ b))
 
     def test_termination_reaches_zero_state(self, oracle75):
-        # rsc_parity asserts the zero state internally; cross-check with
+        # rsc_parity checks the zero state internally; cross-check with
         # the oracle's own register.
         rng = rng_for(2024, 3)
         table = turbo_spec(16).table
@@ -151,6 +160,13 @@ class TestEncoder:
             for u in list(info) + tail:
                 regs, _ = oracle75.step(regs, int(u))
             assert regs == [0, 0]
+
+    def test_failed_termination_raises(self):
+        table = TransitionTable(RSC75)
+        zero_driving = table.termination_input
+        table.termination_input = lambda state: 1 - zero_driving(state)
+        with pytest.raises(RuntimeError, match="zero state"):
+            rsc_parity(table, np.array([1, 0, 0, 0], dtype=np.uint8))
 
     def test_length_mismatch(self):
         spec = turbo_spec(8)
