@@ -33,6 +33,13 @@ def _parse_poly(text: str, base: str) -> tuple[int, int, int]:
     return fb, fw, length
 
 
+def _parse_rate(text, flag: str = "--rate") -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag}: '{text}' is not a rate fraction") from None
+
+
 def _make_interleaver(spec_text: str, k: int):
     if spec_text in ("id", "identity"):
         return identity_interleaver(k)
@@ -50,7 +57,7 @@ def _make_interleaver(spec_text: str, k: int):
 def _make_code(args):
     """Builds the code under test from resolved flags; returns (code, tag)."""
     name = args.code
-    rate = Fraction(args.rate)
+    rate = _parse_rate(args.rate)
     if name == "turbo":
         fb, fw, length = _parse_poly(args.poly, args.base)
         rsc = RscSpec(fb, fw, length)
@@ -79,7 +86,8 @@ def _echo_config(args, code=None) -> None:
 
 
 def _read_bits(path: str, count: int) -> list[int]:
-    text = "".join(open(path).read().split())
+    with open(path) as fh:
+        text = "".join(fh.read().split())
     bits = []
     for ch in text:
         v = int(ch, 16)
@@ -188,8 +196,9 @@ def cmd_sweep(args) -> int:
         sub.code, sub.rate, sub.k = name, rate, k
         return _make_code(sub)
 
+    rates = [_parse_rate(r, "--rate-list") for r in args.rate_list.split(",")]
     rows = sweep(make_code, [int(k) for k in args.k_list.split(",")],
-                 args.rate_list.split(","), args.code_list.split(","),
+                 rates, args.code_list.split(","),
                  args.trials, args.seed)
     _emit(rows, args.out)
     if args.emit_plot:
@@ -281,38 +290,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_ALIASES = {"infile": "--in", "outfile": "--out"}
+_FLAG_ALIASES = {"infile": "--in", "outfile": "--out", "code_poly": "--code"}
 
 
-def _given_on_command_line(dest: str, argv) -> bool:
-    flag = _FLAG_ALIASES.get(dest, "--" + dest.replace("_", "-"))
-    return any(a == flag or a.startswith(flag + "=") for a in argv)
+def _flag(dest: str) -> str:
+    return _FLAG_ALIASES.get(dest, "--" + dest.replace("_", "-"))
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parses ``argv``, reading ``--config`` entries as flags placed first.
+
+    argparse converts and checks them like any flag, and a flag given on
+    the command line comes later, so it wins.
+    """
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            try:
-                defaults = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
-        if not isinstance(defaults, dict):
-            raise ValueError(f"{args.config}: expected a JSON object of flag values")
-        # Flags given on the command line win over config-file values.
-        for key, value in defaults.items():
-            if not hasattr(args, key):
-                raise ValueError(f"config key '{key}' is not a known flag")
-            if not _given_on_command_line(key, argv):
-                setattr(args, key, value)
-    return args
+    if not getattr(args, "config", None):
+        return args
+    with open(args.config) as fh:
+        try:
+            defaults = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
+    if not isinstance(defaults, dict):
+        raise ValueError(f"{args.config}: expected a JSON object of flag values")
+    tokens = []
+    for key, value in defaults.items():
+        if key in ("command", "config", "func") or not hasattr(args, key):
+            raise ValueError(f"config key '{key}' is not a known flag")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"config key '{key}': {json.dumps(value)} is not "
+                             f"a JSON string or number")
+        tokens.append(f"{_flag(key)}={value}")
+    return parser.parse_args([args.command, *tokens, *argv[1:]])
 
 
 def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name) is None:
-            flag = _FLAG_ALIASES.get(name, "--" + name.replace("_", "-"))
-            raise ValueError(f"{flag} is required (flag or config)")
+            raise ValueError(f"{_flag(name)} is required (flag or config)")
 
 
 def main(argv=None) -> int:

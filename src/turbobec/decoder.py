@@ -1,20 +1,25 @@
 """On-the-fly erasure decoding over the trellises of a turbo code.
 
 Every trellis step holds a mask of still-allowed transitions.  A received
-bit ANDs the matching lookup mask into the step (systematic bits into
-both trellises, at interleaved positions); emptied rows and columns then
-propagate left and right, and an information bit whose surviving
-transitions all agree is duplicated into the other trellis.  The whole
-closure is run by one FIFO worklist of (trellis, step) entries, which
-makes the result independent of reception order.
+bit ANDs the matching lookup mask into the step; emptied rows and columns
+then propagate left and right.  An information bit whose surviving
+transitions all agree is recorded once, in one knowledge array indexed
+by information position, and injected into the other trellis at its
+interleaved step.  The whole closure is run by one FIFO worklist of
+(trellis, step) entries, which makes the result independent of
+reception order.
+
+Trellis termination is two more removals of the same kind: a decoder
+starts at the full adjacency, pins the first step to leave state 0 and
+the last to enter it, and closes; only the first and last L-1 steps
+change.
 
 What a step mask implies for its neighbours and its information bit
 depends on the mask value alone, so the decoder never scans rows and
 columns itself: it looks the mask up in ``LookupMasks.memo``, which
 computes each entry the first time it is met.  The lookup masks (memo
-included) and the boundary masks are per-code constants, built once by
-the ``TurboCodeSpec`` and shared by all of its decoders; each decoder
-copies the boundary masks into its own chains.
+included) are a per-code constant, built once by the ``TurboCodeSpec``
+and shared by all of its decoders.
 
 Masks only ever lose entries, so total work is bounded by the number of
 transitions in both trellises: linear in the interleaver size.
@@ -26,8 +31,9 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .trellis import UNKNOWN, LookupMasks, TransitionTable, boundary_masks
-from .turbo import PARITY1, PARITY2, SYSTEMATIC, TurboCodeSpec
+from .trellis import UNKNOWN, LookupMasks, TransitionTable
+from .turbo import (PARITY1, PARITY2, SYSTEMATIC, Interleaver,
+                    TurboCodeSpec)
 
 
 class Status(Enum):
@@ -60,27 +66,38 @@ def check_reception(index: int, value: int, n: int, received,
 
 
 class _ClosureEngine:
-    """Worklist fixpoint over one or two mask chains.
+    """Worklist fixpoint over the mask chains of one or two trellises.
 
-    ``lm`` and ``init`` are per-code constants shared by every decoder of
-    the code: the lookup masks, whose memo fills as decoders meet new
-    step masks, and the boundary masks, which each chain copies and
-    never writes back.
+    ``lm`` is shared by every decoder of the code; its memo fills as
+    decoders meet new step masks.  Chain 0 carries information position
+    t at step t; a second chain, present when an interleaver is given,
+    carries position ``pi[u]`` at step u.  ``determined[p]`` is what the
+    chains know of position p.
     """
 
-    def __init__(self, lm: LookupMasks, init, k: int, n_chains: int):
+    def __init__(self, lm: LookupMasks, k: int,
+                 interleaver: Interleaver | None = None):
         self.lm = lm
         self.K = k
-        self.n_steps = len(init)
-        self.masks = [list(init) for _ in range(n_chains)]
-        self.determined = [[None] * k for _ in range(n_chains)]
-        self.unknown = [k] * n_chains
+        self.n_steps = k + lm.table.spec.constraint_length - 1
+        identity = range(k)
+        # Per chain: the information position of each step, and its inverse.
+        self._position = (identity,)
+        self._step = (identity,)
+        if interleaver is not None:
+            self._position += (interleaver.pi,)
+            self._step += (interleaver.pi_inv,)
+        n_chains = len(self._position)
+        self.masks = [[lm.full] * self.n_steps for _ in range(n_chains)]
+        self.determined: list[int | None] = [None] * k
+        self.unknown = k
         self.contradiction = False
         self._queue: deque[tuple[int, int]] = deque()
         self._queued = [bytearray(self.n_steps) for _ in range(n_chains)]
-
-    def _counterpart(self, d: int, t: int) -> tuple[int, int] | None:
-        return None
+        for d in range(n_chains):
+            self._apply(d, 0, lm.row_masks[0])
+            self._apply(d, self.n_steps - 1, lm.col_masks[0])
+        self._drain()
 
     def _apply(self, d: int, t: int, and_mask: int) -> None:
         chain = self.masks[d]
@@ -92,15 +109,17 @@ class _ClosureEngine:
         if new == 0:
             self.contradiction = True
             return
-        if t < self.K and self.determined[d][t] is None:
-            lm = self.lm
-            b = (lm.memo.get(new) or lm.rule(new))[2]
-            if b != UNKNOWN:
-                self.determined[d][t] = b
-                self.unknown[d] -= 1
-                other = self._counterpart(d, t)
-                if other is not None:
-                    self._apply(other[0], other[1], lm.info[b])
+        if t < self.K:
+            p = self._position[d][t]
+            if self.determined[p] is None:
+                lm = self.lm
+                b = (lm.memo.get(new) or lm.rule(new))[2]
+                if b != UNKNOWN:
+                    self.determined[p] = b
+                    self.unknown -= 1
+                    if len(self.masks) == 2:
+                        e = 1 - d
+                        self._apply(e, self._step[e][p], lm.info[b])
         if not self._queued[d][t]:
             self._queued[d][t] = 1
             self._queue.append((d, t))
@@ -120,24 +139,26 @@ class _ClosureEngine:
             if keep_right and t < last:
                 self._apply(d, t + 1, keep_right)
 
+    def determined_bits(self) -> list[int | None]:
+        """Per-position information-bit knowledge, None where unknown."""
+        return list(self.determined)
+
+    def known_count(self) -> int:
+        """How many entries of :meth:`determined_bits` are not None."""
+        return self.K - self.unknown
+
 
 class TurboErasureDecoder(_ClosureEngine):
     """Symbol-at-a-time decoder for a punctured parallel turbo code.
 
     Feed transmitted-codeword positions in any order via :meth:`receive`;
-    decoding succeeds once all K information bits of the first trellis
-    are determined.
+    decoding succeeds once all K information bits are determined.
     """
 
     def __init__(self, spec: TurboCodeSpec):
-        super().__init__(spec.lookup, spec.boundary, spec.K, 2)
+        super().__init__(spec.lookup, spec.K, spec.interleaver)
         self.spec = spec
-        self._pi = spec.interleaver.pi
-        self._pi_inv = spec.interleaver.pi_inv
         self._received = bytearray(spec.N)
-
-    def _counterpart(self, d: int, t: int) -> tuple[int, int]:
-        return (1, self._pi_inv[t]) if d == 0 else (0, self._pi[t])
 
     def receive(self, symbol_index: int, value: int) -> DecodeOutcome:
         """Takes one codeword symbol and closes the constraints it adds.
@@ -153,8 +174,8 @@ class TurboErasureDecoder(_ClosureEngine):
         stream, t = self.spec.layout[symbol_index]
         lm = self.lm
         if stream == SYSTEMATIC:
+            # _apply carries the forced bit into the second trellis.
             self._apply(0, t, lm.info[value])
-            self._apply(1, self._pi_inv[t], lm.info[value])
         elif stream == PARITY1:
             self._apply(0, t, lm.parity[value])
         else:
@@ -166,17 +187,9 @@ class TurboErasureDecoder(_ClosureEngine):
     def outcome(self) -> DecodeOutcome:
         if self.contradiction:
             return DecodeOutcome(Status.CONTRADICTION)
-        if self.unknown[0] == 0:
+        if self.unknown == 0:
             return DecodeOutcome(Status.SUCCESS)
         return DecodeOutcome(Status.IN_PROGRESS)
-
-    def determined_bits(self) -> list[int | None]:
-        """Per-step info-bit knowledge of the first trellis."""
-        return list(self.determined[0])
-
-    def known_count(self) -> int:
-        """How many entries of :meth:`determined_bits` are not None."""
-        return self.K - self.unknown[0]
 
 
 class RscErasureDecoder(_ClosureEngine):
@@ -187,7 +200,7 @@ class RscErasureDecoder(_ClosureEngine):
     """
 
     def __init__(self, table: TransitionTable, k: int):
-        super().__init__(LookupMasks(table), boundary_masks(table, k), k, 1)
+        super().__init__(LookupMasks(table), k)
 
     def receive_info(self, t: int, value: int) -> None:
         self._apply(0, t, self.lm.info[value])
@@ -201,5 +214,8 @@ class RscErasureDecoder(_ClosureEngine):
     def step_masks(self) -> list[int]:
         return list(self.masks[0])
 
-    def determined_bits(self) -> list[int | None]:
-        return list(self.determined[0])
+
+def boundary_masks(table: TransitionTable, k: int) -> list[int]:
+    """Start-state masks of a terminated K-step trellis: K information
+    steps, then the L-1 untransmitted tail steps."""
+    return RscErasureDecoder(table, k).step_masks

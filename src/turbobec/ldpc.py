@@ -86,6 +86,8 @@ class StaircaseCode:
 
 def _parity_count(k: int, rate: Fraction) -> int:
     rate = Fraction(rate)
+    if rate <= 0:
+        raise ValueError(f"rate {rate} must be positive")
     n = k / rate
     if n.denominator != 1:
         raise ValueError(f"K={k} with rate {rate} gives a non-integral length")

@@ -1,9 +1,10 @@
 """Trellis model of rate-1/2 recursive systematic convolutional (RSC) codes.
 
 Derives the state-transition table of an RSC constituent from its octal
-generator polynomials, precomputes the 3^2 label-constraint lookup
-masks used by the erasure decoder, and builds the boundary masks of a
-terminated trellis.
+generator polynomials and precomputes the 3^2 label-constraint lookup
+masks used by the erasure decoder.  Trellis termination is not handled
+here: the decoder applies the zero-state pins with the same closure
+that propagates a reception.
 
 A transition mask is stored as a plain int: entry (i, j) of the
 state-to-state matrix is bit ``i * n_states + j``.  The decoding loop is
@@ -204,50 +205,3 @@ class LookupMasks:
         self.memo[mask] = entry
         return entry
 
-
-def boundary_masks(table: TransitionTable, k: int) -> list[int]:
-    """Initial per-step masks for a terminated K-step trellis.
-
-    Steps 0..K-1 carry information bits, the last L-1 steps the
-    (untransmitted) termination tail.  A transition survives iff its
-    origin is reachable from the zero state in t steps and its target
-    can return to the zero state in the steps that remain; in the
-    interior both conditions are vacuous and the mask is the full
-    adjacency.
-
-    The decoder starts from these masks without closing them, which is
-    sound because they already are a closure fixpoint.  The 0 -> 0
-    self-loop and the (L-1)-step shift register make both reachability
-    tests exact, so every surviving transition lies on a terminated
-    path: no row or column is emptied by a neighbour.  And no bit is
-    forced before reception: every step t < K has at least L-1 steps
-    left, so transitions on both inputs survive.
-    """
-    S = table.n_states
-    L = table.spec.constraint_length
-    n_steps = k + L - 1
-
-    reach_fwd = [{0}]
-    while len(reach_fwd) < L:
-        cur = reach_fwd[-1]
-        reach_fwd.append({table.next_state[s][u] for s in cur for u in (0, 1)})
-    preds = [[] for _ in range(S)]
-    for i, j, _, _ in table.transitions():
-        preds[j].append(i)
-    reach_zero = [{0}]
-    while len(reach_zero) < L:
-        cur = reach_zero[-1]
-        reach_zero.append({p for s in cur for p in preds[s]})
-
-    all_states = set(range(S))
-    masks = []
-    for t in range(n_steps):
-        from_ok = reach_fwd[t] if t < L - 1 else all_states
-        left = n_steps - 1 - t
-        to_ok = reach_zero[left] if left < L - 1 else all_states
-        m = 0
-        for i, j, _, _ in table.transitions():
-            if i in from_ok and j in to_ok:
-                m |= 1 << (i * S + j)
-        masks.append(m)
-    return masks

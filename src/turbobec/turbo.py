@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .trellis import LookupMasks, RscSpec, TransitionTable, boundary_masks
+from .trellis import LookupMasks, RscSpec, TransitionTable
 
 SYSTEMATIC, PARITY1, PARITY2 = 0, 1, 2
 _STREAM_NAMES = {SYSTEMATIC: "s", PARITY1: "p1", PARITY2: "p2"}
@@ -91,6 +91,8 @@ class PunctureMap:
     p2_pattern: tuple[bool, ...]
 
     def __post_init__(self):
+        if self.period < 1:
+            raise ValueError(f"puncture period {self.period} must be >= 1")
         if len(self.p1_pattern) != self.period or len(self.p2_pattern) != self.period:
             raise ValueError("pattern length must equal the period")
 
@@ -155,6 +157,8 @@ class TurboCodeSpec:
     puncture: PunctureMap
 
     def __post_init__(self):
+        if self.K < 1:
+            raise ValueError("K must be >= 1")
         if len(self.interleaver) != self.K:
             raise ValueError("interleaver size must equal K")
         object.__setattr__(self, "table", TransitionTable(self.rsc))
@@ -169,11 +173,6 @@ class TurboCodeSpec:
     def lookup(self) -> LookupMasks:
         """Lookup masks shared by every decoder of this code, memo included."""
         return LookupMasks(self.table)
-
-    @cached_property
-    def boundary(self) -> tuple[int, ...]:
-        """Initial step masks, built once; decoders copy them."""
-        return tuple(boundary_masks(self.table, self.K))
 
     @property
     def N(self) -> int:

@@ -153,6 +153,31 @@ class TestConfig:
         row = out.splitlines()[1]
         assert row.startswith("turbo,1/2,32,pr:2,2,8,")
 
+    def test_abbreviated_flag_overrides_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"k": 32, "rate": "1/2", "trials": 3,
+                                   "seed": 8, "interleaver": "pr:2"}))
+        code, out, _ = run(capsys, "simulate", "--config", str(cfg),
+                           "--tri", "2")
+        assert code == 0
+        assert out.splitlines()[1].startswith("turbo,1/2,32,pr:2,2,8,")
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"k": "abc"}, "argument --k: invalid int value: 'abc'"),
+        ({"trials": 1.5}, "argument --trials: invalid int value: '1.5'"),
+        ({"base": "hex"}, "argument --base: invalid choice: 'hex'"),
+    ], ids=["k-string", "trials-float", "base-choice"])
+    def test_wrong_typed_config_value(self, tmp_path, capsys, entry, message):
+        # Same exit as the flag itself: argparse's usage error, code 2.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"k": 8, **entry}))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message in err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -178,12 +203,36 @@ class TestMalformedInput:
         (["encode", "--k", "16", "--in", "{tmp}/info.hex",
           "--out", "{tmp}/cw.hex"], "expected at least 16 bits, found 8"),
         (["simulate", "--trials", "1"], "--k is required"),
+        (["simulate", "--config", "{tmp}/null.json", "--k", "8"],
+         "config key 'interleaver': null is not a JSON string or number"),
+        (["simulate", "--config", "{tmp}/bool.json"],
+         "config key 'k': true is not a JSON string or number"),
+        (["simulate", "--config", "{tmp}/list-value.json", "--k", "8"],
+         "config key 'trials': [1] is not a JSON string or number"),
+        (["simulate", "--config", "{tmp}/object-value.json"],
+         "config key 'k': {\"v\": 8} is not a JSON string or number"),
+        (["simulate", "--k", "8", "--rate", "1/0"],
+         "--rate: '1/0' is not a rate fraction"),
+        (["sweep", "--k-list", "8", "--rate-list", "1/3,1/0"],
+         "--rate-list: '1/0' is not a rate fraction"),
+        (["simulate", "--k", "8", "--code", "ldpc-regular", "--rate", "0"],
+         "rate 0 must be positive"),
+        (["simulate", "--k", "8", "--puncture", "p1=,p2="],
+         "puncture period 0 must be >= 1"),
+        (["simulate", "--k", "0", "--interleaver", "id"], "K must be >= 1"),
     ], ids=["config-not-json", "config-not-object", "config-missing",
             "unknown-interleaver", "interleaver-length",
-            "too-few-bits", "missing-k"])
+            "too-few-bits", "missing-k", "config-null", "config-bool",
+            "config-list-value", "config-object-value", "rate-1/0",
+            "rate-list-1/0", "ldpc-rate-0", "puncture-period-0",
+            "k-0-identity"])
     def test_exit_code_two(self, tmp_path, capsys, argv, message):
         (tmp_path / "bad.json").write_text("{\"k\": 8,")
         (tmp_path / "list.json").write_text("[8]")
+        (tmp_path / "null.json").write_text(json.dumps({"interleaver": None}))
+        (tmp_path / "bool.json").write_text(json.dumps({"k": True}))
+        (tmp_path / "list-value.json").write_text(json.dumps({"trials": [1]}))
+        (tmp_path / "object-value.json").write_text(json.dumps({"k": {"v": 8}}))
         (tmp_path / "pi.txt").write_text("2\n0\n1\n")
         (tmp_path / "info.hex").write_text("a7\n")
         argv = [a.format(tmp=tmp_path) for a in argv]

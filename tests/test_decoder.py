@@ -77,9 +77,9 @@ class TestInitialization:
         (0o7, 0o5, 3), (0o13, 0o15, 4), (0o17, 0o15, 4), (0o3, 0o2, 2),
         (0o23, 0o35, 5)], ids=["75", "1315", "1715", "32", "2335"])
     def test_boundary_masks_are_a_closure_fixpoint(self, fb, fw, length):
-        # The decoder starts from boundary_masks without closing them:
-        # they must already be exactly the terminated paths' transitions,
-        # with no information bit forced before anything is received.
+        # boundary_masks is the decoder's start state, the closure of the
+        # zero-state pins: it must be exactly the terminated paths'
+        # transitions, with no information bit forced before reception.
         table = TransitionTable(RscSpec(fb, fw, length))
         info = LookupMasks(table).info
         oracle = RegisterOracle(fb, fw, length)
@@ -115,7 +115,7 @@ class TestFigureTwoScenario:
         # left: columns e1, e2 removed at t-1; right: rows e1, e3 at t+1
         assert mask_rows(dec.step_masks[3]) == ["0010", "0010", "0001", "0001"]
         assert mask_rows(dec.step_masks[5]) == ["0000", "1010", "0000", "0101"]
-        assert dec.determined[0][4] == 0
+        assert dec.determined_bits()[4] == 0
 
 
 class TestReception:
@@ -169,11 +169,11 @@ class TestReception:
         cw = spec.encode(np.zeros(8, dtype=np.uint8))
         dec = spec.start_decoder()
         dec.receive(5, int(cw[5]))
-        before = ([list(c) for c in dec.masks], [list(c) for c in dec.determined],
+        before = ([list(c) for c in dec.masks], dec.determined_bits(),
                   bytes(dec._received))
         with pytest.raises(ValueError, match=message):
             dec.receive(index, value)
-        after = ([list(c) for c in dec.masks], [list(c) for c in dec.determined],
+        after = ([list(c) for c in dec.masks], dec.determined_bits(),
                  bytes(dec._received))
         assert after == before
 
@@ -310,7 +310,7 @@ class TestPerTrellisExactness:
 
 
 class TestPerCodeConstants:
-    """Decoders of one spec share its lookup masks and boundary masks."""
+    """Decoders of one spec share its lookup masks; none alters another."""
 
     def test_decoding_leaves_shared_boundary_untouched(self):
         spec = turbo_spec(64, seed=5)
@@ -320,9 +320,8 @@ class TestPerCodeConstants:
         for i in range(spec.N):
             dec.receive(i, int(cw[i]))
         assert dec.outcome().status is Status.SUCCESS
-        assert list(spec.boundary) == boundary_masks(spec.table, spec.K)
         fresh = spec.start_decoder()
-        assert fresh.masks == [list(spec.boundary)] * 2
+        assert fresh.masks == [boundary_masks(spec.table, spec.K)] * 2
         assert fresh.lm is spec.lookup
 
     @pytest.mark.parametrize("rsc, rate", [

@@ -46,6 +46,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             build_regular_staircase(5, Fraction(2, 3), seed=0)
 
+    def test_zero_rate_rejected(self):
+        with pytest.raises(ValueError, match="rate 0 must be positive"):
+            build_regular_staircase(8, Fraction(0), 1)
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             build_regular_staircase(2, Fraction(1, 2), seed=0)

@@ -101,6 +101,10 @@ class TestPunctureMap:
         with pytest.raises(ValueError, match="rate 1/3"):
             make_puncture_map(Fraction(1, 2), 16)
 
+    def test_zero_period_rejected(self):
+        with pytest.raises(ValueError, match="period 0 must be >= 1"):
+            PunctureMap(0, (), ())
+
     def test_pattern_override(self):
         pm = parse_puncture_patterns("p1=10,p2=01")
         assert pm.keeps(PARITY1, 0) and not pm.keeps(PARITY1, 1)
