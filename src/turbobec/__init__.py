@@ -8,8 +8,8 @@ inefficiency and gap to capacity.
 
 __version__ = "0.1.0"
 
-from .decoder import (DecodeOutcome, RscErasureDecoder, Status,
-                      TurboErasureDecoder, boundary_masks)
+from .decoder import (DecodeOutcome, Status, TurboErasureDecoder,
+                      boundary_masks)
 from .harness import RunStats, TrialRecord, run_campaign, run_trial, sweep
 from .ldpc import (PeelingDecoder, StaircaseCode, build_irregular_staircase,
                    build_regular_staircase, load_degree_distribution)
@@ -21,9 +21,9 @@ from .turbo import (Interleaver, PunctureMap, TurboCodeSpec,
                     parse_puncture_patterns)
 
 __all__ = [
-    "DecodeOutcome", "RscErasureDecoder", "Status", "TurboErasureDecoder",
-    "boundary_masks", "RunStats", "TrialRecord", "run_campaign", "run_trial",
-    "sweep", "PeelingDecoder", "StaircaseCode", "build_irregular_staircase",
+    "DecodeOutcome", "Status", "TurboErasureDecoder", "boundary_masks",
+    "RunStats", "TrialRecord", "run_campaign", "run_trial", "sweep",
+    "PeelingDecoder", "StaircaseCode", "build_irregular_staircase",
     "build_regular_staircase", "load_degree_distribution", "LookupMasks",
     "RscSpec", "TransitionTable", "UNKNOWN", "format_mask", "Interleaver",
     "PunctureMap", "TurboCodeSpec", "identity_interleaver",

@@ -24,11 +24,14 @@ from .turbo import (identity_interleaver, load_interleaver,
                     parse_puncture_patterns)
 
 
-def _parse_poly(text: str, base: str) -> tuple[int, int, int]:
+def _parse_poly(text: str, base: str, flag: str) -> tuple[int, int, int]:
     """"7,5" -> (feedback, forward, constraint_length)."""
-    fb_s, fw_s = text.split(",")
     radix = 8 if base == "octal" else 2
-    fb, fw = int(fb_s, radix), int(fw_s, radix)
+    try:
+        fb, fw = (int(p, radix) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag}: '{text}' is not a feedback,forward pair "
+                         f"of {base} polynomials") from None
     length = max(fb.bit_length(), fw.bit_length())
     return fb, fw, length
 
@@ -59,7 +62,7 @@ def _make_code(args):
     name = args.code
     rate = _parse_rate(args.rate)
     if name == "turbo":
-        fb, fw, length = _parse_poly(args.poly, args.base)
+        fb, fw, length = _parse_poly(args.poly, args.base, "--poly")
         rsc = RscSpec(fb, fw, length)
         interleaver = _make_interleaver(args.interleaver, args.k)
         puncture = (parse_puncture_patterns(args.puncture)
@@ -108,7 +111,7 @@ def _write_bits(path: str, bits) -> None:
 
 
 def cmd_table(args) -> int:
-    fb, fw, length = _parse_poly(args.code_poly, args.base)
+    fb, fw, length = _parse_poly(args.code_poly, args.base, "--code")
     table = TransitionTable(RscSpec(fb, fw, length))
     masks = LookupMasks(table)
     _echo_config(args)

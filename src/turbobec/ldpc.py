@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,21 @@ class StaircaseCode:
         """All variables incident to check i, parities included."""
         parities = (self.K + i,) if i == 0 else (self.K + i - 1, self.K + i)
         return self.left_rows[i] + parities
+
+    @cached_property
+    def tanner(self) -> tuple[list[list[int]], list[int], list[int]]:
+        """Peeling constants shared by every decoder of this code, which
+        only reads them: the checks of each variable, then the degree and
+        the variable-index sum of each check."""
+        var_checks = [[] for _ in range(self.N)]
+        degrees, index_sums = [], []
+        for i in range(self.M):
+            vs = self.check_variables(i)
+            for v in vs:
+                var_checks[v].append(i)
+            degrees.append(len(vs))
+            index_sums.append(sum(vs))
+        return var_checks, degrees, index_sums
 
     def parity_check_matrix(self) -> np.ndarray:
         h = np.zeros((self.M, self.N), dtype=np.uint8)
@@ -197,7 +213,8 @@ class PeelingDecoder:
     Each check keeps a running XOR of its known incident values, the
     count of unknown incident variables, and the sum of their indices;
     a check with one unknown pins that variable to the running XOR.
-    Success means all K information variables are known.
+    Success means all K information variables are known.  The graph is
+    the code's ``tanner``, built once and shared by all of its decoders.
     """
 
     def __init__(self, code: StaircaseCode):
@@ -207,18 +224,16 @@ class PeelingDecoder:
         # Received symbols, kept apart from ``values``: receiving a symbol
         # that peeling already pinned down is legal (and may contradict).
         self._received = bytearray(n)
-        self._var_checks = [[] for _ in range(n)]
-        self._unknown = []
+        self._var_checks, degrees, index_sums = code.tanner
+        self._unknown = list(degrees)
         self._xor = bytearray(code.M)
-        self._idx_sum = []
-        for i in range(code.M):
-            vs = code.check_variables(i)
-            for v in vs:
-                self._var_checks[v].append(i)
-            self._unknown.append(len(vs))
-            self._idx_sum.append(sum(vs))
+        self._idx_sum = list(index_sums)
         self.unknown_info = code.K
         self.contradiction = False
+        if degrees[0] == 1:
+            # Check 0 is the only one that can start with one variable:
+            # it has no information bit, so its parity is 0.
+            self._settle(index_sums[0], 0)
 
     def receive(self, variable_index: int, value: int) -> DecodeOutcome:
         """Takes one codeword symbol and peels every check it resolves.

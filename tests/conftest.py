@@ -2,8 +2,9 @@
 
 Everything here re-derives RSC behaviour from first principles (explicit
 shift registers and exhaustive path enumeration) without touching the
-library's transition tables, so the two sides of each comparison stay
-independent.
+library's transition tables, and staircase peeling from explicit edge
+sets without the decoder's counters, so the two sides of each
+comparison stay independent.
 """
 
 from __future__ import annotations
@@ -93,6 +94,32 @@ def enumerate_codeword_paths(oracle: RegisterOracle, k: int):
             states.append(oracle.state_index(regs))
         out.append((info, labels, states))
     return out
+
+
+def peel_oracle(code, received):
+    """Edge-removal peeling, reimplemented from scratch.
+
+    Keeps explicit residual edge sets per check and strips them as
+    variables become known; independent of the count-based decoder.
+    """
+    values = dict(received)
+    edges = {i: set(code.check_variables(i)) for i in range(code.M)}
+    acc = {i: 0 for i in range(code.M)}
+    changed = True
+    while changed:
+        changed = False
+        for i in range(code.M):
+            known = [v for v in edges[i] if v in values]
+            for v in known:
+                acc[i] ^= values[v]
+                edges[i].discard(v)
+                changed = True
+            if len(edges[i]) == 1:
+                (v,) = edges[i]
+                if v not in values:
+                    values[v] = acc[i]
+                    changed = True
+    return values
 
 
 @pytest.fixture(scope="session")

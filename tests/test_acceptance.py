@@ -9,11 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from turbobec import (LookupMasks, RscErasureDecoder, RscSpec, Status,
-                      TransitionTable, boundary_masks, build_regular_staircase,
-                      format_mask, make_pr_interleaver, make_turbo_spec,
-                      run_campaign, run_trial)
+from turbobec import (LookupMasks, RscSpec, Status, TransitionTable,
+                      boundary_masks, build_regular_staircase, format_mask,
+                      identity_interleaver, make_pr_interleaver,
+                      make_turbo_spec, run_campaign, run_trial)
 from turbobec.harness import trial_rng
+from turbobec.turbo import PARITY1, SYSTEMATIC
 
 from conftest import enumerate_codeword_paths, oracle75, rng_for
 
@@ -103,8 +104,10 @@ def test_punctured_turbo_trend(turbo_campaigns):
 
 
 def test_single_trellis_oracle_equivalence(oracle75):
+    # Identity interleaver: the second trellis forces no information
+    # bit, so chain 0 is the closure of one terminated trellis.
     k = 8
-    table = TransitionTable(RSC75)
+    spec = make_turbo_spec(RSC75, k, identity_interleaver(k))
     paths = enumerate_codeword_paths(oracle75, k)
     rng = rng_for(2025, 1)
     ok = True
@@ -113,9 +116,9 @@ def test_single_trellis_oracle_equivalence(oracle75):
         positions = {(int(rng.integers(0, k)), int(rng.integers(0, 2)))
                      for _ in range(int(rng.integers(0, 2 * k + 1)))}
         received = [(t, pos, truth[1][t][pos]) for t, pos in positions]
-        dec = RscErasureDecoder(table, k)
+        dec = spec.start_decoder()
         for t, pos, b in received:
-            (dec.receive_info if pos == 0 else dec.receive_parity)(t, b)
+            dec.receive(spec.layout.index(((SYSTEMATIC, PARITY1)[pos], t)), b)
         survivors = [
             (info, states) for info, labels, states in paths
             if all(labels[t][pos] == b for t, pos, b in received)
@@ -124,7 +127,7 @@ def test_single_trellis_oracle_equivalence(oracle75):
             expect = 0
             for _, states in survivors:
                 expect |= 1 << (states[t] * 4 + states[t + 1])
-            ok &= dec.step_masks[t] == expect
+            ok &= dec.masks[0][t] == expect
         for t in range(k):
             agreed = {info[t] for info, _ in survivors}
             want = agreed.pop() if len(agreed) == 1 else None

@@ -220,12 +220,21 @@ class TestMalformedInput:
         (["simulate", "--k", "8", "--puncture", "p1=,p2="],
          "puncture period 0 must be >= 1"),
         (["simulate", "--k", "0", "--interleaver", "id"], "K must be >= 1"),
+        (["simulate", "--k", "8", "--poly", "7"],
+         "--poly: '7' is not a feedback,forward pair of octal polynomials"),
+        (["simulate", "--k", "8", "--poly", "9,5"],
+         "--poly: '9,5' is not a feedback,forward pair of octal polynomials"),
+        (["simulate", "--k", "8", "--poly", "7,5,3"],
+         "--poly: '7,5,3' is not a feedback,forward pair of octal polynomials"),
+        (["table", "--code", "111,2", "--base", "binary"],
+         "--code: '111,2' is not a feedback,forward pair of binary polynomials"),
     ], ids=["config-not-json", "config-not-object", "config-missing",
             "unknown-interleaver", "interleaver-length",
             "too-few-bits", "missing-k", "config-null", "config-bool",
             "config-list-value", "config-object-value", "rate-1/0",
             "rate-list-1/0", "ldpc-rate-0", "puncture-period-0",
-            "k-0-identity"])
+            "k-0-identity", "poly-one-value", "poly-not-octal",
+            "poly-three-values", "table-code-not-binary"])
     def test_exit_code_two(self, tmp_path, capsys, argv, message):
         (tmp_path / "bad.json").write_text("{\"k\": 8,")
         (tmp_path / "list.json").write_text("[8]")

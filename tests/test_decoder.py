@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from turbobec import (LookupMasks, RscErasureDecoder, RscSpec, Status,
-                      TransitionTable, boundary_masks, format_mask,
+from turbobec import (LookupMasks, RscSpec, Status, TransitionTable,
+                      boundary_masks, format_mask, identity_interleaver,
                       make_pr_interleaver, make_turbo_spec)
 from turbobec.turbo import PARITY1, SYSTEMATIC
 
@@ -24,6 +24,20 @@ def mask_rows(mask, n=4):
 
 def turbo_spec(k, rate=Fraction(1, 3), seed=1):
     return make_turbo_spec(RSC75, k, make_pr_interleaver(k, seed), rate=rate)
+
+
+def single_trellis(k):
+    """Decoder of the rate-1/3 (7,5) turbo code with the identity
+    interleaver.  Its second trellis gets only information constraints
+    and termination, which force no information bit, so chain 0 is the
+    closure of one terminated trellis."""
+    return make_turbo_spec(RSC75, k, identity_interleaver(k)).start_decoder()
+
+
+def receive_label(dec, t, pos, b):
+    """Receives bit ``pos`` (0 information, 1 parity) of step t."""
+    stream = (SYSTEMATIC, PARITY1)[pos]
+    dec.receive(dec.spec.layout.index((stream, t)), b)
 
 
 def random_instance(k, rate, rng, seed=1):
@@ -99,22 +113,22 @@ class TestInitialization:
 class TestFigureTwoScenario:
     """Single interior step: info 0, then parity 1, then propagation."""
 
-    def test_info_bit_restricts_without_propagation(self, table75):
-        dec = RscErasureDecoder(table75, 8)
-        dec.receive_info(4, 0)
-        assert mask_rows(dec.step_masks[4]) == ["1000", "0010", "0001", "0100"]
+    def test_info_bit_restricts_without_propagation(self):
+        dec = single_trellis(8)
+        receive_label(dec, 4, 0, 0)
+        assert mask_rows(dec.masks[0][4]) == ["1000", "0010", "0001", "0100"]
         # all states still connected: neighbours untouched
-        assert mask_rows(dec.step_masks[3]) == ["1010", "1010", "0101", "0101"]
-        assert mask_rows(dec.step_masks[5]) == ["1010", "1010", "0101", "0101"]
+        assert mask_rows(dec.masks[0][3]) == ["1010", "1010", "0101", "0101"]
+        assert mask_rows(dec.masks[0][5]) == ["1010", "1010", "0101", "0101"]
 
-    def test_parity_bit_triggers_propagation(self, table75):
-        dec = RscErasureDecoder(table75, 8)
-        dec.receive_info(4, 0)
-        dec.receive_parity(4, 1)
-        assert mask_rows(dec.step_masks[4]) == ["0000", "0000", "0001", "0100"]
+    def test_parity_bit_triggers_propagation(self):
+        dec = single_trellis(8)
+        receive_label(dec, 4, 0, 0)
+        receive_label(dec, 4, 1, 1)
+        assert mask_rows(dec.masks[0][4]) == ["0000", "0000", "0001", "0100"]
         # left: columns e1, e2 removed at t-1; right: rows e1, e3 at t+1
-        assert mask_rows(dec.step_masks[3]) == ["0010", "0010", "0001", "0001"]
-        assert mask_rows(dec.step_masks[5]) == ["0000", "1010", "0000", "0101"]
+        assert mask_rows(dec.masks[0][3]) == ["0010", "0010", "0001", "0001"]
+        assert mask_rows(dec.masks[0][5]) == ["0000", "1010", "0000", "0101"]
         assert dec.determined_bits()[4] == 0
 
 
@@ -157,6 +171,31 @@ class TestReception:
         remaining = next(i for i in range(spec.N) if not dec._received[i])
         with pytest.raises(ValueError, match="contradiction"):
             dec.receive(remaining, 0)
+
+    def test_closure_stops_at_first_contradiction(self):
+        # Every mask change and injection goes through _apply; none may
+        # happen once a mask has emptied.
+        rng = rng_for(77, 6)
+        late = contradictions = 0
+        for _ in range(30):
+            spec, info, cw, order = random_instance(16, Fraction(1, 3), rng)
+            for i in rng.choice(spec.N, 2, replace=False):
+                cw[i] ^= 1
+            dec = spec.start_decoder()
+            apply = dec._apply
+
+            def counted(d, t, mask, dec=dec, apply=apply):
+                nonlocal late
+                late += dec.contradiction
+                apply(d, t, mask)
+
+            dec._apply = counted
+            for idx in order:
+                if dec.receive(idx, int(cw[idx])).status is not Status.IN_PROGRESS:
+                    break
+            contradictions += dec.contradiction
+        assert contradictions > 10
+        assert late == 0
 
     @pytest.mark.parametrize("index, value, message", [
         (-1, 0, "index -1 out of range"),
@@ -276,7 +315,7 @@ class TestPerTrellisExactness:
                 out.append((info, labels, states))
         return out
 
-    def test_against_path_enumeration(self, table75, paths75_k8):
+    def test_against_path_enumeration(self, paths75_k8):
         rng = rng_for(77, 5)
         k = 8
         for _ in range(60):
@@ -287,12 +326,9 @@ class TestPerTrellisExactness:
                          for _ in range(n_recv)}
             received = [(t, pos, truth[1][t][pos]) for t, pos in positions]
 
-            dec = RscErasureDecoder(table75, k)
+            dec = single_trellis(k)
             for t, pos, b in received:
-                if pos == 0:
-                    dec.receive_info(t, b)
-                else:
-                    dec.receive_parity(t, b)
+                receive_label(dec, t, pos, b)
 
             survivors = self.consistent_paths(paths75_k8, received)
             assert survivors, "oracle bug: the true path must survive"
@@ -300,7 +336,7 @@ class TestPerTrellisExactness:
                 expect = 0
                 for _, _, states in survivors:
                     expect |= 1 << (states[t] * 4 + states[t + 1])
-                assert dec.step_masks[t] == expect, f"step {t}"
+                assert dec.masks[0][t] == expect, f"step {t}"
             for t in range(k):
                 agreed = {info[t] for info, _, _ in survivors}
                 if len(agreed) == 1:

@@ -7,7 +7,7 @@ from turbobec import (PeelingDecoder, StaircaseCode, Status,
                       build_irregular_staircase, build_regular_staircase,
                       load_degree_distribution)
 
-from conftest import rng_for
+from conftest import peel_oracle, rng_for
 
 
 def random_code(rng, k=12, rate=Fraction(1, 2)):
@@ -116,32 +116,6 @@ class TestEncoding:
             code.encode(np.zeros(9, dtype=np.uint8))
 
 
-def peel_oracle(code, received):
-    """Edge-removal peeling, reimplemented from scratch.
-
-    Keeps explicit residual edge sets per check and strips them as
-    variables become known; independent of the count-based decoder.
-    """
-    values = dict(received)
-    edges = {i: set(code.check_variables(i)) for i in range(code.M)}
-    acc = {i: 0 for i in range(code.M)}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(code.M):
-            known = [v for v in edges[i] if v in values]
-            for v in known:
-                acc[i] ^= values[v]
-                edges[i].discard(v)
-                changed = True
-            if len(edges[i]) == 1:
-                (v,) = edges[i]
-                if v not in values:
-                    values[v] = acc[i]
-                    changed = True
-    return values
-
-
 class TestPeeling:
     def test_single_check_cascade(self):
         code = StaircaseCode(1, 1, ((0,),))  # one check: v0 xor v1 = 0
@@ -149,6 +123,11 @@ class TestPeeling:
         out = dec.receive(0, 1)
         assert out.status is Status.SUCCESS
         assert dec.values == [1, 1]
+
+    def test_lone_parity_check_peels_at_start(self):
+        code = StaircaseCode(1, 2, ((1,),))  # check 0 holds parity v1 alone
+        dec = PeelingDecoder(code)
+        assert dec.values == [None, 0, None]
 
     def test_full_reception_succeeds(self):
         rng = rng_for(55, 1)
@@ -253,3 +232,53 @@ class TestPeeling:
             out = dec.receive(v, int(cw[v]))
         assert out.status is Status.SUCCESS
         assert dec.determined_bits() == list(info)
+
+
+class TestPerCodeConstants:
+    """Decoders of one code share its Tanner graph; none alters another."""
+
+    def test_decoders_share_the_graph(self):
+        code = build_regular_staircase(64, Fraction(1, 2), seed=8)
+        cw = code.encode(rng_for(56, 0).integers(0, 2, 64, dtype=np.uint8))
+        dec = code.start_decoder()
+        for v in range(code.N):
+            dec.receive(v, int(cw[v]))
+        assert dec.outcome().status is Status.SUCCESS
+        fresh = code.start_decoder()
+        assert fresh._var_checks is dec._var_checks is code.tanner[0]
+        assert fresh._unknown == [len(code.check_variables(i))
+                                  for i in range(code.M)]
+        assert fresh._idx_sum == [sum(code.check_variables(i))
+                                  for i in range(code.M)]
+
+    @pytest.mark.parametrize("rate", [Fraction(1, 3), Fraction(1, 2)],
+                             ids=["r13", "r12"])
+    def test_interleaved_decoders_match_sequential(self, rate):
+        k = 32
+
+        def build():
+            return build_regular_staircase(k, rate, seed=9)
+
+        rng = rng_for(56, 1)
+        code = build()
+        words = [code.encode(rng.integers(0, 2, k, dtype=np.uint8))
+                 for _ in range(2)]
+        orders = [[int(x) for x in rng.permutation(code.N)] for _ in range(2)]
+
+        def step(dec, cw, v):
+            status = dec.receive(v, int(cw[v])).status
+            return status, dec.determined_bits()
+
+        sequential = build()
+        alone = []
+        for cw, order in zip(words, orders):
+            dec = sequential.start_decoder()
+            alone.append([step(dec, cw, v) for v in order])
+
+        decs = [code.start_decoder(), code.start_decoder()]
+        together = [[], []]
+        for pair in zip(*orders):
+            for j in (0, 1):
+                together[j].append(step(decs[j], words[j], pair[j]))
+        assert together == alone
+        assert all(trace[-1][0] is Status.SUCCESS for trace in together)

@@ -1,19 +1,25 @@
-"""Property tests of the trellis closure against the conftest oracles.
+"""Property tests of the trellis closure and of LDPC peeling against
+the conftest oracles.
 
 Codes are drawn at random: feedback and forward polynomials at
 constraint lengths 2..5, information lengths up to 6, and for the turbo
-properties a random interleaver and puncture pattern.  Examples are
-derandomised, so every run checks the same cases.
+properties a random interleaver and puncture pattern; regular and
+irregular staircase codes with K up to 16 at rates 1/3, 1/2 and 2/3.
+Examples are derandomised, so every run checks the same cases.
 """
+
+from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from turbobec import (Interleaver, LookupMasks, PunctureMap,
-                      RscErasureDecoder, RscSpec, Status, TransitionTable,
-                      boundary_masks, make_turbo_spec)
+from turbobec import (Interleaver, LookupMasks, PunctureMap, RscSpec,
+                      Status, TransitionTable, boundary_masks,
+                      build_irregular_staircase, build_regular_staircase,
+                      identity_interleaver, make_turbo_spec)
+from turbobec.turbo import PARITY1, SYSTEMATIC
 
-from conftest import RegisterOracle, enumerate_codeword_paths
+from conftest import RegisterOracle, enumerate_codeword_paths, peel_oracle
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     max_examples=100)
@@ -64,16 +70,16 @@ def test_single_trellis_closure_is_exact(code, k, data):
                           label="received")
     received = [(t, pos, truth[1][t][pos]) for t, pos in positions]
 
-    dec = RscErasureDecoder(table, k)
+    # Identity interleaver: the second trellis forces no information
+    # bit, so chain 0 is the closure of one terminated trellis.
+    spec = make_turbo_spec(table.spec, k, identity_interleaver(k))
+    dec = spec.start_decoder()
     for t, pos, b in received:
-        if pos == 0:
-            dec.receive_info(t, b)
-        else:
-            dec.receive_parity(t, b)
+        dec.receive(spec.layout.index(((SYSTEMATIC, PARITY1)[pos], t)), b)
 
     survivors = [p for p in paths
                  if all(p[1][t][pos] == b for t, pos, b in received)]
-    assert dec.step_masks == path_masks(survivors, table.n_states,
+    assert dec.masks[0] == path_masks(survivors, table.n_states,
                                         k + length - 1)
     for t in range(k):
         agreed = {info[t] for info, _, _ in survivors}
@@ -117,3 +123,42 @@ def test_turbo_closure_is_order_independent_and_sound(spec, data):
         dec.receive(idx, int(cw[idx]))
     assert dec.outcome().status is Status.SUCCESS
     assert dec.determined_bits() == info
+
+
+@st.composite
+def staircase_codes(draw):
+    """A regular or irregular staircase code, K <= 16."""
+    rate = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2),
+                                 Fraction(2, 3)]))
+    step = rate.numerator  # K / rate must be a whole length
+    k = step * draw(st.integers(1, 16 // step))
+    m = int(k / rate) - k
+    seed = draw(st.integers(0, 1 << 16))
+    if draw(st.booleans()):
+        weight = draw(st.integers(1, min(4, k, m)))
+        return build_regular_staircase(k, rate, seed, column_weight=weight)
+    degrees = draw(st.lists(st.integers(1, min(6, m)), min_size=1,
+                            max_size=3, unique=True))
+    shares = draw(st.lists(st.integers(1, 8), min_size=len(degrees),
+                           max_size=len(degrees)))
+    law = {d: s / sum(shares) for d, s in zip(degrees, shares)}
+    return build_irregular_staircase(k, rate, law, seed)
+
+
+@SETTINGS
+@given(code=staircase_codes(), data=st.data())
+def test_peeling_matches_oracle_in_any_order(code, data):
+    info = data.draw(st.lists(st.integers(0, 1), min_size=code.K,
+                              max_size=code.K), label="info")
+    cw = code.encode(info)
+    order = data.draw(st.permutations(range(code.N)), label="order")
+    subset = order[:data.draw(st.integers(0, code.N), label="received")]
+    expect = peel_oracle(code, {v: int(cw[v]) for v in subset})
+
+    for _ in range(3):
+        dec = code.start_decoder()
+        for v in data.draw(st.permutations(subset), label="shuffle"):
+            dec.receive(v, int(cw[v]))
+        known = {v: b for v, b in enumerate(dec.values) if b is not None}
+        assert known == expect
+        assert not dec.contradiction
