@@ -7,9 +7,11 @@ step; emptied rows and columns then propagate left and right.  An
 information bit whose surviving transitions all agree is recorded once,
 in one knowledge array indexed by information position, and injected
 into the other trellis at its interleaved step.  The whole closure is
-run by one FIFO worklist of (trellis, step) entries, which makes the
-result independent of reception order.  It stops at the first emptied
-mask: a contradiction ends the decode.
+one loop over a stack of (trellis, step, AND mask) ops.  Every op only
+ANDs bits out of a mask, so the masks converge to one fixpoint, the
+largest below the start masks, whatever the order of the ops or of the
+receptions.  The loop stops at the first emptied mask: a contradiction
+ends the decode.
 
 Trellis termination is two more removals of the same kind: a decoder
 starts at the full adjacency, pins the first step to leave state 0 and
@@ -29,13 +31,12 @@ transitions in both trellises: linear in the interleaver size.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 from .trellis import UNKNOWN, TransitionTable
-from .turbo import (PARITY1, PARITY2, SYSTEMATIC, TurboCodeSpec,
-                    identity_interleaver, make_turbo_spec)
+from .turbo import (PARITY1, SYSTEMATIC, TurboCodeSpec, identity_interleaver,
+                    make_turbo_spec)
 
 
 class Status(Enum):
@@ -49,25 +50,57 @@ class DecodeOutcome:
     status: Status
 
 
-def check_reception(index: int, value: int, n: int, received,
-                    contradiction: bool) -> None:
-    """The input contract of every decoder's ``receive``.
+class _CheckedDecoder:
+    """The reception contract shared by both decoders.
 
-    Raises ValueError unless ``index`` lies in 0..n-1 and is not yet
-    marked in ``received``, ``value`` is 0 or 1, and the decoder is not
-    in a contradiction.
+    A decoder recovers the K information symbols of an N-symbol codeword.
+    ``unknown`` counts the information symbols it has not determined;
+    ``contradiction`` is set once the received symbols fit no codeword.
+    Subclasses implement ``_settle(index, value)``, which propagates one
+    new reception, and ``determined_bits()``.
     """
-    if not 0 <= index < n:
-        raise ValueError(f"symbol index {index} out of range 0..{n - 1}")
-    if value not in (0, 1):
-        raise ValueError(f"symbol {index}: value {value!r} is not 0 or 1")
-    if received[index]:
-        raise ValueError(f"symbol {index} was already received")
-    if contradiction:
-        raise ValueError(f"symbol {index}: decoder is in a contradiction state")
+
+    def __init__(self, k: int, n: int):
+        self.K = k
+        self.unknown = k
+        self.contradiction = False
+        self._received = bytearray(n)
+
+    def receive(self, index: int, value: int) -> DecodeOutcome:
+        """Takes one codeword symbol and settles everything it implies.
+
+        Raises ValueError, before changing any state, if the index is
+        outside 0..N-1, the value is not 0 or 1, the symbol was received
+        before, or the decoder is already in a contradiction.
+        """
+        received = self._received
+        if not 0 <= index < len(received):
+            raise ValueError(
+                f"symbol index {index} out of range 0..{len(received) - 1}")
+        if value not in (0, 1):
+            raise ValueError(f"symbol {index}: value {value!r} is not 0 or 1")
+        if received[index]:
+            raise ValueError(f"symbol {index} was already received")
+        if self.contradiction:
+            raise ValueError(
+                f"symbol {index}: decoder is in a contradiction state")
+        received[index] = 1
+        self._settle(index, int(value))
+        return self.outcome()
+
+    def outcome(self) -> DecodeOutcome:
+        if self.contradiction:
+            return DecodeOutcome(Status.CONTRADICTION)
+        if self.unknown == 0:
+            return DecodeOutcome(Status.SUCCESS)
+        return DecodeOutcome(Status.IN_PROGRESS)
+
+    def known_count(self) -> int:
+        """How many entries of ``determined_bits()`` are not None."""
+        return self.K - self.unknown
 
 
-class TurboErasureDecoder:
+class TurboErasureDecoder(_CheckedDecoder):
     """Symbol-at-a-time decoder for a punctured parallel turbo code.
 
     Feed transmitted-codeword positions in any order via :meth:`receive`;
@@ -81,106 +114,71 @@ class TurboErasureDecoder:
     """
 
     def __init__(self, spec: TurboCodeSpec):
+        super().__init__(spec.K, spec.N)
         self.spec = spec
         self.lm = lm = spec.lookup
-        self.K = k = spec.K
+        k = spec.K
         self.n_steps = k + spec.rsc.constraint_length - 1
         # Per chain: the information position of each step, and its inverse.
         self._position = (range(k), spec.interleaver.pi)
         self._step = (range(k), spec.interleaver.pi_inv)
         self.masks = [[lm.full] * self.n_steps for _ in range(2)]
         self.determined: list[int | None] = [None] * k
-        self.unknown = k
-        self.contradiction = False
-        self._received = bytearray(spec.N)
-        self._queue: deque[tuple[int, int]] = deque()
-        self._queued = [bytearray(self.n_steps) for _ in range(2)]
-        for d in (0, 1):
-            self._apply(d, 0, lm.row_masks[0])
-            self._apply(d, self.n_steps - 1, lm.col_masks[0])
-        self._drain()
+        pins = ((0, lm.row_masks[0]), (self.n_steps - 1, lm.col_masks[0]))
+        self._close([(d, t, pin) for d in (0, 1) for t, pin in pins])
 
-    def receive(self, symbol_index: int, value: int) -> DecodeOutcome:
-        """Takes one codeword symbol and closes the constraints it adds.
-
-        Raises ValueError, before changing any state, if the index is
-        outside 0..N-1, the value is not 0 or 1, the symbol was received
-        before, or the decoder is already in a contradiction.
-        """
-        check_reception(symbol_index, value, self.spec.N, self._received,
-                        self.contradiction)
-        value = int(value)
-        self._received[symbol_index] = 1
+    def _settle(self, symbol_index: int, value: int) -> None:
         stream, t = self.spec.layout[symbol_index]
         lm = self.lm
         if stream == SYSTEMATIC:
-            # _apply carries the forced bit into the second trellis.
-            self._apply(0, t, lm.info[value])
-        elif stream == PARITY1:
-            self._apply(0, t, lm.parity[value])
+            # The closure carries the forced bit into the second trellis.
+            op = (0, t, lm.info[value])
         else:
-            assert stream == PARITY2
-            self._apply(1, t, lm.parity[value])
-        self._drain()
-        return self.outcome()
+            op = (0 if stream == PARITY1 else 1, t, lm.parity[value])
+        self._close([op])
 
-    def _apply(self, d: int, t: int, and_mask: int) -> None:
-        """ANDs ``and_mask`` into step t of chain d; queues the step and
-        injects a newly forced information bit into the other chain."""
-        chain = self.masks[d]
-        old = chain[t]
-        new = old & and_mask
-        if new == old:
-            return
-        chain[t] = new
-        if new == 0:
-            self.contradiction = True
-            return
-        if t < self.K:
-            p = self._position[d][t]
-            if self.determined[p] is None:
-                lm = self.lm
-                b = (lm.memo.get(new) or lm.rule(new))[2]
-                if b != UNKNOWN:
-                    self.determined[p] = b
+    def _close(self, ops: list[tuple[int, int, int]]) -> None:
+        """Runs the closure from a stack of ``(chain, step, and_mask)`` ops.
+
+        Each op ANDs its mask into a step.  A changed step pushes the
+        keep masks of its neighbours and, when it newly forces an
+        information bit, that bit's injection into the other chain.  The
+        loop ends at the fixpoint or at the first emptied step, which
+        sets ``contradiction`` and leaves every other mask as it is.
+        """
+        masks, determined = self.masks, self.determined
+        position, step = self._position, self._step
+        lm = self.lm
+        memo, rule, info = lm.memo, lm.rule, lm.info
+        k, last = self.K, self.n_steps - 1
+        pop, push = ops.pop, ops.append
+        while ops:
+            d, t, and_mask = pop()
+            chain = masks[d]
+            old = chain[t]
+            new = old & and_mask
+            if new == old:
+                continue
+            chain[t] = new
+            if not new:
+                self.contradiction = True
+                return
+            keep_left, keep_right, b = memo.get(new) or rule(new)
+            if keep_left and t > 0:
+                push((d, t - 1, keep_left))
+            if keep_right and t < last:
+                push((d, t + 1, keep_right))
+            if b != UNKNOWN and t < k:
+                p = position[d][t]
+                if determined[p] is None:
+                    determined[p] = b
                     self.unknown -= 1
                     e = 1 - d
-                    self._apply(e, self._step[e][p], lm.info[b])
-        if not self._queued[d][t]:
-            self._queued[d][t] = 1
-            self._queue.append((d, t))
-
-    def _drain(self) -> None:
-        """Propagates queued steps to the fixpoint, or to the first
-        contradiction, after which no mask changes."""
-        q = self._queue
-        lm = self.lm
-        memo = lm.memo
-        last = self.n_steps - 1
-        while q and not self.contradiction:
-            d, t = q.popleft()
-            self._queued[d][t] = 0
-            m = self.masks[d][t]
-            keep_left, keep_right, _ = memo.get(m) or lm.rule(m)
-            if keep_left and t > 0:
-                self._apply(d, t - 1, keep_left)
-            if keep_right and t < last and not self.contradiction:
-                self._apply(d, t + 1, keep_right)
-
-    def outcome(self) -> DecodeOutcome:
-        if self.contradiction:
-            return DecodeOutcome(Status.CONTRADICTION)
-        if self.unknown == 0:
-            return DecodeOutcome(Status.SUCCESS)
-        return DecodeOutcome(Status.IN_PROGRESS)
+                    push((e, step[e][p], info[b]))
 
     def determined_bits(self) -> list[int | None]:
         """Per-position information-bit knowledge, None where unknown."""
         return list(self.determined)
-
-    def known_count(self) -> int:
-        """How many entries of :meth:`determined_bits` are not None."""
-        return self.K - self.unknown
 
 
 def boundary_masks(table: TransitionTable, k: int) -> list[int]:

@@ -65,13 +65,12 @@ def run_trial(code, base_seed: int, index: int = 0,
     """
     rng = trial_rng(base_seed, index)
     info = rng.integers(0, 2, code.K, dtype=np.uint8)
-    codeword = code.encode(info)
-    order = rng.permutation(code.N)
+    codeword = code.encode(info).tolist()
+    order = rng.permutation(code.N).tolist()
     decoder = code.start_decoder()
     r_stop = None
     for count, sym in enumerate(order, start=1):
-        sym = int(sym)
-        outcome = decoder.receive(sym, int(codeword[sym]))
+        outcome = decoder.receive(sym, codeword[sym])
         if trace is not None:
             trace.append(decoder.known_count())
         if outcome.status is Status.CONTRADICTION:

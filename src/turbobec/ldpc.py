@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .decoder import DecodeOutcome, Status, check_reception
+from .decoder import _CheckedDecoder
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ def load_degree_distribution(path) -> dict[int, float]:
     return dist
 
 
-class PeelingDecoder:
+class PeelingDecoder(_CheckedDecoder):
     """BEC peeling over a staircase code, one received symbol at a time.
 
     Each check keeps a running XOR of its known incident values, the
@@ -218,35 +218,19 @@ class PeelingDecoder:
     """
 
     def __init__(self, code: StaircaseCode):
+        super().__init__(code.K, code.N)
         self.code = code
-        n = code.N
-        self.values: list[int | None] = [None] * n
-        # Received symbols, kept apart from ``values``: receiving a symbol
+        # Symbol values, kept apart from ``_received``: receiving a symbol
         # that peeling already pinned down is legal (and may contradict).
-        self._received = bytearray(n)
+        self.values: list[int | None] = [None] * code.N
         self._var_checks, degrees, index_sums = code.tanner
         self._unknown = list(degrees)
         self._xor = bytearray(code.M)
         self._idx_sum = list(index_sums)
-        self.unknown_info = code.K
-        self.contradiction = False
         if degrees[0] == 1:
             # Check 0 is the only one that can start with one variable:
             # it has no information bit, so its parity is 0.
             self._settle(index_sums[0], 0)
-
-    def receive(self, variable_index: int, value: int) -> DecodeOutcome:
-        """Takes one codeword symbol and peels every check it resolves.
-
-        Raises ValueError, before changing any state, if the index is
-        outside 0..N-1, the value is not 0 or 1, the symbol was received
-        before, or the decoder is already in a contradiction.
-        """
-        check_reception(variable_index, value, self.code.N, self._received,
-                        self.contradiction)
-        self._received[variable_index] = 1
-        self._settle(variable_index, int(value))
-        return self.outcome()
 
     def _settle(self, v: int, value: int) -> None:
         stack = [(v, value)]
@@ -259,7 +243,7 @@ class PeelingDecoder:
                 continue
             self.values[v] = value
             if v < self.code.K:
-                self.unknown_info -= 1
+                self.unknown -= 1
             for c in self._var_checks[v]:
                 self._unknown[c] -= 1
                 self._idx_sum[c] -= v
@@ -269,16 +253,5 @@ class PeelingDecoder:
                 elif self._unknown[c] == 0 and self._xor[c]:
                     self.contradiction = True
 
-    def outcome(self) -> DecodeOutcome:
-        if self.contradiction:
-            return DecodeOutcome(Status.CONTRADICTION)
-        if self.unknown_info == 0:
-            return DecodeOutcome(Status.SUCCESS)
-        return DecodeOutcome(Status.IN_PROGRESS)
-
     def determined_bits(self) -> list[int | None]:
         return self.values[: self.code.K]
-
-    def known_count(self) -> int:
-        """How many entries of :meth:`determined_bits` are not None."""
-        return self.code.K - self.unknown_info

@@ -174,6 +174,11 @@ class TurboCodeSpec:
         """Lookup masks shared by every decoder of this code, memo included."""
         return LookupMasks(self.table)
 
+    @cached_property
+    def _gather(self) -> np.ndarray:
+        """Where each transmitted symbol sits in the stacked [info, p1, p2]."""
+        return np.array([s * self.K + t for s, t in self.layout])
+
     @property
     def N(self) -> int:
         return len(self.layout)
@@ -195,12 +200,10 @@ class TurboCodeSpec:
         info = np.asarray(info, dtype=np.uint8)
         if info.shape != (self.K,):
             raise ValueError(f"information word must have length {self.K}")
-        streams = {
-            SYSTEMATIC: info,
-            PARITY1: rsc_parity(self.table, info),
-            PARITY2: rsc_parity(self.table, self.interleaver.scramble(info)),
-        }
-        return np.array([streams[s][t] for s, t in self.layout], dtype=np.uint8)
+        streams = np.concatenate([
+            info, rsc_parity(self.table, info),
+            rsc_parity(self.table, self.interleaver.scramble(info))])
+        return streams[self._gather]
 
     def start_decoder(self):
         from .decoder import TurboErasureDecoder

@@ -1,10 +1,10 @@
 """Shared independent oracles for the test suite.
 
 Everything here re-derives RSC behaviour from first principles (explicit
-shift registers and exhaustive path enumeration) without touching the
-library's transition tables, and staircase peeling from explicit edge
-sets without the decoder's counters, so the two sides of each
-comparison stay independent.
+shift registers, exhaustive path enumeration and forward-backward
+trellis pruning) without touching the library's transition tables, and
+staircase peeling from explicit edge sets without the decoder's
+counters, so the two sides of each comparison stay independent.
 """
 
 from __future__ import annotations
@@ -94,6 +94,65 @@ def enumerate_codeword_paths(oracle: RegisterOracle, k: int):
             states.append(oracle.state_index(regs))
         out.append((info, labels, states))
     return out
+
+
+def trellis_fixpoint(oracle: RegisterOracle, pi, received):
+    """Forward-backward closure of a turbo code's two trellises.
+
+    ``received`` maps (stream, t) to a bit: stream 0 is information
+    position t, streams 1 and 2 are the parity bits of step t of the
+    first and second trellis.  The second trellis carries information
+    position ``pi[t]`` at step t.  Each trellis has len(pi) information
+    steps and L-1 tail steps with unconstrained labels.
+
+    Alternates between the trellises until two passes in a row force no
+    new bit.  A pass prunes one trellis to the arcs that lie on a path
+    from state 0 to state 0 agreeing with its received parities and the
+    known information bits, then records each bit on which all surviving
+    arcs of its step agree.  Returns (masks, bits): per trellis the
+    surviving arcs of each step as an int with bit ``i * S + j`` for arc
+    i -> j, and per position the known bit or None.
+    """
+    k = len(pi)
+    n_states = 1 << (oracle.length - 1)
+    n_steps = k + oracle.length - 1
+    arcs = {}  # (info bit or None, parity bit or None) -> allowed arcs
+    for (i, j), (u, p) in oracle.transitions().items():
+        for key in ((u, p), (u, None), (None, p), (None, None)):
+            arcs.setdefault(key, []).append((i, j, u))
+    bits = [received.get((0, t)) for t in range(k)]
+    positions = (range(k), pi)
+    masks = [None, None]
+    d = idle = 0  # idle: passes in a row that forced no new bit
+    while idle < 2:
+        pos = positions[d]
+        allowed = [arcs[(bits[pos[t]], received.get((d + 1, t)))]
+                   for t in range(k)] + [arcs[(None, None)]] * (n_steps - k)
+        reach = [1]  # per node, the states a path from state 0 can be in
+        for step in allowed:
+            r, nxt = reach[-1], 0
+            for i, j, _ in step:
+                if r >> i & 1:
+                    nxt |= 1 << j
+            reach.append(nxt)
+        alive = 1  # the states at node t + 1 on a path to the end state 0
+        chain = [0] * n_steps
+        forced = False
+        for t in reversed(range(n_steps)):
+            r, back, mask, seen = reach[t], 0, 0, set()
+            for i, j, u in allowed[t]:
+                if r >> i & 1 and alive >> j & 1:
+                    mask |= 1 << (i * n_states + j)
+                    back |= 1 << i
+                    seen.add(u)
+            chain[t], alive = mask, back
+            if t < k and len(seen) == 1 and bits[pos[t]] is None:
+                bits[pos[t]] = seen.pop()
+                forced = True
+        masks[d] = chain
+        idle = 0 if forced else idle + 1
+        d = 1 - d
+    return masks, bits
 
 
 def peel_oracle(code, received):

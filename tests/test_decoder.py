@@ -8,7 +8,8 @@ from turbobec import (LookupMasks, RscSpec, Status, TransitionTable,
                       make_pr_interleaver, make_turbo_spec)
 from turbobec.turbo import PARITY1, SYSTEMATIC
 
-from conftest import RegisterOracle, enumerate_codeword_paths, rng_for
+from conftest import (RegisterOracle, enumerate_codeword_paths, rng_for,
+                      trellis_fixpoint)
 
 RSC75 = RscSpec(0o7, 0o5, 3)
 
@@ -173,29 +174,22 @@ class TestReception:
             dec.receive(remaining, 0)
 
     def test_closure_stops_at_first_contradiction(self):
-        # Every mask change and injection goes through _apply; none may
-        # happen once a mask has emptied.
+        # The closure stops at the step it empties, so no other mask
+        # changes after it: a contradiction leaves exactly one zero mask.
         rng = rng_for(77, 6)
-        late = contradictions = 0
+        contradictions = 0
         for _ in range(30):
             spec, info, cw, order = random_instance(16, Fraction(1, 3), rng)
             for i in rng.choice(spec.N, 2, replace=False):
                 cw[i] ^= 1
             dec = spec.start_decoder()
-            apply = dec._apply
-
-            def counted(d, t, mask, dec=dec, apply=apply):
-                nonlocal late
-                late += dec.contradiction
-                apply(d, t, mask)
-
-            dec._apply = counted
             for idx in order:
                 if dec.receive(idx, int(cw[idx])).status is not Status.IN_PROGRESS:
                     break
+            zeros = sum(m == 0 for chain in dec.masks for m in chain)
+            assert zeros == (1 if dec.contradiction else 0)
             contradictions += dec.contradiction
         assert contradictions > 10
-        assert late == 0
 
     @pytest.mark.parametrize("index, value, message", [
         (-1, 0, "index -1 out of range"),
@@ -343,6 +337,37 @@ class TestPerTrellisExactness:
                     assert dec.determined_bits()[t] == agreed.pop()
                 else:
                     assert dec.determined_bits()[t] is None
+
+
+class TestTurboExactness:
+    """The two-trellis closure equals forward-backward pruning at K=1024."""
+
+    @pytest.mark.parametrize("polys, rate", [
+        ((0o7, 0o5, 3), Fraction(1, 2)), ((0o13, 0o15, 4), Fraction(1, 2)),
+        ((0o7, 0o5, 3), Fraction(2, 3))], ids=["75-r12", "1315-r12", "75-r23"])
+    def test_against_forward_backward_fixpoint(self, polys, rate):
+        k = 1024
+        spec = make_turbo_spec(RscSpec(*polys), k, make_pr_interleaver(k, 11),
+                               rate=rate)
+        oracle = RegisterOracle(*polys)
+        rng = rng_for(77, 7, polys[0])
+        cw = spec.encode(rng.integers(0, 2, k, dtype=np.uint8)).tolist()
+        dec = spec.start_decoder()
+        received = {}
+        prefixes = {k * 7 // 10, k * 85 // 100, k * 95 // 100}
+        checks = 0
+        for r, idx in enumerate(rng.permutation(spec.N).tolist(), start=1):
+            status = dec.receive(idx, cw[idx]).status
+            received[spec.layout[idx]] = cw[idx]
+            if r in prefixes or status is Status.SUCCESS:
+                masks, bits = trellis_fixpoint(oracle, spec.interleaver.pi,
+                                               received)
+                assert dec.masks == masks, f"r={r}"
+                assert dec.determined_bits() == bits, f"r={r}"
+                checks += 1
+            if status is not Status.IN_PROGRESS:
+                break
+        assert status is Status.SUCCESS and checks == 4
 
 
 class TestPerCodeConstants:

@@ -2,8 +2,9 @@
 the conftest oracles.
 
 Codes are drawn at random: feedback and forward polynomials at
-constraint lengths 2..5, information lengths up to 6, and for the turbo
-properties a random interleaver and puncture pattern; regular and
+constraint lengths 2..5, information lengths up to 6 for one trellis
+and up to 64 for the turbo properties, with a random interleaver and
+puncture pattern; regular and
 irregular staircase codes with K up to 16 at rates 1/3, 1/2 and 2/3.
 Examples are derandomised, so every run checks the same cases.
 """
@@ -19,7 +20,8 @@ from turbobec import (Interleaver, LookupMasks, PunctureMap, RscSpec,
                       identity_interleaver, make_turbo_spec)
 from turbobec.turbo import PARITY1, SYSTEMATIC
 
-from conftest import RegisterOracle, enumerate_codeword_paths, peel_oracle
+from conftest import (RegisterOracle, enumerate_codeword_paths, peel_oracle,
+                      trellis_fixpoint)
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     max_examples=100)
@@ -92,7 +94,7 @@ def test_single_trellis_closure_is_exact(code, k, data):
 def turbo_codes(draw):
     fb, fw, length, _ = draw(rsc_codes())
     period = draw(st.integers(1, 4))
-    k = period * draw(st.integers(1, 6 // period))
+    k = period * draw(st.integers(1, 64 // period))
     patterns = st.lists(st.booleans(), min_size=period, max_size=period)
     puncture = PunctureMap(period, tuple(draw(patterns)), tuple(draw(patterns)))
     pi = tuple(draw(st.permutations(range(k))))
@@ -118,6 +120,10 @@ def test_turbo_closure_is_order_independent_and_sound(spec, data):
                        for b, u in zip(dec.determined_bits(), info))
         finals.append((dec.masks, dec.determined_bits()))
     assert all(f == finals[0] for f in finals)
+    oracle = RegisterOracle(spec.rsc.feedback_poly, spec.rsc.forward_poly,
+                            spec.rsc.constraint_length)
+    received = {spec.layout[idx]: int(cw[idx]) for idx in subset}
+    assert finals[0] == trellis_fixpoint(oracle, spec.interleaver.pi, received)
 
     for idx in order[len(subset):]:
         dec.receive(idx, int(cw[idx]))
