@@ -6,12 +6,19 @@ transitions.  A received bit ANDs the matching lookup mask into its
 step; emptied rows and columns then propagate left and right.  An
 information bit whose surviving transitions all agree is recorded once,
 in one knowledge array indexed by information position, and injected
-into the other trellis at its interleaved step.  The whole closure is
-one loop over a stack of (trellis, step, AND mask) ops.  Every op only
-ANDs bits out of a mask, so the masks converge to one fixpoint, the
-largest below the start masks, whatever the order of the ops or of the
-receptions.  The loop stops at the first emptied mask: a contradiction
-ends the decode.
+into the other trellis at its interleaved step.
+
+The whole closure is one loop over a stack of (trellis, step, AND mask)
+ops.  An op that changes its step walks from it along its chain, first
+left, then right: each next step ANDs in the keep mask of the step
+before it, and the walk stops at the first step that does not change or
+at the chain end.  A walked step never sends anything back: the step
+before it has already emptied every row or column that it could empty
+there.  So the stack holds only receptions and injections.  Every op
+and every walked step only ANDs bits out of a mask, so the masks
+converge to one fixpoint, the largest below the start masks, whatever
+the order of the ops or of the receptions.  The loop stops at the first
+emptied mask: a contradiction ends the decode.
 
 Trellis termination is two more removals of the same kind: a decoder
 starts at the full adjacency, pins the first step to leave state 0 and
@@ -50,6 +57,12 @@ class DecodeOutcome:
     status: Status
 
 
+# Outcomes are immutable, so ``outcome()`` hands out these three.
+_IN_PROGRESS = DecodeOutcome(Status.IN_PROGRESS)
+_SUCCESS = DecodeOutcome(Status.SUCCESS)
+_CONTRADICTION = DecodeOutcome(Status.CONTRADICTION)
+
+
 class _CheckedDecoder:
     """The reception contract shared by both decoders.
 
@@ -66,34 +79,52 @@ class _CheckedDecoder:
         self.contradiction = False
         self._received = bytearray(n)
 
-    def receive(self, index: int, value: int) -> DecodeOutcome:
-        """Takes one codeword symbol and settles everything it implies.
+    def receive_many(self, indices, values) -> int:
+        """Takes codeword symbols ``values[j]`` at ``indices[j]`` in turn.
 
-        Raises ValueError, before changing any state, if the index is
-        outside 0..N-1, the value is not 0 or 1, the symbol was received
-        before, or the decoder is already in a contradiction.
+        Stops after the first pair that leaves the decode over, in
+        success or in a contradiction, and returns how many pairs it
+        took.  Raises ValueError, before changing any state for that
+        pair, if its index is outside 0..N-1, its value is not 0 or 1,
+        the symbol was received before, or the decoder is already in a
+        contradiction; the pairs before it stay received.
         """
-        received = self._received
-        if not 0 <= index < len(received):
-            raise ValueError(
-                f"symbol index {index} out of range 0..{len(received) - 1}")
-        if value not in (0, 1):
-            raise ValueError(f"symbol {index}: value {value!r} is not 0 or 1")
-        if received[index]:
-            raise ValueError(f"symbol {index} was already received")
-        if self.contradiction:
-            raise ValueError(
-                f"symbol {index}: decoder is in a contradiction state")
-        received[index] = 1
-        self._settle(index, int(value))
+        if len(indices) != len(values):
+            raise ValueError(f"{len(indices)} symbol indices but "
+                             f"{len(values)} values")
+        received, settle = self._received, self._settle
+        n = len(received)
+        count = 0
+        for index, value in zip(indices, values):
+            if not 0 <= index < n:
+                raise ValueError(
+                    f"symbol index {index} out of range 0..{n - 1}")
+            if value not in (0, 1):
+                raise ValueError(
+                    f"symbol {index}: value {value!r} is not 0 or 1")
+            if received[index]:
+                raise ValueError(f"symbol {index} was already received")
+            if self.contradiction:
+                raise ValueError(
+                    f"symbol {index}: decoder is in a contradiction state")
+            received[index] = 1
+            settle(index, int(value))
+            count += 1
+            if self.contradiction or not self.unknown:
+                break
+        return count
+
+    def receive(self, index: int, value: int) -> DecodeOutcome:
+        """Takes one codeword symbol: ``receive_many`` of one pair."""
+        self.receive_many((index,), (value,))
         return self.outcome()
 
     def outcome(self) -> DecodeOutcome:
         if self.contradiction:
-            return DecodeOutcome(Status.CONTRADICTION)
+            return _CONTRADICTION
         if self.unknown == 0:
-            return DecodeOutcome(Status.SUCCESS)
-        return DecodeOutcome(Status.IN_PROGRESS)
+            return _SUCCESS
+        return _IN_PROGRESS
 
     def known_count(self) -> int:
         """How many entries of ``determined_bits()`` are not None."""
@@ -103,8 +134,9 @@ class _CheckedDecoder:
 class TurboErasureDecoder(_CheckedDecoder):
     """Symbol-at-a-time decoder for a punctured parallel turbo code.
 
-    Feed transmitted-codeword positions in any order via :meth:`receive`;
-    decoding succeeds once all K information bits are determined.
+    Feed transmitted-codeword positions in any order via :meth:`receive`
+    or :meth:`receive_many`; decoding succeeds once all K information
+    bits are determined.
 
     ``masks[0]`` and ``masks[1]`` are the step-mask chains of the two
     trellises.  Chain 0 carries information position t at step t, chain
@@ -140,11 +172,20 @@ class TurboErasureDecoder(_CheckedDecoder):
     def _close(self, ops: list[tuple[int, int, int]]) -> None:
         """Runs the closure from a stack of ``(chain, step, and_mask)`` ops.
 
-        Each op ANDs its mask into a step.  A changed step pushes the
-        keep masks of its neighbours and, when it newly forces an
-        information bit, that bit's injection into the other chain.  The
-        loop ends at the fixpoint or at the first emptied step, which
-        sets ``contradiction`` and leaves every other mask as it is.
+        An op ANDs its mask into a step.  A changed step starts two
+        walks along its chain, first left, then right: each walked step
+        ANDs in the keep mask of the step it came from, and the walk
+        stops at the first step that does not change or at the chain
+        end.  A newly forced information bit pushes its injection into
+        the other chain as an op.  The loop ends at the fixpoint or at
+        the first emptied step, which sets ``contradiction`` and leaves
+        every other mask as it is.
+
+        A walked step needs no op back towards where the walk came from.
+        A keep mask removes whole columns (rows), so the only columns
+        (rows) a walked step newly empties are states whose rows
+        (columns) the step before it has already emptied; what its older
+        empty columns (rows) imply was applied when they emptied.
         """
         masks, determined = self.masks, self.determined
         position, step = self._position, self._step
@@ -153,28 +194,53 @@ class TurboErasureDecoder(_CheckedDecoder):
         k, last = self.K, self.n_steps - 1
         pop, push = ops.pop, ops.append
         while ops:
-            d, t, and_mask = pop()
+            d, t, keep_left = pop()
             chain = masks[d]
-            old = chain[t]
-            new = old & and_mask
-            if new == old:
-                continue
-            chain[t] = new
-            if not new:
-                self.contradiction = True
-                return
-            keep_left, keep_right, b = memo.get(new) or rule(new)
-            if keep_left and t > 0:
-                push((d, t - 1, keep_left))
-            if keep_right and t < last:
-                push((d, t + 1, keep_right))
-            if b != UNKNOWN and t < k:
-                p = position[d][t]
-                if determined[p] is None:
-                    determined[p] = b
-                    self.unknown -= 1
-                    e = 1 - d
-                    push((e, step[e][p], info[b]))
+            # The op's mask is the first keep mask of the left walk, which
+            # starts at the op's own step.  If that step changed, the
+            # right walk starts from it with its keep_right.
+            s, keep_right = t, 0
+            while True:
+                old = chain[s]
+                new = old & keep_left
+                if new == old:
+                    break
+                chain[s] = new
+                if not new:
+                    self.contradiction = True
+                    return
+                keep_left, right, b = memo.get(new) or rule(new)
+                if s == t:
+                    keep_right = right
+                if b != UNKNOWN and s < k:
+                    p = position[d][s]
+                    if determined[p] is None:
+                        determined[p] = b
+                        self.unknown -= 1
+                        e = 1 - d
+                        push((e, step[e][p], info[b]))
+                if not keep_left or not s:
+                    break
+                s -= 1
+            s = t
+            while keep_right and s < last:
+                s += 1
+                old = chain[s]
+                new = old & keep_right
+                if new == old:
+                    break
+                chain[s] = new
+                if not new:
+                    self.contradiction = True
+                    return
+                _, keep_right, b = memo.get(new) or rule(new)
+                if b != UNKNOWN and s < k:
+                    p = position[d][s]
+                    if determined[p] is None:
+                        determined[p] = b
+                        self.unknown -= 1
+                        e = 1 - d
+                        push((e, step[e][p], info[b]))
 
     def determined_bits(self) -> list[int | None]:
         """Per-position information-bit knowledge, None where unknown."""

@@ -58,29 +58,33 @@ def run_trial(code, base_seed: int, index: int = 0,
     """One seeded encode / random-arrival decode; records r_stop.
 
     ``code`` is any object with K, N, encode() and start_decoder(),
-    i.e. a TurboCodeSpec or a StaircaseCode.  Decoders report only their
-    status; r_stop is counted here, not by the decoders.  ``trace``, if
-    given, collects the decoder's known_count() (determined information
-    bits) after each reception.
+    i.e. a TurboCodeSpec or a StaircaseCode.  The whole arrival order
+    goes to one ``receive_many`` call, and r_stop is the count of
+    symbols it took.  ``trace``, if given, collects the decoder's
+    known_count() (determined information bits) after each reception,
+    so the symbols then go in one per call.
     """
     rng = trial_rng(base_seed, index)
     info = rng.integers(0, 2, code.K, dtype=np.uint8)
-    codeword = code.encode(info).tolist()
-    order = rng.permutation(code.N).tolist()
+    codeword = code.encode(info)
+    order = rng.permutation(code.N)
+    symbols, values = order.tolist(), codeword[order].tolist()
     decoder = code.start_decoder()
-    r_stop = None
-    for count, sym in enumerate(order, start=1):
-        outcome = decoder.receive(sym, codeword[sym])
-        if trace is not None:
+    if trace is None:
+        r_stop = decoder.receive_many(symbols, values)
+    else:
+        r_stop = 0
+        for sym, value in zip(symbols, values):
+            r_stop += decoder.receive_many((sym,), (value,))
             trace.append(decoder.known_count())
-        if outcome.status is Status.CONTRADICTION:
-            raise RuntimeError(
-                "contradiction while decoding a genuine codeword; decoder bug"
-            )
-        if outcome.status is Status.SUCCESS:
-            r_stop = count
-            break
-    if r_stop is None:
+            if decoder.outcome().status is not Status.IN_PROGRESS:
+                break
+    status = decoder.outcome().status
+    if status is Status.CONTRADICTION:
+        raise RuntimeError(
+            "contradiction while decoding a genuine codeword; decoder bug"
+        )
+    if status is not Status.SUCCESS:
         raise RuntimeError("full reception did not reach success; decoder bug")
     return TrialRecord(index, r_stop, r_stop / code.K)
 

@@ -79,18 +79,30 @@ class StaircaseCode:
                 h[i, self.K + i - 1] = 1
         return h
 
+    @cached_property
+    def _row_segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The left rows laid end to end, where each non-empty row starts,
+        and which rows are non-empty: ``reduceat`` mishandles an empty
+        segment, so empty rows are left out of its starts."""
+        lengths = np.array([len(row) for row in self.left_rows])
+        starts = np.cumsum(lengths) - lengths
+        flat = np.array([v for row in self.left_rows for v in row], dtype=np.intp)
+        nonempty = lengths > 0
+        return flat, starts[nonempty], nonempty
+
     def encode(self, info) -> np.ndarray:
-        """Codeword [info | parities] with H . c = 0 over GF(2)."""
+        """Codeword [info | parities] with H . c = 0 over GF(2).
+
+        Parity i is the XOR of every left row up to i: forward
+        substitution through the staircase D.
+        """
         info = np.asarray(info, dtype=np.uint8)
         if info.shape != (self.K,):
             raise ValueError(f"information word must have length {self.K}")
-        parities = np.empty(self.M, dtype=np.uint8)
-        acc = 0
-        for i in range(self.M):
-            for v in self.left_rows[i]:
-                acc ^= info[v]
-            parities[i] = acc
-        return np.concatenate([info, parities])
+        flat, starts, nonempty = self._row_segments
+        row_sums = np.zeros(self.M, dtype=np.uint8)
+        row_sums[nonempty] = np.bitwise_xor.reduceat(info[flat], starts)
+        return np.concatenate([info, np.bitwise_xor.accumulate(row_sums)])
 
     def fingerprint(self) -> str:
         weights = sorted({len(c) for c in self.left_cols})
@@ -240,6 +252,7 @@ class PeelingDecoder(_CheckedDecoder):
             if known is not None:
                 if known != value:
                     self.contradiction = True
+                    return
                 continue
             self.values[v] = value
             if v < self.code.K:
@@ -252,6 +265,7 @@ class PeelingDecoder(_CheckedDecoder):
                     stack.append((self._idx_sum[c], self._xor[c]))
                 elif self._unknown[c] == 0 and self._xor[c]:
                     self.contradiction = True
+                    return
 
     def determined_bits(self) -> list[int | None]:
         return self.values[: self.code.K]

@@ -162,12 +162,15 @@ class TurboCodeSpec:
         if len(self.interleaver) != self.K:
             raise ValueError("interleaver size must equal K")
         object.__setattr__(self, "table", TransitionTable(self.rsc))
-        layout = []
-        for t in range(self.K):
-            for stream in (SYSTEMATIC, PARITY1, PARITY2):
-                if self.puncture.keeps(stream, t):
-                    layout.append((stream, t))
-        object.__setattr__(self, "layout", tuple(layout))
+        # One puncture period of keep flags, tiled over the K steps; the
+        # kept (step, stream) pairs come out in transmission order.
+        period = self.puncture.period
+        kept = np.array([[self.puncture.keeps(stream, t)
+                          for stream in (SYSTEMATIC, PARITY1, PARITY2)]
+                         for t in range(period)])
+        steps, streams = np.nonzero(np.tile(kept, (-(-self.K // period), 1))[:self.K])
+        object.__setattr__(self, "layout",
+                           tuple(zip(streams.tolist(), steps.tolist())))
 
     @cached_property
     def lookup(self) -> LookupMasks:

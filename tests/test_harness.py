@@ -1,5 +1,8 @@
+import importlib.util
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +88,27 @@ class TestTrials:
             assert dec.known_count() == sum(
                 b is not None for b in dec.determined_bits())
         assert dec.known_count() == code.K
+
+    @pytest.mark.parametrize("family, build", [
+        ("turbo", lambda: turbo_spec(64)),
+        ("ldpc", lambda: build_regular_staircase(64, Fraction(1, 3), seed=2)),
+    ], ids=["turbo", "ldpc"])
+    def test_benchmark_traced_trial_matches_run_trial(self, family, build,
+                                                      monkeypatch):
+        # The benchmark replays run_trial one receive() at a time, reading
+        # its .status, and checks that it stops at the same r_stop.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        loader = importlib.util.spec_from_file_location("tracing", path)
+        tracing = importlib.util.module_from_spec(loader)
+        monkeypatch.setitem(sys.modules, "tracing", tracing)
+        loader.loader.exec_module(tracing)
+        code = build()
+        tracer = tracing.Tracer()
+        for i in range(5):
+            traced = tracing.traced_trial(code, family, 13, i, tracer)
+            assert traced.error is None
+            assert traced.r_stop == run_trial(code, 13, i).r_stop
+            assert traced.decoder.outcome().status is Status.SUCCESS
 
     def test_trace_monotone(self):
         spec = turbo_spec(16)

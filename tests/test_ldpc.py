@@ -110,6 +110,22 @@ class TestEncoding:
             h = code.parity_check_matrix()
             assert not (h @ code.encode(info) % 2).any()
 
+    @pytest.mark.parametrize("code", [
+        StaircaseCode(2, 4, ((1,), (1, 3))),      # rows 0 and 2 empty
+        StaircaseCode(3, 5, ((4,), (4,), (2, 4))),  # rows 0, 1 and 3 empty
+        StaircaseCode(1, 3, ((2,),)),             # a row empty at the start
+        StaircaseCode(2, 3, ((0, 1), (0,))),      # the last row empty
+    ], ids=["middle", "several", "leading", "trailing"])
+    def test_empty_left_rows(self, code):
+        assert any(not row for row in code.left_rows)
+        h = code.parity_check_matrix()
+        for word in range(1 << code.K):
+            info = np.array([(word >> b) & 1 for b in range(code.K)],
+                            dtype=np.uint8)
+            cw = code.encode(info)
+            assert list(cw[:code.K]) == list(info)
+            assert not (h @ cw % 2).any(), f"info {info}"
+
     def test_length_mismatch(self):
         code = build_regular_staircase(8, Fraction(1, 2), seed=7)
         with pytest.raises(ValueError):
@@ -202,6 +218,54 @@ class TestPeeling:
         assert dec.receive(1, 0).status is Status.CONTRADICTION
         with pytest.raises(ValueError, match="symbol 2: decoder is in a contradiction"):
             dec.receive(2, 1)
+
+    def test_peeling_stops_at_the_first_contradiction(self):
+        # The reference settles like the decoder, in the same stack
+        # order, but recounts each check from its variables and returns
+        # at the first contradiction it meets.
+        class StoppingPeel(PeelingDecoder):
+            def _settle(self, v, value):
+                stack = [(v, value)]
+                while stack:
+                    v, value = stack.pop()
+                    if self.values[v] is not None:
+                        if self.values[v] != value:
+                            self.contradiction = True
+                            return
+                        continue
+                    self.values[v] = value
+                    if v < self.code.K:
+                        self.unknown -= 1
+                    for c in self._var_checks[v]:
+                        vs = self.code.check_variables(c)
+                        open_ = [u for u in vs if self.values[u] is None]
+                        xor = 0
+                        for u in vs:
+                            xor ^= self.values[u] or 0
+                        if len(open_) == 1:
+                            stack.append((open_[0], xor))
+                        elif not open_ and xor:
+                            self.contradiction = True
+                            return
+
+        rng = rng_for(55, 6)
+        contradictions = 0
+        for _ in range(60):
+            code = build_regular_staircase(64, Fraction(1, 3),
+                                           int(rng.integers(0, 1 << 16)))
+            cw = code.encode(rng.integers(0, 2, code.K, dtype=np.uint8))
+            for v in rng.choice(code.N, 2, replace=False):
+                cw[v] ^= 1
+            dec, ref = PeelingDecoder(code), StoppingPeel(code)
+            for v in rng.permutation(code.N).tolist():
+                status = dec.receive(v, int(cw[v])).status
+                assert ref.receive(v, int(cw[v])).status is status
+                assert dec.values == ref.values
+                assert dec.known_count() == ref.known_count()
+                if status is not Status.IN_PROGRESS:
+                    break
+            contradictions += status is Status.CONTRADICTION
+        assert contradictions > 20
 
     @pytest.mark.parametrize("index, value, message", [
         (-1, 0, "index -1 out of range"),

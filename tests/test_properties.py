@@ -102,6 +102,17 @@ def turbo_codes(draw):
                            Interleaver(pi, kind="drawn"), puncture=puncture)
 
 
+def feed(dec, indices, cw):
+    """Receives ``indices`` through ``receive_many``, which stops early
+    when the decode succeeds; the rest follow, as receptions after
+    success are legal."""
+    while indices:
+        taken = dec.receive_many(indices, [int(cw[i]) for i in indices])
+        assert 1 <= taken <= len(indices)
+        assert taken == len(indices) or not dec.unknown
+        indices = indices[taken:]
+
+
 @SETTINGS
 @given(spec=turbo_codes(), data=st.data())
 def test_turbo_closure_is_order_independent_and_sound(spec, data):
@@ -114,8 +125,13 @@ def test_turbo_closure_is_order_independent_and_sound(spec, data):
     finals = []
     for _ in range(3):
         dec = spec.start_decoder()
-        for idx in data.draw(st.permutations(subset), label="shuffle"):
-            dec.receive(idx, int(cw[idx]))
+        shuffled = data.draw(st.permutations(subset), label="shuffle")
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(subset)),
+                                         max_size=4), label="cuts"))
+        for lo, hi in zip([0, *cuts], [*cuts, len(subset)]):
+            feed(dec, shuffled[lo:hi], cw)
+            # A determined bit never changes, so checking at the end of
+            # each batch catches a wrong one from any reception in it.
             assert all(b is None or b == u
                        for b, u in zip(dec.determined_bits(), info))
         finals.append((dec.masks, dec.determined_bits()))
@@ -125,8 +141,7 @@ def test_turbo_closure_is_order_independent_and_sound(spec, data):
     received = {spec.layout[idx]: int(cw[idx]) for idx in subset}
     assert finals[0] == trellis_fixpoint(oracle, spec.interleaver.pi, received)
 
-    for idx in order[len(subset):]:
-        dec.receive(idx, int(cw[idx]))
+    feed(dec, order[len(subset):], cw)
     assert dec.outcome().status is Status.SUCCESS
     assert dec.determined_bits() == info
 

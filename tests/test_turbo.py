@@ -111,6 +111,22 @@ class TestPunctureMap:
         assert not pm.keeps(PARITY2, 0) and pm.keeps(PARITY2, 1)
         assert pm.keeps(SYSTEMATIC, 0) and pm.keeps(SYSTEMATIC, 1)
 
+    @pytest.mark.parametrize("k, rate, override", [
+        (1024, Fraction(1, 3), None), (1024, Fraction(1, 2), None),
+        (1024, Fraction(2, 3), None), (64, None, "p1=110,p2=011"),
+        (16, None, "p1=110,p2=011")], ids=["r13", "r12", "r23", "override",
+                                           "override-partial-period"])
+    def test_layout_matches_per_step_keeps(self, k, rate, override):
+        puncture = (make_puncture_map(rate, k) if override is None
+                    else parse_puncture_patterns(override))
+        spec = make_turbo_spec(RSC75, k, make_pr_interleaver(k, 2),
+                               puncture=puncture)
+        expect = tuple((stream, t) for t in range(k)
+                       for stream in (SYSTEMATIC, PARITY1, PARITY2)
+                       if puncture.keeps(stream, t))
+        assert spec.layout == expect
+        assert all(type(x) is int for pair in spec.layout for x in pair)
+
     def test_layout_positions_unique(self):
         spec = turbo_spec(16, Fraction(1, 2))
         assert len(set(spec.layout)) == spec.N
