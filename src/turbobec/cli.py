@@ -15,12 +15,12 @@ from fractions import Fraction
 
 from . import __version__
 from .decoder import Status
-from .harness import CSV_HEADER, run_campaign, run_trial, stats_row, sweep
+from .harness import run_trial, sweep
 from .ldpc import (build_irregular_staircase, build_regular_staircase,
                    load_degree_distribution)
 from .trellis import LookupMasks, RscSpec, TransitionTable, UNKNOWN, format_mask
 from .turbo import (identity_interleaver, load_interleaver,
-                    make_pr_interleaver, make_puncture_map, make_turbo_spec,
+                    make_pr_interleaver, make_turbo_spec,
                     parse_puncture_patterns)
 
 
@@ -48,7 +48,12 @@ def _make_interleaver(spec_text: str, k: int):
         return identity_interleaver(k)
     kind, _, arg = spec_text.partition(":")
     if kind == "pr":
-        return make_pr_interleaver(k, int(arg))
+        try:
+            seed = int(arg)
+        except ValueError:
+            raise ValueError(f"--interleaver: '{spec_text}' needs an integer "
+                             f"seed") from None
+        return make_pr_interleaver(k, seed)
     if kind == "file":
         pi = load_interleaver(arg)
         if len(pi) != k:
@@ -65,13 +70,8 @@ def _make_code(args):
         fb, fw, length = _parse_poly(args.poly, args.base, "--poly")
         rsc = RscSpec(fb, fw, length)
         interleaver = _make_interleaver(args.interleaver, args.k)
-        puncture = (parse_puncture_patterns(args.puncture)
-                    if args.puncture else make_puncture_map(rate, args.k))
-        spec = make_turbo_spec(rsc, args.k, interleaver, puncture=puncture)
-        if spec.rate != rate:
-            raise ValueError(
-                f"puncture pattern gives rate {spec.rate}, requested {rate}")
-        return spec, args.interleaver
+        puncture = parse_puncture_patterns(args.puncture) if args.puncture else None
+        return make_turbo_spec(rsc, args.k, interleaver, rate, puncture), args.interleaver
     if name == "ldpc-regular":
         return build_regular_staircase(args.k, rate, args.seed), "-"
     if name.startswith("ldpc-irregular:"):
@@ -93,7 +93,10 @@ def _read_bits(path: str, count: int) -> list[int]:
         text = "".join(fh.read().split())
     bits = []
     for ch in text:
-        v = int(ch, 16)
+        try:
+            v = int(ch, 16)
+        except ValueError:
+            raise ValueError(f"{path}: '{ch}' is not a hex digit") from None
         bits.extend((v >> s) & 1 for s in (3, 2, 1, 0))
     if len(bits) < count:
         raise ValueError(f"{path}: expected at least {count} bits, found {len(bits)}")
@@ -178,32 +181,35 @@ def cmd_trial(args) -> int:
     return 0
 
 
+def _campaign(args, codes, ks, rates) -> None:
+    """One campaign per (code, rate, K) point, as CSV rows from
+    ``harness.sweep``; the config and each point's code are echoed."""
+    _echo_config(args)
+
+    def make_code(name, k, rate):
+        code, tag = _make_code(argparse.Namespace(**{
+            **vars(args), "code": name, "k": k, "rate": rate}))
+        print(f"# code: {code.fingerprint()}", file=sys.stderr)
+        return code, tag
+
+    _emit(sweep(make_code, ks, rates, codes, args.trials, args.seed), args.out)
+
+
 def cmd_simulate(args) -> int:
     _require(args, "k")
-    code, tag = _make_code(args)
-    _echo_config(args, code)
-    stats = run_campaign(code, args.trials, args.seed)
-    rows = [CSV_HEADER,
-            stats_row(args.code, Fraction(args.rate), args.k, tag,
-                      args.trials, args.seed, stats)]
-    _emit(rows, args.out)
+    _campaign(args, [args.code], [args.k], [_parse_rate(args.rate)])
     return 0
 
 
 def cmd_sweep(args) -> int:
     _require(args, "k_list")
-    _echo_config(args)
-
-    def make_code(name, k, rate):
-        sub = argparse.Namespace(**vars(args))
-        sub.code, sub.rate, sub.k = name, rate, k
-        return _make_code(sub)
-
     rates = [_parse_rate(r, "--rate-list") for r in args.rate_list.split(",")]
-    rows = sweep(make_code, [int(k) for k in args.k_list.split(",")],
-                 rates, args.code_list.split(","),
-                 args.trials, args.seed)
-    _emit(rows, args.out)
+    try:
+        ks = [int(k) for k in args.k_list.split(",")]
+    except ValueError:
+        raise ValueError(f"--k-list: '{args.k_list}' is not a comma separated "
+                         f"list of integers") from None
+    _campaign(args, args.code_list.split(","), ks, rates)
     if args.emit_plot:
         _write_plot_script(args.emit_plot, args.out)
     return 0
@@ -228,13 +234,18 @@ def _write_plot_script(script_path: str, csv_path: str) -> None:
         )
 
 
-def _add_code_flags(p: argparse.ArgumentParser) -> None:
+def _add_point_flags(p: argparse.ArgumentParser) -> None:
+    """The one code, K and rate of a single-point command."""
     p.add_argument("--code", default="turbo",
                    help="turbo | ldpc-regular | ldpc-irregular:FILE")
-    p.add_argument("--poly", default="7,5", help="feedback,forward polynomials")
-    p.add_argument("--base", default="octal", choices=["octal", "binary"])
     p.add_argument("--k", type=int, help="information length K")
     p.add_argument("--rate", default="1/3", help="code rate as a fraction")
+    _add_code_flags(p)
+
+
+def _add_code_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--poly", default="7,5", help="feedback,forward polynomials")
+    p.add_argument("--base", default="octal", choices=["octal", "binary"])
     p.add_argument("--interleaver", default="pr:1",
                    help="id | pr:SEED | file:PATH")
     p.add_argument("--puncture", help="override pattern, e.g. p1=10,p2=01")
@@ -256,24 +267,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("encode", help="encode a hex file of information bits")
-    _add_code_flags(p)
+    _add_point_flags(p)
     p.add_argument("--in", dest="infile")
     p.add_argument("--out", dest="outfile")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="replay (index, bit) receptions")
-    _add_code_flags(p)
+    _add_point_flags(p)
     p.add_argument("--received",
                    help="file of 'index bit' lines in arrival order")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("trial", help="run one seeded trial with its trajectory")
-    _add_code_flags(p)
+    _add_point_flags(p)
     p.add_argument("--index", type=int, default=0, help="trial index")
     p.set_defaults(func=cmd_trial)
 
     p = sub.add_parser("simulate", help="run a Monte-Carlo campaign")
-    _add_code_flags(p)
+    _add_point_flags(p)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_simulate)

@@ -188,6 +188,8 @@ def build_irregular_staircase(k: int, rate: Fraction,
         raise ValueError("empty degree distribution")
     if any(d < 1 for d in degree_distribution):
         raise ValueError("degrees must be positive")
+    if not all(0 <= p <= 1 for p in degree_distribution.values()):
+        raise ValueError("degree fractions must lie in [0, 1]")
     if abs(sum(degree_distribution.values()) - 1.0) > 1e-9:
         raise ValueError("degree fractions must sum to 1")
     m = _parity_count(k, rate)
@@ -210,12 +212,19 @@ def load_degree_distribution(path) -> dict[int, float]:
     """Reads "degree probability" pairs, one per line; '#' starts a comment."""
     dist = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            d, p = line.split()
-            dist[int(d)] = float(p)
+            try:
+                d, p = line.split()
+                d, p = int(d), float(p)
+            except ValueError:
+                raise ValueError(f"{path}, line {lineno} {line!r}: expected "
+                                 f"an integer degree and a fraction") from None
+            if d in dist:
+                raise ValueError(f"{path}, line {lineno}: degree {d} given twice")
+            dist[d] = p
     return dist
 
 

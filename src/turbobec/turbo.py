@@ -73,8 +73,16 @@ def make_pr_interleaver(k: int, seed: int) -> Interleaver:
 
 def load_interleaver(path) -> Interleaver:
     """Reads one permutation image per line (ASCII integers)."""
+    entries = []
     with open(path) as fh:
-        entries = [int(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                entries.append(int(line))
+            except ValueError:
+                raise ValueError(f"{path}, line {lineno} {line.strip()!r}: "
+                                 f"not an integer") from None
     return Interleaver(tuple(entries), kind=f"file:{path}")
 
 
@@ -102,12 +110,6 @@ class PunctureMap:
         pat = self.p1_pattern if stream == PARITY1 else self.p2_pattern
         return pat[step % self.period]
 
-    def kept_count(self, k: int) -> int:
-        if k % self.period:
-            raise ValueError(f"K={k} is not divisible by the pattern period {self.period}")
-        per_period = self.period + sum(self.p1_pattern) + sum(self.p2_pattern)
-        return k // self.period * per_period
-
     def describe(self) -> str:
         bits = lambda pat: "".join("1" if b else "0" for b in pat)
         return f"p1={bits(self.p1_pattern)},p2={bits(self.p2_pattern)}"
@@ -124,22 +126,25 @@ _PRESETS = {
 
 
 def make_puncture_map(rate: Fraction, k: int) -> PunctureMap:
+    """The preset pattern filed under ``rate``, whose period must divide K."""
     rate = Fraction(rate)
     if rate not in _PRESETS:
         raise ValueError(f"unsupported rate {rate}; presets are 1/3, 1/2, 2/3")
     pm = _PRESETS[rate]
-    n = pm.kept_count(k)  # validates divisibility
-    if n * rate != k:
-        raise ValueError(f"puncture preset for rate {rate} keeps {n} of {k} "
-                         f"bits, which is rate {Fraction(k, n)}")
+    if k % pm.period:
+        raise ValueError(f"K={k} is not divisible by the pattern period {pm.period}")
     return pm
 
 
 def parse_puncture_patterns(text: str) -> PunctureMap:
     """Parses an override like "p1=1010,p2=0101"."""
-    parts = dict(p.split("=", 1) for p in text.split(","))
-    if set(parts) != {"p1", "p2"}:
+    parts = [p.partition("=") for p in text.split(",")]
+    if any(not eq or set(bits) - {"0", "1"} for _, eq, bits in parts):
+        raise ValueError(f"puncture override '{text}' is not p1=BITS,p2=BITS "
+                         f"with BITS of 0s and 1s")
+    if sorted(name for name, _, _ in parts) != ["p1", "p2"]:
         raise ValueError("puncture override must define p1 and p2")
+    parts = {name: bits for name, _, bits in parts}
     p1 = tuple(c == "1" for c in parts["p1"])
     p2 = tuple(c == "1" for c in parts["p2"])
     if len(p1) != len(p2):
@@ -217,9 +222,13 @@ class TurboCodeSpec:
 def make_turbo_spec(rsc: RscSpec, k: int, interleaver: Interleaver,
                     rate: Fraction = Fraction(1, 3),
                     puncture: PunctureMap | None = None) -> TurboCodeSpec:
-    if puncture is None:
-        puncture = make_puncture_map(rate, k)
-    return TurboCodeSpec(rsc, k, interleaver, puncture)
+    """The code punctured by ``puncture``, or else by the preset for
+    ``rate``; raises ValueError unless the code's rate is ``rate``."""
+    rate = Fraction(rate)
+    spec = TurboCodeSpec(rsc, k, interleaver, puncture or make_puncture_map(rate, k))
+    if spec.rate != rate:
+        raise ValueError(f"puncture pattern gives rate {spec.rate}, requested {rate}")
+    return spec
 
 
 def rsc_parity(table: TransitionTable, info: np.ndarray) -> np.ndarray:

@@ -3,12 +3,14 @@
 The benchmark (``perfbench/``) and the demos import from ``turbobec``
 and ``turbobec.harness`` but are not part of the test suite, so a
 removed or renamed name would only show when they run.  This module
-reads their source, never runs or changes it.
+reads their source and runs the short trajectory demo; it changes
+none of them.
 """
 
 import ast
 import importlib
 import inspect
+import runpy
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,12 @@ def test_all_lists_exactly_the_exports():
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert len(turbobec.__all__) == len(set(turbobec.__all__))
     assert set(turbobec.__all__) == exported
+
+
+def test_trajectory_demo_runs(capsys):
+    # The campaign demo (demos/inefficiency_comparison.py) takes seconds,
+    # so only the short trajectory demo runs here.
+    runpy.run_path(str(ROOT / "demos" / "decoding_trajectory.py"),
+                   run_name="__main__")
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("success after r_stop=")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -129,6 +130,43 @@ class TestSimulate:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("flags", [
+        ("--poly", "13,15", "--rate", "1/2"),
+        ("--poly", "13,15", "--rate", "1/2", "--puncture", "p1=10,p2=01"),
+        ("--code", "ldpc-regular", "--rate", "1/2"),
+    ], ids=["turbo-r12", "turbo-r12-override", "ldpc"])
+    def test_simulate_is_a_one_point_sweep(self, tmp_path, capsys, flags):
+        common = ("--trials", "4", "--seed", "6", "--interleaver", "pr:3")
+        one, point = tmp_path / "simulate.csv", tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "simulate", "--k", "8", *flags, *common,
+                           "--out", str(one))
+        assert code == 0
+        fingerprint = [line for line in err.splitlines()
+                       if line.startswith("# code:")]
+        sweep_flags = [{"--code": "--code-list", "--rate": "--rate-list"}
+                       .get(f, f) for f in flags]
+        code, _, err = run(capsys, "sweep", "--k-list", "8", *sweep_flags,
+                           *common, "--out", str(point))
+        assert code == 0
+        assert one.read_bytes() == point.read_bytes()
+        assert [line for line in err.splitlines()
+                if line.startswith("# code:")] == fingerprint
+
+    def test_single_point_flags_read_as_lists(self, capsys):
+        # --code, --k and --rate are not sweep flags; argparse reads them
+        # as prefixes of --code-list, --k-list and --rate-list.
+        _, short, _ = run(capsys, "sweep", "--k", "16", "--rate", "1/2",
+                          "--trials", "2")
+        _, full, _ = run(capsys, "sweep", "--k-list", "16", "--rate-list",
+                         "1/2", "--trials", "2")
+        assert short == full and short.splitlines()[1].startswith(
+            "turbo,1/2,16,")
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        assert "--k-list" in flags
+        assert not flags & {"--code", "--k", "--rate"}
+
     def test_sweep_csv_and_plot(self, tmp_path, capsys):
         out_csv = tmp_path / "sweep.csv"
         plot = tmp_path / "plot.gp"
@@ -185,6 +223,15 @@ class TestConfig:
         assert code == 2
         assert "error: config key 'bogus' is not a known flag" in err
 
+    @pytest.mark.parametrize("key", ["k", "rate", "code"])
+    def test_single_point_key_in_sweep_config(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: 8}))
+        code, _, err = run(capsys, "sweep", "--config", str(cfg),
+                           "--k-list", "8")
+        assert code == 2
+        assert f"error: config key '{key}' is not a known flag" in err
+
 
 class TestMalformedInput:
     """Every malformed file or flag ends in exit 2 and one error line.
@@ -228,13 +275,36 @@ class TestMalformedInput:
          "--poly: '7,5,3' is not a feedback,forward pair of octal polynomials"),
         (["table", "--code", "111,2", "--base", "binary"],
          "--code: '111,2' is not a feedback,forward pair of binary polynomials"),
+        (["simulate", "--k", "8", "--interleaver", "id", "--puncture",
+          "p1=10,p2=01", "--rate", "1/3"],
+         "puncture pattern gives rate 1/2, requested 1/3"),
+        (["simulate", "--k", "8", "--rate", "1/2", "--puncture", "p1=12,p2=01"],
+         "puncture override 'p1=12,p2=01' is not p1=BITS,p2=BITS"),
+        (["simulate", "--k", "8", "--puncture", "garbage"],
+         "puncture override 'garbage' is not p1=BITS,p2=BITS"),
+        (["simulate", "--k", "8", "--rate", "1/2", "--puncture",
+          "p1=11,p1=10,p2=01"], "puncture override must define p1 and p2"),
+        (["simulate", "--k", "8", "--code", "ldpc-irregular:{tmp}/inf.txt"],
+         "degree fractions must lie in [0, 1]"),
+        (["simulate", "--k", "8", "--interleaver", "pr:abc"],
+         "--interleaver: 'pr:abc' needs an integer seed"),
+        (["simulate", "--k", "3", "--interleaver", "file:{tmp}/pi-text.txt"],
+         "pi-text.txt, line 2 'one': not an integer"),
+        (["encode", "--k", "8", "--in", "{tmp}/info-g.hex",
+          "--out", "{tmp}/cw.hex"], "info-g.hex: 'g' is not a hex digit"),
+        (["sweep", "--k-list", "8,x"],
+         "--k-list: '8,x' is not a comma separated list of integers"),
     ], ids=["config-not-json", "config-not-object", "config-missing",
             "unknown-interleaver", "interleaver-length",
             "too-few-bits", "missing-k", "config-null", "config-bool",
             "config-list-value", "config-object-value", "rate-1/0",
             "rate-list-1/0", "ldpc-rate-0", "puncture-period-0",
             "k-0-identity", "poly-one-value", "poly-not-octal",
-            "poly-three-values", "table-code-not-binary"])
+            "poly-three-values", "table-code-not-binary",
+            "override-wrong-rate", "puncture-not-bits", "puncture-no-equals",
+            "puncture-repeated-part",
+            "degree-file-inf", "interleaver-seed-not-int",
+            "interleaver-file-not-int", "hex-digit", "k-list-not-int"])
     def test_exit_code_two(self, tmp_path, capsys, argv, message):
         (tmp_path / "bad.json").write_text("{\"k\": 8,")
         (tmp_path / "list.json").write_text("[8]")
@@ -244,6 +314,9 @@ class TestMalformedInput:
         (tmp_path / "object-value.json").write_text(json.dumps({"k": {"v": 8}}))
         (tmp_path / "pi.txt").write_text("2\n0\n1\n")
         (tmp_path / "info.hex").write_text("a7\n")
+        (tmp_path / "info-g.hex").write_text("a7g\n")
+        (tmp_path / "pi-text.txt").write_text("2\none\n1\n")
+        (tmp_path / "inf.txt").write_text("2 inf\n3 -inf\n")
         argv = [a.format(tmp=tmp_path) for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == 2

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -84,11 +85,28 @@ class TestIrregular:
             build_irregular_staircase(16, Fraction(1, 2), {2: 0.7}, seed=0)
         with pytest.raises(ValueError):
             build_irregular_staircase(16, Fraction(1, 2), {0: 1.0}, seed=0)
+        # Each of these sums to 1 or to NaN, which no sum check catches.
+        for law in ({2: float("inf"), 3: float("-inf")}, {2: 1.5, 3: -0.5},
+                    {2: float("nan"), 3: 1.0}):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                build_irregular_staircase(16, Fraction(1, 2), law, seed=0)
 
     def test_load_distribution(self, tmp_path):
         p = tmp_path / "dist.txt"
         p.write_text("# left degrees\n2 0.5\n4 0.5\n")
         assert load_degree_distribution(p) == {2: 0.5, 4: 0.5}
+
+    @pytest.mark.parametrize("text, message", [
+        ("2 0.5\n2 0.5\n", "line 2: degree 2 given twice"),
+        ("2 0.5\n2.5 1\n", "line 2 '2.5 1': expected an integer degree"),
+        ("2\n", "line 1 '2': expected an integer degree"),
+        ("2 half\n", "line 1 '2 half': expected an integer degree"),
+    ], ids=["repeated", "fractional-degree", "one-field", "not-a-number"])
+    def test_load_rejects_bad_lines(self, tmp_path, text, message):
+        p = tmp_path / "dist.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{p}, {message}")):
+            load_degree_distribution(p)
 
 
 class TestEncoding:

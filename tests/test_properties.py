@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from turbobec import (Interleaver, LookupMasks, PunctureMap, RscSpec,
-                      Status, TransitionTable, boundary_masks,
+                      Status, TransitionTable, TurboCodeSpec, boundary_masks,
                       build_irregular_staircase, build_regular_staircase,
                       identity_interleaver, make_turbo_spec)
 from turbobec.turbo import PARITY1, SYSTEMATIC
@@ -98,8 +98,9 @@ def turbo_codes(draw):
     patterns = st.lists(st.booleans(), min_size=period, max_size=period)
     puncture = PunctureMap(period, tuple(draw(patterns)), tuple(draw(patterns)))
     pi = tuple(draw(st.permutations(range(k))))
-    return make_turbo_spec(RscSpec(fb, fw, length), k,
-                           Interleaver(pi, kind="drawn"), puncture=puncture)
+    # Built directly: a drawn pattern gives whatever rate it gives.
+    return TurboCodeSpec(RscSpec(fb, fw, length), k,
+                         Interleaver(pi, kind="drawn"), puncture)
 
 
 def feed(dec, indices, cw):

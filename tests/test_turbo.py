@@ -99,7 +99,13 @@ class TestPunctureMap:
         monkeypatch.setattr(turbo, "_PRESETS",
                             {Fraction(1, 2): PunctureMap(1, (True,), (True,))})
         with pytest.raises(ValueError, match="rate 1/3"):
-            make_puncture_map(Fraction(1, 2), 16)
+            turbo_spec(16, Fraction(1, 2))
+
+    def test_override_with_wrong_rate_rejected(self):
+        with pytest.raises(ValueError, match="gives rate 1/3, requested 1/2"):
+            make_turbo_spec(RSC75, 16, identity_interleaver(16),
+                            rate=Fraction(1, 2),
+                            puncture=PunctureMap(1, (True,), (True,)))
 
     def test_zero_period_rejected(self):
         with pytest.raises(ValueError, match="period 0 must be >= 1"):
@@ -119,8 +125,7 @@ class TestPunctureMap:
     def test_layout_matches_per_step_keeps(self, k, rate, override):
         puncture = (make_puncture_map(rate, k) if override is None
                     else parse_puncture_patterns(override))
-        spec = make_turbo_spec(RSC75, k, make_pr_interleaver(k, 2),
-                               puncture=puncture)
+        spec = TurboCodeSpec(RSC75, k, make_pr_interleaver(k, 2), puncture)
         expect = tuple((stream, t) for t in range(k)
                        for stream in (SYSTEMATIC, PARITY1, PARITY2)
                        if puncture.keeps(stream, t))
