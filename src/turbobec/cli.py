@@ -9,6 +9,7 @@ are echoed to stderr so outputs carry their own provenance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -43,49 +44,59 @@ def _parse_rate(text, flag: str = "--rate") -> Fraction:
         raise ValueError(f"{flag}: '{text}' is not a rate fraction") from None
 
 
-def _make_interleaver(spec_text: str, k: int):
-    if spec_text in ("id", "identity"):
-        return identity_interleaver(k)
-    kind, _, arg = spec_text.partition(":")
+def _parse_interleaver(text: str):
+    """Checks an --interleaver value; returns the function of K that
+    builds it."""
+    if text in ("id", "identity"):
+        return identity_interleaver
+    kind, _, arg = text.partition(":")
     if kind == "pr":
         try:
             seed = int(arg)
         except ValueError:
-            raise ValueError(f"--interleaver: '{spec_text}' needs an integer "
+            raise ValueError(f"--interleaver: '{text}' needs an integer "
                              f"seed") from None
-        return make_pr_interleaver(k, seed)
+        return functools.partial(make_pr_interleaver, seed=seed)
     if kind == "file":
         pi = load_interleaver(arg)
-        if len(pi) != k:
-            raise ValueError(f"interleaver file has length {len(pi)}, expected {k}")
-        return pi
-    raise ValueError(f"unknown interleaver spec '{spec_text}'")
+
+        def sized(k):
+            if len(pi) != k:
+                raise ValueError(f"interleaver file has length {len(pi)}, "
+                                 f"expected {k}")
+            return pi
+        return sized
+    raise ValueError(f"unknown interleaver spec '{text}'")
 
 
-def _make_code(args):
-    """Builds the code under test from resolved flags; returns (code, tag)."""
-    name = args.code
-    rate = _parse_rate(args.rate)
+def _make_code(args, name: str, k: int, rate: Fraction):
+    """Builds the code ``name`` at (K, rate) from the resolved flags and
+    echoes its ``# code:`` line; returns (code, interleaver tag).
+
+    The turbo flags are checked for every family, so a malformed one
+    fails an LDPC run too; a well-formed one is unused there.
+    """
+    rsc = RscSpec(*_parse_poly(args.poly, args.base, "--poly"))
+    interleaver = _parse_interleaver(args.interleaver)
+    puncture = parse_puncture_patterns(args.puncture) if args.puncture else None
     if name == "turbo":
-        fb, fw, length = _parse_poly(args.poly, args.base, "--poly")
-        rsc = RscSpec(fb, fw, length)
-        interleaver = _make_interleaver(args.interleaver, args.k)
-        puncture = parse_puncture_patterns(args.puncture) if args.puncture else None
-        return make_turbo_spec(rsc, args.k, interleaver, rate, puncture), args.interleaver
-    if name == "ldpc-regular":
-        return build_regular_staircase(args.k, rate, args.seed), "-"
-    if name.startswith("ldpc-irregular:"):
+        code = make_turbo_spec(rsc, k, interleaver(k), rate, puncture)
+        tag = args.interleaver
+    elif name == "ldpc-regular":
+        code, tag = build_regular_staircase(k, rate, args.seed), "-"
+    elif name.startswith("ldpc-irregular:"):
         dist = load_degree_distribution(name.split(":", 1)[1])
-        return build_irregular_staircase(args.k, rate, dist, args.seed), "-"
-    raise ValueError(f"unknown code family '{name}'")
+        code, tag = build_irregular_staircase(k, rate, dist, args.seed), "-"
+    else:
+        raise ValueError(f"unknown code family '{name}'")
+    print(f"# code: {code.fingerprint()}", file=sys.stderr)
+    return code, tag
 
 
-def _echo_config(args, code=None) -> None:
+def _echo_config(args) -> None:
     shown = {k: v for k, v in sorted(vars(args).items())
              if v is not None and k not in ("func", "config")}
     print(f"# turbobec {__version__} config: {shown}", file=sys.stderr)
-    if code is not None:
-        print(f"# code: {code.fingerprint()}", file=sys.stderr)
 
 
 def _read_bits(path: str, count: int) -> list[int]:
@@ -130,8 +141,8 @@ def cmd_table(args) -> int:
 
 def cmd_encode(args) -> int:
     _require(args, "k", "infile", "outfile")
-    code, _ = _make_code(args)
-    _echo_config(args, code)
+    _echo_config(args)
+    code, _ = _make_code(args, args.code, args.k, _parse_rate(args.rate))
     info = _read_bits(args.infile, args.k)
     _write_bits(args.outfile, code.encode(info))
     return 0
@@ -139,8 +150,8 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     _require(args, "k", "received")
-    code, _ = _make_code(args)
-    _echo_config(args, code)
+    _echo_config(args)
+    code, _ = _make_code(args, args.code, args.k, _parse_rate(args.rate))
     decoder = code.start_decoder()
     outcome = decoder.outcome()
     r = 0
@@ -170,8 +181,8 @@ def cmd_decode(args) -> int:
 
 def cmd_trial(args) -> int:
     _require(args, "k")
-    code, _ = _make_code(args)
-    _echo_config(args, code)
+    _echo_config(args)
+    code, _ = _make_code(args, args.code, args.k, _parse_rate(args.rate))
     trace: list[int] = []
     record = run_trial(code, args.seed, args.index, trace=trace)
     print("reception,determined")
@@ -185,14 +196,8 @@ def _campaign(args, codes, ks, rates) -> None:
     """One campaign per (code, rate, K) point, as CSV rows from
     ``harness.sweep``; the config and each point's code are echoed."""
     _echo_config(args)
-
-    def make_code(name, k, rate):
-        code, tag = _make_code(argparse.Namespace(**{
-            **vars(args), "code": name, "k": k, "rate": rate}))
-        print(f"# code: {code.fingerprint()}", file=sys.stderr)
-        return code, tag
-
-    _emit(sweep(make_code, ks, rates, codes, args.trials, args.seed), args.out)
+    _emit(sweep(functools.partial(_make_code, args), ks, rates, codes,
+                args.trials, args.seed), args.out)
 
 
 def cmd_simulate(args) -> int:

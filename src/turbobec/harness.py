@@ -104,14 +104,14 @@ def run_campaign(code, trials: int, base_seed: int) -> RunStats:
 CSV_HEADER = "code,rate,K,interleaver,trials,base_seed,mu_av,mu_std,p_th_est,gap"
 
 
-def stats_row(code_name: str, rate: Fraction, k: int, interleaver: str,
-              trials: int, base_seed: int, stats: RunStats) -> str:
+def stats_row(code_name: str, k: int, interleaver: str, base_seed: int,
+              stats: RunStats) -> str:
     return ",".join([
         code_name,
-        f"{rate.numerator}/{rate.denominator}",
+        f"{stats.rate.numerator}/{stats.rate.denominator}",
         str(k),
         interleaver,
-        str(trials),
+        str(stats.trials),
         str(base_seed),
         f"{stats.mu_av:.6f}",
         f"{stats.mu_std:.6f}",
@@ -132,6 +132,5 @@ def sweep(code_factory, k_list, rate_list, code_names, trials: int,
             for k in k_list:
                 code, interleaver_tag = code_factory(name, k, Fraction(rate))
                 stats = run_campaign(code, trials, base_seed)
-                rows.append(stats_row(name, Fraction(rate), k, interleaver_tag,
-                                      trials, base_seed, stats))
+                rows.append(stats_row(name, k, interleaver_tag, base_seed, stats))
     return rows

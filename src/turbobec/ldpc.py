@@ -105,8 +105,13 @@ class StaircaseCode:
         return np.concatenate([info, np.bitwise_xor.accumulate(row_sums)])
 
     def fingerprint(self) -> str:
+        import hashlib
+
         weights = sorted({len(c) for c in self.left_cols})
-        return f"{self.kind} K={self.K} M={self.M} col_weights={weights}"
+        graph = ";".join(" ".join(map(str, col)) for col in self.left_cols)
+        h = hashlib.sha256(graph.encode()).hexdigest()
+        return (f"{self.kind} K={self.K} M={self.M} col_weights={weights}"
+                f" graph={h[:12]}")
 
     def start_decoder(self):
         return PeelingDecoder(self)

@@ -108,14 +108,6 @@ class TransitionTable:
             for u in (0, 1):
                 yield s, self.next_state[s][u], u, self.parity[s][u]
 
-    def termination_input(self, state: int) -> int:
-        """Information bit that shifts a zero into the register."""
-        target = state >> 1
-        for u in (0, 1):
-            if self.next_state[state][u] == target:
-                return u
-        raise AssertionError("no zero-driving input; recursion is broken")
-
     def to_text(self) -> str:
         """Paper-style table: rows are from-states, entries b1b2 or X."""
         S = self.n_states

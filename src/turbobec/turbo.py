@@ -1,12 +1,13 @@
 """Parallel turbo encoder: systematic stream, two RSC parity streams,
-interleaving, trellis termination and puncturing.
+interleaving and puncturing.
 
 The mother codeword interleaves the three streams step by step as
 s_0, p1_0, p2_0, s_1, p1_1, p2_1, ...  Puncturing drops parity positions
 from this ordering; systematic bits are always transmitted.  Both
-constituent encoders are driven back to the zero state with L-1 tail
-steps whose bits are not transmitted, so the shipped rates are exactly
-1/3, 1/2 and 2/3.
+constituent paths are zero-state terminated by L-1 tail steps whose bits
+are never transmitted, so the encoder does not run them: it emits the K
+transmitted steps from state 0, and the decoder pins the last step to
+enter state 0.  The shipped rates are exactly 1/3, 1/2 and 2/3.
 """
 
 from __future__ import annotations
@@ -91,18 +92,24 @@ class PunctureMap:
     """Periodic keep-pattern over the two parity streams.
 
     ``p1_pattern[t % period]`` tells whether parity 1 of step t is
-    transmitted; likewise for p2.  Systematic bits are always kept.
+    transmitted; likewise for p2.  Systematic bits are always kept.  The
+    period is the patterns' common, non-zero length.  The patterns cover
+    the K information steps only: the encoder does not run the L-1 tail
+    steps, and the decoder pins state 0 in their place.
     """
 
-    period: int
     p1_pattern: tuple[bool, ...]
     p2_pattern: tuple[bool, ...]
 
     def __post_init__(self):
-        if self.period < 1:
+        if len(self.p1_pattern) != len(self.p2_pattern):
+            raise ValueError("p1 and p2 patterns must share one period")
+        if not self.p1_pattern:
             raise ValueError(f"puncture period {self.period} must be >= 1")
-        if len(self.p1_pattern) != self.period or len(self.p2_pattern) != self.period:
-            raise ValueError("pattern length must equal the period")
+
+    @property
+    def period(self) -> int:
+        return len(self.p1_pattern)
 
     def keeps(self, stream: int, step: int) -> bool:
         if stream == SYSTEMATIC:
@@ -116,11 +123,11 @@ class PunctureMap:
 
 
 _PRESETS = {
-    Fraction(1, 3): PunctureMap(1, (True,), (True,)),
+    Fraction(1, 3): PunctureMap((True,), (True,)),
     # Alternate parity streams: p1 at even steps, p2 at odd steps.
-    Fraction(1, 2): PunctureMap(2, (True, False), (False, True)),
+    Fraction(1, 2): PunctureMap((True, False), (False, True)),
     # One parity bit every other step: p1 at t % 4 == 0, p2 at t % 4 == 2.
-    Fraction(2, 3): PunctureMap(4, (True, False, False, False),
+    Fraction(2, 3): PunctureMap((True, False, False, False),
                                 (False, False, True, False)),
 }
 
@@ -144,12 +151,8 @@ def parse_puncture_patterns(text: str) -> PunctureMap:
                          f"with BITS of 0s and 1s")
     if sorted(name for name, _, _ in parts) != ["p1", "p2"]:
         raise ValueError("puncture override must define p1 and p2")
-    parts = {name: bits for name, _, bits in parts}
-    p1 = tuple(c == "1" for c in parts["p1"])
-    p2 = tuple(c == "1" for c in parts["p2"])
-    if len(p1) != len(p2):
-        raise ValueError("p1 and p2 patterns must share one period")
-    return PunctureMap(len(p1), p1, p2)
+    parts = {name: tuple(c == "1" for c in bits) for name, _, bits in parts}
+    return PunctureMap(parts["p1"], parts["p2"])
 
 
 @dataclass(frozen=True)
@@ -208,10 +211,9 @@ class TurboCodeSpec:
         info = np.asarray(info, dtype=np.uint8)
         if info.shape != (self.K,):
             raise ValueError(f"information word must have length {self.K}")
-        streams = np.concatenate([
-            info, rsc_parity(self.table, info),
-            rsc_parity(self.table, self.interleaver.scramble(info))])
-        return streams[self._gather]
+        parity = (rsc_parity(self.table, info.tolist())
+                  + rsc_parity(self.table, self.interleaver.scramble(info).tolist()))
+        return np.concatenate([info, np.array(parity, dtype=np.uint8)])[self._gather]
 
     def start_decoder(self):
         from .decoder import TurboErasureDecoder
@@ -231,23 +233,17 @@ def make_turbo_spec(rsc: RscSpec, k: int, interleaver: Interleaver,
     return spec
 
 
-def rsc_parity(table: TransitionTable, info: np.ndarray) -> np.ndarray:
-    """Parity stream of one terminated constituent; tail bits discarded.
+def rsc_parity(table: TransitionTable, info: list[int]) -> list[int]:
+    """Parity bits of one constituent over the K transmitted steps.
 
-    The L-1 termination inputs are forced so the register returns to the
-    zero state after the last information step.
+    The register starts in state 0.  The L-1 termination steps are not
+    run: their bits are never transmitted, and the decoder pins the last
+    step to enter state 0 instead.
     """
     state = 0
-    out = np.empty(len(info), dtype=np.uint8)
+    out = []
     nxt, par = table.next_state, table.parity
-    for t, u in enumerate(info):
-        u = int(u)
-        out[t] = par[state][u]
+    for u in info:
+        out.append(par[state][u])
         state = nxt[state][u]
-    for _ in range(table.spec.constraint_length - 1):
-        u = table.termination_input(state)
-        state = nxt[state][u]
-    if state != 0:
-        raise RuntimeError("termination failed to reach the zero state")
     return out
-

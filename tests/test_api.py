@@ -4,21 +4,39 @@ The benchmark (``perfbench/``) and the demos import from ``turbobec``
 and ``turbobec.harness`` but are not part of the test suite, so a
 removed or renamed name would only show when they run.  This module
 reads their source and runs the short trajectory demo; it changes
-none of them.
+none of them.  It also parses every ``turbobec`` example in README, so
+a renamed or removed flag cannot stay in the docs.
 """
 
 import ast
 import importlib
 import inspect
+import re
 import runpy
+import shlex
 from pathlib import Path
 
 import pytest
 
 import turbobec
+from turbobec import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 CLIENTS = sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("demos/*.py")])
+
+
+def readme_commands():
+    """The arguments of every ``turbobec`` line in README's sh blocks,
+    with backslash continuations joined."""
+    text = (ROOT / "README.md").read_text()
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["turbobec"]:
+                yield words[1:]
+
+
+README_COMMANDS = list(readme_commands())
 
 
 def imported_names(path):
@@ -58,3 +76,15 @@ def test_trajectory_demo_runs(capsys):
                    run_name="__main__")
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.startswith("success after r_stop=")
+
+
+def test_readme_commands_are_found():
+    assert {argv[0] for argv in README_COMMANDS} == {
+        "table", "encode", "decode", "trial", "simulate", "sweep"}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[
+    f"{i}-{argv[0]}" for i, argv in enumerate(README_COMMANDS)])
+def test_readme_command_parses(argv):
+    # Parsing only: nothing runs, so no file the example names is needed.
+    cli.build_parser().parse_args(argv)

@@ -76,6 +76,19 @@ class TestEncodeDecode:
         assert "outcome: success" in out
         assert "info=10100111" in out
 
+    def test_one_code_line_per_command(self, tmp_path, capsys):
+        infile, outfile = tmp_path / "info.hex", tmp_path / "cw.hex"
+        infile.write_text("a7\n")
+        received = tmp_path / "rx.txt"
+        received.write_text("0 1\n")
+        for argv in (["encode", "--in", str(infile), "--out", str(outfile)],
+                     ["decode", "--received", str(received)],
+                     ["trial"]):
+            _, _, err = run(capsys, *argv, "--k", "8")
+            lines = err.splitlines()
+            assert lines[0].startswith("# turbobec ")
+            assert sum(line.startswith("# code:") for line in lines) == 1
+
     @pytest.mark.parametrize("lines, message", [
         ("999 0\n", "symbol index 999 out of range"),
         ("0 2\n", "value 2 is not 0 or 1"),
@@ -116,6 +129,32 @@ class TestSimulate:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    @pytest.mark.parametrize("flags", [
+        ("--puncture", "p1=10,p2=01"), ("--interleaver", "file:{tmp}/pi.txt"),
+        ("--poly", "13,15"), ("--base", "binary", "--poly", "111,101"),
+    ], ids=["puncture", "interleaver-file", "poly", "binary-poly"])
+    def test_ldpc_ignores_well_formed_turbo_flags(self, tmp_path, capsys, flags):
+        (tmp_path / "pi.txt").write_text("2\n0\n1\n")
+        args = ("simulate", "--code", "ldpc-regular", "--k", "8",
+                "--rate", "1/2", "--trials", "4", "--seed", "3")
+        code, plain, _ = run(capsys, *args)
+        assert code == 0
+        code, flagged, _ = run(capsys, *args,
+                               *(f.format(tmp=tmp_path) for f in flags))
+        assert code == 0
+        assert flagged == plain
+
+    def test_ldpc_code_line_names_the_graph(self, capsys):
+        def code_line(seed):
+            _, _, err = run(capsys, "simulate", "--code", "ldpc-regular",
+                            "--k", "32", "--rate", "1/2", "--trials", "1",
+                            "--seed", seed)
+            return [line for line in err.splitlines()
+                    if line.startswith("# code:")]
+
+        assert code_line("1") != code_line("2")
+        assert code_line("1") == code_line("1")
 
     def test_period_violation_diagnostic(self, capsys):
         code, _, err = run(capsys, "simulate", "--code", "turbo", "--k", "1022",
@@ -294,6 +333,14 @@ class TestMalformedInput:
           "--out", "{tmp}/cw.hex"], "info-g.hex: 'g' is not a hex digit"),
         (["sweep", "--k-list", "8,x"],
          "--k-list: '8,x' is not a comma separated list of integers"),
+        (["simulate", "--code", "ldpc-regular", "--k", "8", "--rate", "1/2",
+          "--puncture", "garbage"],
+         "puncture override 'garbage' is not p1=BITS,p2=BITS"),
+        (["simulate", "--code", "ldpc-regular", "--k", "8", "--rate", "1/2",
+          "--interleaver", "bogus"], "unknown interleaver spec 'bogus'"),
+        (["simulate", "--code", "ldpc-regular", "--k", "8", "--rate", "1/2",
+          "--poly", "9,5"],
+         "--poly: '9,5' is not a feedback,forward pair of octal polynomials"),
     ], ids=["config-not-json", "config-not-object", "config-missing",
             "unknown-interleaver", "interleaver-length",
             "too-few-bits", "missing-k", "config-null", "config-bool",
@@ -304,7 +351,9 @@ class TestMalformedInput:
             "override-wrong-rate", "puncture-not-bits", "puncture-no-equals",
             "puncture-repeated-part",
             "degree-file-inf", "interleaver-seed-not-int",
-            "interleaver-file-not-int", "hex-digit", "k-list-not-int"])
+            "interleaver-file-not-int", "hex-digit", "k-list-not-int",
+            "ldpc-puncture-not-bits", "ldpc-unknown-interleaver",
+            "ldpc-poly-not-octal"])
     def test_exit_code_two(self, tmp_path, capsys, argv, message):
         (tmp_path / "bad.json").write_text("{\"k\": 8,")
         (tmp_path / "list.json").write_text("[8]")

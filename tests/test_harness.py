@@ -245,7 +245,7 @@ class TestSweep:
 
     def test_stats_row_identity_fields(self):
         stats = RunStats(2, Fraction(1, 2), 1.1, 0.01)
-        row = stats_row("turbo", Fraction(1, 2), 16, "pr:1", 2, 0, stats)
+        row = stats_row("turbo", 16, "pr:1", 0, stats)
         fields = row.split(",")
         assert float(fields[8]) == pytest.approx(1 - 1.1 * 0.5, abs=1e-6)
         assert float(fields[9]) == pytest.approx(0.5 - float(fields[8]), abs=1e-6)

@@ -96,7 +96,7 @@ def turbo_codes(draw):
     period = draw(st.integers(1, 4))
     k = period * draw(st.integers(1, 64 // period))
     patterns = st.lists(st.booleans(), min_size=period, max_size=period)
-    puncture = PunctureMap(period, tuple(draw(patterns)), tuple(draw(patterns)))
+    puncture = PunctureMap(tuple(draw(patterns)), tuple(draw(patterns)))
     pi = tuple(draw(st.permutations(range(k))))
     # Built directly: a drawn pattern gives whatever rate it gives.
     return TurboCodeSpec(RscSpec(fb, fw, length), k,

@@ -69,11 +69,6 @@ class TestTransitionTable:
         with pytest.raises(ValueError):
             RscSpec(0o7, 0, 3)            # zero forward polynomial
 
-    def test_termination_input_drives_to_zero(self, table75):
-        for s in range(4):
-            u = table75.termination_input(s)
-            assert table75.next_state[s][u] == s >> 1
-
 
 class TestLookupMasks:
     def test_full_mask_published(self, masks75):
