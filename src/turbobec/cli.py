@@ -44,6 +44,18 @@ def _parse_rate(text, flag: str = "--rate") -> Fraction:
         raise ValueError(f"{flag}: '{text}' is not a rate fraction") from None
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed and --index: numpy seeds only from
+    integers >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative; it must be >= 0")
+    return value
+
+
 def _parse_interleaver(text: str):
     """Checks an --interleaver value; returns the function of K that
     builds it."""
@@ -52,10 +64,10 @@ def _parse_interleaver(text: str):
     kind, _, arg = text.partition(":")
     if kind == "pr":
         try:
-            seed = int(arg)
-        except ValueError:
+            seed = _seed(arg)
+        except argparse.ArgumentTypeError:
             raise ValueError(f"--interleaver: '{text}' needs an integer "
-                             f"seed") from None
+                             f"seed >= 0") from None
         return functools.partial(make_pr_interleaver, seed=seed)
     if kind == "file":
         pi = load_interleaver(arg)
@@ -254,7 +266,7 @@ def _add_code_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--interleaver", default="pr:1",
                    help="id | pr:SEED | file:PATH")
     p.add_argument("--puncture", help="override pattern, e.g. p1=10,p2=01")
-    p.add_argument("--seed", type=int, default=0, help="base seed")
+    p.add_argument("--seed", type=_seed, default=0, help="base seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trial", help="run one seeded trial with its trajectory")
     _add_point_flags(p)
-    p.add_argument("--index", type=int, default=0, help="trial index")
+    p.add_argument("--index", type=_seed, default=0, help="trial index")
     p.set_defaults(func=cmd_trial)
 
     p = sub.add_parser("simulate", help="run a Monte-Carlo campaign")

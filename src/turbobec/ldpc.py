@@ -5,6 +5,11 @@ left part over the information variables and D is the M x M double
 diagonal (ones at (i, i) and (i, i-1)).  Encoding is forward
 substitution through D; decoding is standard BEC peeling, resolving any
 check that has exactly one unknown incident variable.
+
+A code stores only the columns of A.  The Tanner graph the decoders
+share and the edge array the encoder reads are each derived from them
+once; ``parity_check_matrix()`` builds H on its own, as the reference
+the tests check both against.
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ class StaircaseCode:
     kind: str = "ldpc-regular"
 
     def __post_init__(self):
+        if self.K < 1:
+            raise ValueError("K must be >= 1")
+        if self.M < 1:
+            raise ValueError("M must be >= 1")
         if len(self.left_cols) != self.K:
             raise ValueError("need one left column per information variable")
         for col in self.left_cols:
@@ -35,11 +44,6 @@ class StaircaseCode:
                 raise ValueError("duplicate edge in a left column")
             if any(not 0 <= r < self.M for r in col):
                 raise ValueError("check index out of range")
-        rows = [[] for _ in range(self.M)]
-        for v, col in enumerate(self.left_cols):
-            for r in col:
-                rows[r].append(v)
-        object.__setattr__(self, "left_rows", tuple(tuple(r) for r in rows))
 
     @property
     def N(self) -> int:
@@ -49,24 +53,20 @@ class StaircaseCode:
     def rate(self) -> Fraction:
         return Fraction(self.K, self.N)
 
-    def check_variables(self, i: int) -> tuple[int, ...]:
-        """All variables incident to check i, parities included."""
-        parities = (self.K + i,) if i == 0 else (self.K + i - 1, self.K + i)
-        return self.left_rows[i] + parities
-
     @cached_property
     def tanner(self) -> tuple[list[list[int]], list[int], list[int]]:
         """Peeling constants shared by every decoder of this code, which
-        only reads them: the checks of each variable, then the degree and
-        the variable-index sum of each check."""
-        var_checks = [[] for _ in range(self.N)]
-        degrees, index_sums = [], []
-        for i in range(self.M):
-            vs = self.check_variables(i)
-            for v in vs:
-                var_checks[v].append(i)
-            degrees.append(len(vs))
-            index_sums.append(sum(vs))
+        only reads them: the checks of each variable, ascending, then the
+        degree and the variable-index sum of each check.  Information
+        variable v sits on its left column, parity K + i on checks i, i + 1."""
+        m = self.M
+        var_checks = [sorted(col) for col in self.left_cols]
+        var_checks += [[i, i + 1] for i in range(m - 1)] + [[m - 1]]
+        degrees, index_sums = [0] * m, [0] * m
+        for v, checks in enumerate(var_checks):
+            for c in checks:
+                degrees[c] += 1
+                index_sums[c] += v
         return var_checks, degrees, index_sums
 
     def parity_check_matrix(self) -> np.ndarray:
@@ -80,29 +80,24 @@ class StaircaseCode:
         return h
 
     @cached_property
-    def _row_segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The left rows laid end to end, where each non-empty row starts,
-        and which rows are non-empty: ``reduceat`` mishandles an empty
-        segment, so empty rows are left out of its starts."""
-        lengths = np.array([len(row) for row in self.left_rows])
-        starts = np.cumsum(lengths) - lengths
-        flat = np.array([v for row in self.left_rows for v in row], dtype=np.intp)
-        nonempty = lengths > 0
-        return flat, starts[nonempty], nonempty
+    def _left_edges(self) -> np.ndarray:
+        """The edges of the left part A, one (variable, check) column each."""
+        return np.array([(v, c) for v, col in enumerate(self.left_cols)
+                         for c in col], dtype=np.intp).reshape(-1, 2).T
 
     def encode(self, info) -> np.ndarray:
         """Codeword [info | parities] with H . c = 0 over GF(2).
 
-        Parity i is the XOR of every left row up to i: forward
-        substitution through the staircase D.
+        Check i's left sum is the parity of its edges whose information
+        bit is 1; parity i is the running parity of the left sums up to
+        i: forward substitution through the staircase D.
         """
         info = np.asarray(info, dtype=np.uint8)
         if info.shape != (self.K,):
             raise ValueError(f"information word must have length {self.K}")
-        flat, starts, nonempty = self._row_segments
-        row_sums = np.zeros(self.M, dtype=np.uint8)
-        row_sums[nonempty] = np.bitwise_xor.reduceat(info[flat], starts)
-        return np.concatenate([info, np.bitwise_xor.accumulate(row_sums)])
+        var, chk = self._left_edges
+        left_sums = np.bincount(chk[info[var] == 1], minlength=self.M)
+        return np.concatenate([info, (np.cumsum(left_sums) & 1).astype(np.uint8)])
 
     def fingerprint(self) -> str:
         import hashlib
@@ -121,6 +116,10 @@ def _parity_count(k: int, rate: Fraction) -> int:
     rate = Fraction(rate)
     if rate <= 0:
         raise ValueError(f"rate {rate} must be positive")
+    if rate >= 1:
+        raise ValueError(f"rate {rate} leaves no parity checks; it must be below 1")
+    if k < 1:
+        raise ValueError("K must be >= 1")
     n = k / rate
     if n.denominator != 1:
         raise ValueError(f"K={k} with rate {rate} gives a non-integral length")

@@ -179,16 +179,13 @@ class TurboCodeSpec:
         steps, streams = np.nonzero(np.tile(kept, (-(-self.K // period), 1))[:self.K])
         object.__setattr__(self, "layout",
                            tuple(zip(streams.tolist(), steps.tolist())))
+        # Where each transmitted symbol sits in the stacked [info, p1, p2].
+        object.__setattr__(self, "_gather", streams * self.K + steps)
 
     @cached_property
     def lookup(self) -> LookupMasks:
         """Lookup masks shared by every decoder of this code, memo included."""
         return LookupMasks(self.table)
-
-    @cached_property
-    def _gather(self) -> np.ndarray:
-        """Where each transmitted symbol sits in the stacked [info, p1, p2]."""
-        return np.array([s * self.K + t for s, t in self.layout])
 
     @property
     def N(self) -> int:

@@ -3,7 +3,8 @@
 Everything here re-derives RSC behaviour from first principles (explicit
 shift registers, exhaustive path enumeration and forward-backward
 trellis pruning) without touching the library's transition tables, and
-staircase peeling from explicit edge sets without the decoder's
+staircase peeling from explicit edge sets, read off the rows of the
+code's parity-check matrix, without the decoder's Tanner graph or
 counters, so the two sides of each comparison stay independent.
 """
 
@@ -158,11 +159,13 @@ def trellis_fixpoint(oracle: RegisterOracle, pi, received):
 def peel_oracle(code, received):
     """Edge-removal peeling, reimplemented from scratch.
 
-    Keeps explicit residual edge sets per check and strips them as
-    variables become known; independent of the count-based decoder.
+    Keeps explicit residual edge sets per check, taken from the rows of
+    ``code.parity_check_matrix()``, and strips them as variables become
+    known; independent of the count-based decoder and its graph.
     """
     values = dict(received)
-    edges = {i: set(code.check_variables(i)) for i in range(code.M)}
+    edges = {i: set(np.flatnonzero(row).tolist())
+             for i, row in enumerate(code.parity_check_matrix())}
     acc = {i: 0 for i in range(code.M)}
     changed = True
     while changed:

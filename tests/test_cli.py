@@ -1,9 +1,13 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from turbobec.cli import main
+
+
+IRREGULAR = Path(__file__).resolve().parents[1] / "configs" / "irregular_example.txt"
 
 
 def run(capsys, *argv):
@@ -341,6 +345,14 @@ class TestMalformedInput:
         (["simulate", "--code", "ldpc-regular", "--k", "8", "--rate", "1/2",
           "--poly", "9,5"],
          "--poly: '9,5' is not a feedback,forward pair of octal polynomials"),
+        (["simulate", "--code", f"ldpc-irregular:{IRREGULAR}", "--k", "8",
+          "--rate", "1"], "rate 1 leaves no parity checks; it must be below 1"),
+        (["simulate", "--code", f"ldpc-irregular:{IRREGULAR}", "--k", "0",
+          "--rate", "1/2"], "K must be >= 1"),
+        (["simulate", "--code", f"ldpc-irregular:{IRREGULAR}", "--k", "8",
+          "--rate", "2"], "rate 2 leaves no parity checks; it must be below 1"),
+        (["simulate", "--k", "8", "--interleaver", "pr:-1"],
+         "--interleaver: 'pr:-1' needs an integer seed >= 0"),
     ], ids=["config-not-json", "config-not-object", "config-missing",
             "unknown-interleaver", "interleaver-length",
             "too-few-bits", "missing-k", "config-null", "config-bool",
@@ -353,7 +365,8 @@ class TestMalformedInput:
             "degree-file-inf", "interleaver-seed-not-int",
             "interleaver-file-not-int", "hex-digit", "k-list-not-int",
             "ldpc-puncture-not-bits", "ldpc-unknown-interleaver",
-            "ldpc-poly-not-octal"])
+            "ldpc-poly-not-octal", "ldpc-rate-1", "ldpc-k-0", "ldpc-rate-2",
+            "interleaver-seed-negative"])
     def test_exit_code_two(self, tmp_path, capsys, argv, message):
         (tmp_path / "bad.json").write_text("{\"k\": 8,")
         (tmp_path / "list.json").write_text("[8]")
@@ -372,6 +385,52 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith("error: ")
         assert message in err
+
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["simulate", "--k", "8", "--seed", "-1"], None,
+         "argument --seed: -1 is negative; it must be >= 0"),
+        (["trial", "--k", "8", "--index", "-1"], None,
+         "argument --index: -1 is negative; it must be >= 0"),
+        (["simulate", "--code", "ldpc-regular", "--k", "8", "--rate", "1/2",
+          "--seed", "-1"], None,
+         "argument --seed: -1 is negative; it must be >= 0"),
+        (["simulate", "--k", "8"], {"seed": -1},
+         "argument --seed: -1 is negative; it must be >= 0"),
+    ], ids=["seed", "index", "ldpc-seed", "config-seed"])
+    def test_negative_seed_or_index(self, tmp_path, capsys, argv, config,
+                                    message):
+        # argparse's own usage error, exit 2, naming the flag.
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", str(tmp_path / "run.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message in err
+
+    def test_simulate_grid_never_raises(self, capsys):
+        # Valid and invalid (code, K, rate) points alike end in exit 0 or
+        # 2, or in argparse's exit 2; none may escape as an exception.
+        failed = []
+        for code in ("turbo", "ldpc-regular", f"ldpc-irregular:{IRREGULAR}"):
+            for k in [*range(-2, 9), 12, 16, 24]:
+                for rate in ("0", "1/4", "1/3", "1/2", "2/3", "3/4", "1",
+                             "4/3", "2"):
+                    argv = ["simulate", "--code", code, "--k", str(k),
+                            "--rate", rate, "--trials", "1"]
+                    try:
+                        status = main(argv)
+                    except SystemExit as exc:
+                        status = 2 if exc.code == 2 else f"exit {exc.code}"
+                    except Exception as exc:
+                        status = repr(exc)
+                    if status not in (0, 2):
+                        failed.append((" ".join(argv), status))
+        capsys.readouterr()
+        assert failed == []
 
 
 class TestVersion:

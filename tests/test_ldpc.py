@@ -15,6 +15,15 @@ def random_code(rng, k=12, rate=Fraction(1, 2)):
     return build_regular_staircase(k, rate, int(rng.integers(0, 1 << 16)))
 
 
+# Codes with checks that hold no information bit.
+EMPTY_ROW_CODES = {
+    "middle": StaircaseCode(2, 4, ((1,), (1, 3))),        # rows 0 and 2
+    "several": StaircaseCode(3, 5, ((4,), (4,), (2, 4))),  # rows 0, 1 and 3
+    "leading": StaircaseCode(1, 3, ((2,),)),              # rows 0 and 1
+    "trailing": StaircaseCode(2, 3, ((0, 1), (0,))),      # the last row
+}
+
+
 class TestConstruction:
     def test_minimal_regular_code_is_forced(self):
         code = build_regular_staircase(4, Fraction(1, 2), seed=0)
@@ -54,6 +63,26 @@ class TestConstruction:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             build_regular_staircase(2, Fraction(1, 2), seed=0)
+
+    @pytest.mark.parametrize("k, rate, message", [
+        (8, Fraction(1), "rate 1 leaves no parity checks; it must be below 1"),
+        (8, Fraction(2), "rate 2 leaves no parity checks; it must be below 1"),
+        (0, Fraction(1, 2), "K must be >= 1"),
+        (-2, Fraction(1, 2), "K must be >= 1"),
+    ], ids=["rate-1", "rate-2", "k-0", "k-negative"])
+    def test_builders_reject_rate_and_k(self, k, rate, message):
+        with pytest.raises(ValueError, match=message):
+            build_regular_staircase(k, rate, seed=0)
+        with pytest.raises(ValueError, match=message):
+            build_irregular_staircase(k, rate, {2: 0.5, 3: 0.5}, seed=0)
+
+    @pytest.mark.parametrize("k, m, cols, message", [
+        (0, 2, (), "K must be >= 1"),
+        (2, 0, ((), ()), "M must be >= 1"),
+    ], ids=["k-0", "m-0"])
+    def test_constructor_rejects_empty_sides(self, k, m, cols, message):
+        with pytest.raises(ValueError, match=message):
+            StaircaseCode(k, m, cols)
 
     def test_construction_deterministic(self):
         a = build_regular_staircase(64, Fraction(1, 2), seed=9)
@@ -128,15 +157,11 @@ class TestEncoding:
             h = code.parity_check_matrix()
             assert not (h @ code.encode(info) % 2).any()
 
-    @pytest.mark.parametrize("code", [
-        StaircaseCode(2, 4, ((1,), (1, 3))),      # rows 0 and 2 empty
-        StaircaseCode(3, 5, ((4,), (4,), (2, 4))),  # rows 0, 1 and 3 empty
-        StaircaseCode(1, 3, ((2,),)),             # a row empty at the start
-        StaircaseCode(2, 3, ((0, 1), (0,))),      # the last row empty
-    ], ids=["middle", "several", "leading", "trailing"])
+    @pytest.mark.parametrize("code", EMPTY_ROW_CODES.values(),
+                             ids=EMPTY_ROW_CODES)
     def test_empty_left_rows(self, code):
-        assert any(not row for row in code.left_rows)
         h = code.parity_check_matrix()
+        assert not h[:, :code.K].any(axis=1).all()
         for word in range(1 << code.K):
             info = np.array([(word >> b) & 1 for b in range(code.K)],
                             dtype=np.uint8)
@@ -240,8 +265,15 @@ class TestPeeling:
     def test_peeling_stops_at_the_first_contradiction(self):
         # The reference settles like the decoder, in the same stack
         # order, but recounts each check from its variables and returns
-        # at the first contradiction it meets.
+        # at the first contradiction it meets.  Its graph is the rows and
+        # columns of H, not the code's Tanner graph.
         class StoppingPeel(PeelingDecoder):
+            def __init__(self, code):
+                h = code.parity_check_matrix()
+                self.rows = [np.flatnonzero(row).tolist() for row in h]
+                self.cols = [np.flatnonzero(col).tolist() for col in h.T]
+                super().__init__(code)
+
             def _settle(self, v, value):
                 stack = [(v, value)]
                 while stack:
@@ -254,8 +286,8 @@ class TestPeeling:
                     self.values[v] = value
                     if v < self.code.K:
                         self.unknown -= 1
-                    for c in self._var_checks[v]:
-                        vs = self.code.check_variables(c)
+                    for c in self.cols[v]:
+                        vs = self.rows[c]
                         open_ = [u for u in vs if self.values[u] is None]
                         xor = 0
                         for u in vs:
@@ -328,10 +360,29 @@ class TestPerCodeConstants:
         assert dec.outcome().status is Status.SUCCESS
         fresh = code.start_decoder()
         assert fresh._var_checks is dec._var_checks is code.tanner[0]
-        assert fresh._unknown == [len(code.check_variables(i))
-                                  for i in range(code.M)]
-        assert fresh._idx_sum == [sum(code.check_variables(i))
-                                  for i in range(code.M)]
+        h = code.parity_check_matrix()
+        assert fresh._unknown == [len(np.flatnonzero(row)) for row in h]
+        assert fresh._idx_sum == [int(np.flatnonzero(row).sum()) for row in h]
+
+    @pytest.mark.parametrize("code", [
+        build_regular_staircase(8, Fraction(1, 2), seed=1),
+        build_regular_staircase(64, Fraction(1, 3), seed=5),
+        build_regular_staircase(96, Fraction(2, 3), seed=2),
+        build_irregular_staircase(100, Fraction(1, 2), {2: 0.3, 3: 0.4, 8: 0.3},
+                                  seed=3),
+        StaircaseCode(2, 3, ((2, 0), (1, 0))),
+        *EMPTY_ROW_CODES.values(),
+    ], ids=["regular-r12", "regular-r13", "regular-r23", "irregular",
+            "unsorted-columns", *EMPTY_ROW_CODES])
+    def test_tanner_is_h(self, code):
+        # Each variable's checks are the nonzero rows of its column, in
+        # ascending order; degrees and index sums are H's row counts and
+        # row index sums.
+        var_checks, degrees, index_sums = code.tanner
+        h = code.parity_check_matrix()
+        assert var_checks == [np.flatnonzero(col).tolist() for col in h.T]
+        assert degrees == h.sum(axis=1).tolist()
+        assert index_sums == (h @ np.arange(code.N)).tolist()
 
     @pytest.mark.parametrize("rate", [Fraction(1, 3), Fraction(1, 2)],
                              ids=["r13", "r12"])
