@@ -44,16 +44,24 @@ def _parse_rate(text, flag: str = "--rate") -> Fraction:
         raise ValueError(f"{flag}: '{text}' is not a rate fraction") from None
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed and --index: numpy seeds only from
-    integers >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{value} is negative; it must be >= 0")
-    return value
+def _int_at_least(minimum: int, complaint: str):
+    """An argparse type: an integer >= ``minimum``; ``complaint``, with
+    ``{}`` for the value, says why a smaller one is rejected."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(complaint.format(value))
+        return value
+    return parse
+
+
+# --seed and --index: numpy seeds only from integers >= 0.
+_seed = _int_at_least(0, "{} is negative; it must be >= 0")
+_trials = _int_at_least(1, "{} is below 1; a campaign needs at least one trial")
 
 
 def _parse_interleaver(text: str):
@@ -137,10 +145,10 @@ def _write_bits(path: str, bits) -> None:
 
 
 def cmd_table(args) -> int:
+    _echo_config(args)
     fb, fw, length = _parse_poly(args.code_poly, args.base, "--code")
     table = TransitionTable(RscSpec(fb, fw, length))
     masks = LookupMasks(table)
-    _echo_config(args)
     print(f"transition table of RSC ({fb:o},{fw:o})_8, L={length}:")
     print(table.to_text())
     names = {0: "0", 1: "1", UNKNOWN: "x"}
@@ -206,20 +214,24 @@ def cmd_trial(args) -> int:
 
 def _campaign(args, codes, ks, rates) -> None:
     """One campaign per (code, rate, K) point, as CSV rows from
-    ``harness.sweep``; the config and each point's code are echoed."""
-    _echo_config(args)
+    ``harness.sweep``; each point's code is echoed."""
     _emit(sweep(functools.partial(_make_code, args), ks, rates, codes,
                 args.trials, args.seed), args.out)
 
 
 def cmd_simulate(args) -> int:
     _require(args, "k")
+    _echo_config(args)
     _campaign(args, [args.code], [args.k], [_parse_rate(args.rate)])
     return 0
 
 
 def cmd_sweep(args) -> int:
     _require(args, "k_list")
+    if args.emit_plot and not args.out:
+        raise ValueError("--emit-plot needs --out: the plot script reads "
+                         "the CSV from that file")
+    _echo_config(args)
     rates = [_parse_rate(r, "--rate-list") for r in args.rate_list.split(",")]
     try:
         ks = [int(k) for k in args.k_list.split(",")]
@@ -302,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a Monte-Carlo campaign")
     _add_point_flags(p)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_trials, default=1000)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_simulate)
 
@@ -311,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", help="comma separated K values")
     p.add_argument("--rate-list", default="1/3")
     p.add_argument("--code-list", default="turbo")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_trials, default=1000)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--emit-plot", help="write a gnuplot script to this path")
     p.set_defaults(func=cmd_sweep)

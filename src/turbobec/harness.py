@@ -125,12 +125,12 @@ def sweep(code_factory, k_list, rate_list, code_names, trials: int,
     """Cartesian product of sizes, rates and code families, as CSV rows.
 
     ``code_factory(code_name, k, rate)`` builds the code under test.
+    Every point's code is built before any campaign runs, so a point that
+    cannot be built fails the sweep before it spends any trials.
     """
-    rows = [CSV_HEADER]
-    for name in code_names:
-        for rate in rate_list:
-            for k in k_list:
-                code, interleaver_tag = code_factory(name, k, Fraction(rate))
-                stats = run_campaign(code, trials, base_seed)
-                rows.append(stats_row(name, k, interleaver_tag, base_seed, stats))
-    return rows
+    points = [(name, k, *code_factory(name, k, Fraction(rate)))
+              for name in code_names for rate in rate_list for k in k_list]
+    return [CSV_HEADER] + [
+        stats_row(name, k, interleaver_tag, base_seed,
+                  run_campaign(code, trials, base_seed))
+        for name, k, code, interleaver_tag in points]

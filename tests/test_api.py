@@ -5,10 +5,12 @@ and ``turbobec.harness`` but are not part of the test suite, so a
 removed or renamed name would only show when they run.  This module
 reads their source and runs the short trajectory demo; it changes
 none of them.  It also parses every ``turbobec`` example in README, so
-a renamed or removed flag cannot stay in the docs.
+a renamed or removed flag cannot stay in the docs, and it reads the
+package's own imports, so each module's dependencies stay one-way.
 """
 
 import ast
+import graphlib
 import importlib
 import inspect
 import re
@@ -23,6 +25,8 @@ from turbobec import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 CLIENTS = sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("demos/*.py")])
+PACKAGE = {path.stem: ast.parse(path.read_text(), filename=str(path))
+           for path in sorted((ROOT / "src" / "turbobec").glob("*.py"))}
 
 
 def readme_commands():
@@ -88,3 +92,54 @@ def test_readme_commands_are_found():
 def test_readme_command_parses(argv):
     # Parsing only: nothing runs, so no file the example names is needed.
     cli.build_parser().parse_args(argv)
+
+
+def package_imports(node):
+    """The ``turbobec`` modules imported anywhere under an AST node, as
+    file stems; ``__init__`` stands for the package itself."""
+    def stem(dotted):
+        return dotted.split(".")[0] if dotted else "__init__"
+
+    for child in ast.walk(node):
+        if isinstance(child, ast.Import):
+            for alias in child.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "turbobec":
+                    yield stem(rest)
+        elif isinstance(child, ast.ImportFrom):
+            if child.level:
+                module = child.module
+            elif (child.module or "").split(".")[0] == "turbobec":
+                module = child.module.partition(".")[2]
+            else:
+                continue
+            if module:
+                yield stem(module)
+            else:
+                # ``from . import x``: x is a module or a package name.
+                for alias in child.names:
+                    yield alias.name if alias.name in PACKAGE else "__init__"
+
+
+def test_package_modules_are_found():
+    assert {"__init__", "decoder", "turbo", "ldpc", "cli"} <= set(PACKAGE)
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE))
+def test_no_function_imports_the_package(module):
+    # Imports inside a function hide a dependency, often an import cycle.
+    for node in ast.walk(PACKAGE[module]):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            assert not list(package_imports(node)), (
+                f"{module}.{node.name} imports a turbobec module")
+
+
+def test_package_import_graph_has_no_cycle():
+    graph = {module: set(package_imports(tree)) - {module}
+             for module, tree in PACKAGE.items()}
+    list(graphlib.TopologicalSorter(graph).static_order())
+
+
+def test_decoder_contract_imports_no_package_module():
+    # Both code families build on decoder.py, so it depends on neither.
+    assert not set(package_imports(PACKAGE["decoder"]))

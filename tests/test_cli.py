@@ -353,6 +353,8 @@ class TestMalformedInput:
           "--rate", "2"], "rate 2 leaves no parity checks; it must be below 1"),
         (["simulate", "--k", "8", "--interleaver", "pr:-1"],
          "--interleaver: 'pr:-1' needs an integer seed >= 0"),
+        (["sweep", "--k-list", "8", "--trials", "2", "--emit-plot",
+          "{tmp}/plot.gp"], "--emit-plot needs --out"),
     ], ids=["config-not-json", "config-not-object", "config-missing",
             "unknown-interleaver", "interleaver-length",
             "too-few-bits", "missing-k", "config-null", "config-bool",
@@ -366,7 +368,7 @@ class TestMalformedInput:
             "interleaver-file-not-int", "hex-digit", "k-list-not-int",
             "ldpc-puncture-not-bits", "ldpc-unknown-interleaver",
             "ldpc-poly-not-octal", "ldpc-rate-1", "ldpc-k-0", "ldpc-rate-2",
-            "interleaver-seed-negative"])
+            "interleaver-seed-negative", "emit-plot-without-out"])
     def test_exit_code_two(self, tmp_path, capsys, argv, message):
         (tmp_path / "bad.json").write_text("{\"k\": 8,")
         (tmp_path / "list.json").write_text("[8]")
@@ -385,6 +387,7 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith("error: ")
         assert message in err
+        assert not (tmp_path / "plot.gp").exists()
 
 
     @pytest.mark.parametrize("argv, config, message", [
@@ -397,7 +400,14 @@ class TestMalformedInput:
          "argument --seed: -1 is negative; it must be >= 0"),
         (["simulate", "--k", "8"], {"seed": -1},
          "argument --seed: -1 is negative; it must be >= 0"),
-    ], ids=["seed", "index", "ldpc-seed", "config-seed"])
+        (["simulate", "--k", "8", "--trials", "0"], None,
+         "argument --trials: 0 is below 1; a campaign needs at least one trial"),
+        (["sweep", "--k-list", "8", "--trials", "-1"], None,
+         "argument --trials: -1 is below 1; a campaign needs at least one"),
+        (["simulate", "--k", "8"], {"trials": 0},
+         "argument --trials: 0 is below 1; a campaign needs at least one"),
+    ], ids=["seed", "index", "ldpc-seed", "config-seed", "trials",
+            "sweep-trials", "config-trials"])
     def test_negative_seed_or_index(self, tmp_path, capsys, argv, config,
                                     message):
         # argparse's own usage error, exit 2, naming the flag.
@@ -410,6 +420,25 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert message in err
+        assert "# code:" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--code", "x"],
+        ["simulate", "--k", "8", "--rate", "abc"],
+        ["sweep", "--k-list", "x"],
+        ["sweep", "--k-list", "8", "--rate-list", "abc"],
+        ["trial", "--k", "8", "--rate", "abc"],
+        ["encode", "--k", "8", "--rate", "abc", "--in", "{tmp}/info.hex",
+         "--out", "{tmp}/cw.hex"],
+        ["decode", "--k", "8", "--rate", "abc", "--received", "{tmp}/rx.txt"],
+    ], ids=["table-code", "simulate-rate", "sweep-k-list", "sweep-rate-list",
+            "trial-rate", "encode-rate", "decode-rate"])
+    def test_config_line_before_flag_value_error(self, tmp_path, capsys, argv):
+        code, _, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+        assert code == 2
+        lines = err.splitlines()
+        assert lines[0].startswith("# turbobec ")
+        assert lines[-1].startswith("error:")
 
     def test_simulate_grid_never_raises(self, capsys):
         # Valid and invalid (code, K, rate) points alike end in exit 0 or

@@ -243,6 +243,28 @@ class TestSweep:
         args = (self.factory, [16], [Fraction(1, 2)], ["turbo", "ldpc"], 4, 9)
         assert sweep(*args) == sweep(*args)
 
+    def test_every_code_is_built_before_any_campaign(self, monkeypatch):
+        # A point that cannot be built fails the sweep before any trial.
+        def campaign(*args):
+            raise AssertionError("a campaign ran before every code was built")
+
+        monkeypatch.setattr("turbobec.harness.run_campaign", campaign)
+        built = []
+
+        def factory(name, k, rate):
+            built.append((name, rate, k))
+            if len(built) == 4:
+                raise ValueError("the last point cannot be built")
+            return self.factory(name, k, rate)
+
+        with pytest.raises(ValueError, match="last point"):
+            sweep(factory, [16, 32], [Fraction(1, 3), Fraction(1, 2)],
+                  ["turbo"], 3, 7)
+        assert built == [("turbo", Fraction(1, 3), 16),
+                         ("turbo", Fraction(1, 3), 32),
+                         ("turbo", Fraction(1, 2), 16),
+                         ("turbo", Fraction(1, 2), 32)]
+
     def test_stats_row_identity_fields(self):
         stats = RunStats(2, Fraction(1, 2), 1.1, 0.01)
         row = stats_row("turbo", 16, "pr:1", 0, stats)

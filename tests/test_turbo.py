@@ -117,9 +117,11 @@ class TestPunctureMap:
 
     def test_pattern_override(self):
         pm = parse_puncture_patterns("p1=10,p2=01")
-        assert pm.keeps(PARITY1, 0) and not pm.keeps(PARITY1, 1)
-        assert not pm.keeps(PARITY2, 0) and pm.keeps(PARITY2, 1)
-        assert pm.keeps(SYSTEMATIC, 0) and pm.keeps(SYSTEMATIC, 1)
+        assert pm.p1_pattern[0] and not pm.p1_pattern[1]
+        assert not pm.p2_pattern[0] and pm.p2_pattern[1]
+        # Systematic bits have no pattern: the code keeps them always.
+        layout = TurboCodeSpec(RSC75, 2, identity_interleaver(2), pm).layout
+        assert (SYSTEMATIC, 0) in layout and (SYSTEMATIC, 1) in layout
 
     @pytest.mark.parametrize("k, rate, override", [
         (1024, Fraction(1, 3), None), (1024, Fraction(1, 2), None),
@@ -130,9 +132,11 @@ class TestPunctureMap:
         puncture = (make_puncture_map(rate, k) if override is None
                     else parse_puncture_patterns(override))
         spec = TurboCodeSpec(RSC75, k, make_pr_interleaver(k, 2), puncture)
+        keeps = {SYSTEMATIC: (True,) * puncture.period,
+                 PARITY1: puncture.p1_pattern, PARITY2: puncture.p2_pattern}
         expect = tuple((stream, t) for t in range(k)
                        for stream in (SYSTEMATIC, PARITY1, PARITY2)
-                       if puncture.keeps(stream, t))
+                       if keeps[stream][t % puncture.period])
         assert spec.layout == expect
         assert all(type(x) is int for pair in spec.layout for x in pair)
 
