@@ -146,7 +146,7 @@ def _write_bits(path: str, bits) -> None:
 
 def cmd_table(args) -> int:
     _echo_config(args)
-    fb, fw, length = _parse_poly(args.code_poly, args.base, "--code")
+    fb, fw, length = _parse_poly(args.code, args.base, "--code")
     table = TransitionTable(RscSpec(fb, fw, length))
     masks = LookupMasks(table)
     print(f"transition table of RSC ({fb:o},{fw:o})_8, L={length}:")
@@ -160,12 +160,23 @@ def cmd_table(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    _require(args, "k", "infile", "outfile")
+    _require(args, "k", "in", "out")
     _echo_config(args)
     code, _ = _make_code(args, args.code, args.k, _parse_rate(args.rate))
-    info = _read_bits(args.infile, args.k)
-    _write_bits(args.outfile, code.encode(info))
+    info = _read_bits(getattr(args, "in"), args.k)  # ``in`` is a keyword
+    _write_bits(args.out, code.encode(info))
     return 0
+
+
+def _receptions(fh, lines: list):
+    """(index, bit) of each line of ``fh`` not blank or a ``#`` comment,
+    read as it is drawn; its (number, text) goes on ``lines`` first."""
+    for lineno, line in enumerate(fh, start=1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            lines.append((lineno, line))
+            idx_s, bit_s = line.split()
+            yield int(idx_s), int(bit_s)
 
 
 def cmd_decode(args) -> int:
@@ -173,25 +184,20 @@ def cmd_decode(args) -> int:
     _echo_config(args)
     code, _ = _make_code(args, args.code, args.k, _parse_rate(args.rate))
     decoder = code.start_decoder()
-    outcome = decoder.outcome()
-    r = 0
+    lines, r = [], 0
     with open(args.received) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                idx_s, bit_s = line.split()
-                outcome = decoder.receive(int(idx_s), int(bit_s))
-            except ValueError as exc:
-                raise ValueError(
-                    f"{args.received}, line {lineno} {line!r}: {exc}") from None
-            r += 1
-            print(f"r={r} determined={decoder.known_count()}")
-            if outcome.status is not Status.IN_PROGRESS:
-                break
-    print(f"outcome: {outcome.status.value}")
-    if outcome.status is Status.SUCCESS:
+        try:
+            for r in decoder.feed(_receptions(fh, lines)):
+                print(f"r={r} determined={decoder.known_count()}")
+        except ValueError as exc:
+            if len(lines) == r:  # the file failed to read, not a line
+                raise
+            lineno, line = lines[r]
+            raise ValueError(
+                f"{args.received}, line {lineno} {line!r}: {exc}") from None
+    status = decoder.outcome().status
+    print(f"outcome: {status.value}")
+    if status is Status.SUCCESS:
         bits = "".join(str(b) for b in decoder.determined_bits())
         print(f"r_stop={r} mu={r / code.K:.6f}")
         print(f"info={bits}")
@@ -291,14 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", help="dump a transition table and its masks")
-    p.add_argument("--code", dest="code_poly", default="7,5")
+    p.add_argument("--code", default="7,5")
     p.add_argument("--base", default="octal", choices=["octal", "binary"])
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("encode", help="encode a hex file of information bits")
     _add_point_flags(p)
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--out", dest="outfile")
+    p.add_argument("--in")
+    p.add_argument("--out")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="replay (index, bit) receptions")
@@ -333,11 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_ALIASES = {"infile": "--in", "outfile": "--out", "code_poly": "--code"}
-
-
 def _flag(dest: str) -> str:
-    return _FLAG_ALIASES.get(dest, "--" + dest.replace("_", "-"))
+    """The flag of ``dest``, which is also its config key and echo key."""
+    return "--" + dest.replace("_", "-")
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:

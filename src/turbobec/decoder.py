@@ -1,8 +1,8 @@
 """The reception contract shared by the turbo and the LDPC decoders.
 
 A decoder takes codeword symbols one at a time, in any order, through
-one checked loop, and says where the decode stands with a
-:class:`DecodeOutcome`.  Each decoder lives beside its code:
+one checked loop, ``feed``, which alone decides when a decode is over,
+and says where the decode stands with a :class:`DecodeOutcome`.  Each decoder lives beside its code:
 ``TurboErasureDecoder`` in :mod:`turbobec.turbo`, ``PeelingDecoder`` in
 :mod:`turbobec.ldpc`.
 """
@@ -46,23 +46,20 @@ class _CheckedDecoder:
         self.contradiction = False
         self._received = bytearray(n)
 
-    def receive_many(self, indices, values) -> int:
-        """Takes codeword symbols ``values[j]`` at ``indices[j]`` in turn.
+    def feed(self, pairs):
+        """Takes (index, value) pairs in turn; yields r, the count so far.
 
-        Stops after the first pair that leaves the decode over, in
-        success or in a contradiction, and returns how many pairs it
-        took.  Raises ValueError, before changing any state for that
-        pair, if its index is outside 0..N-1, its value is not 0 or 1,
-        the symbol was received before, or the decoder is already in a
-        contradiction; the pairs before it stay received.
+        Returns after the pair that leaves the decode over, in success or
+        in a contradiction, without drawing another.  Raises ValueError,
+        before changing any state for that pair, if its index is outside
+        0..N-1, its value is not 0 or 1, the symbol was received before,
+        or the decoder is already in a contradiction; the pairs before it
+        stay received.
         """
-        if len(indices) != len(values):
-            raise ValueError(f"{len(indices)} symbol indices but "
-                             f"{len(values)} values")
         received, settle = self._received, self._settle
         n = len(received)
-        count = 0
-        for index, value in zip(indices, values):
+        r = 0
+        for index, value in pairs:
             if not 0 <= index < n:
                 raise ValueError(
                     f"symbol index {index} out of range 0..{n - 1}")
@@ -76,14 +73,14 @@ class _CheckedDecoder:
                     f"symbol {index}: decoder is in a contradiction state")
             received[index] = 1
             settle(index, int(value))
-            count += 1
+            r += 1
+            yield r
             if self.contradiction or not self.unknown:
-                break
-        return count
+                return
 
     def receive(self, index: int, value: int) -> DecodeOutcome:
-        """Takes one codeword symbol: ``receive_many`` of one pair."""
-        self.receive_many((index,), (value,))
+        """Takes one codeword symbol: ``feed`` of one pair."""
+        next(self.feed(((index, value),)))
         return self.outcome()
 
     def outcome(self) -> DecodeOutcome:

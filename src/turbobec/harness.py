@@ -59,10 +59,10 @@ def run_trial(code, base_seed: int, index: int = 0,
 
     ``code`` is any object with K, N, encode() and start_decoder(),
     i.e. a TurboCodeSpec or a StaircaseCode.  The whole arrival order
-    goes to one ``receive_many`` call, and r_stop is the count of
-    symbols it took.  ``trace``, if given, collects the decoder's
-    known_count() (determined information bits) after each reception,
-    so the symbols then go in one per call.
+    goes to the decoder's ``feed``, and r_stop is the count of symbols
+    it took when it stopped.  ``trace``, if given, collects the
+    decoder's known_count() (determined information bits) after each
+    reception.
     """
     rng = trial_rng(base_seed, index)
     info = rng.integers(0, 2, code.K, dtype=np.uint8)
@@ -70,15 +70,9 @@ def run_trial(code, base_seed: int, index: int = 0,
     order = rng.permutation(code.N)
     symbols, values = order.tolist(), codeword[order].tolist()
     decoder = code.start_decoder()
-    if trace is None:
-        r_stop = decoder.receive_many(symbols, values)
-    else:
-        r_stop = 0
-        for sym, value in zip(symbols, values):
-            r_stop += decoder.receive_many((sym,), (value,))
+    for r_stop in decoder.feed(zip(symbols, values, strict=True)):
+        if trace is not None:
             trace.append(decoder.known_count())
-            if decoder.outcome().status is not Status.IN_PROGRESS:
-                break
     status = decoder.outcome().status
     if status is Status.CONTRADICTION:
         raise RuntimeError(

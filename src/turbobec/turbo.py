@@ -269,9 +269,9 @@ def rsc_parity(table: TransitionTable, info: list[int]) -> list[int]:
 class TurboErasureDecoder(_CheckedDecoder):
     """Symbol-at-a-time decoder for a punctured parallel turbo code.
 
-    Feed transmitted-codeword positions in any order via :meth:`receive`
-    or :meth:`receive_many`; decoding succeeds once all K information
-    bits are determined.
+    Feed transmitted-codeword positions in any order through
+    :meth:`feed` (or :meth:`receive`, one at a time); decoding succeeds,
+    and ``feed`` stops, once all K information bits are determined.
 
     ``masks[0]`` and ``masks[1]`` are the step-mask chains of the two
     trellises.  Chain 0 carries information position t at step t, chain

@@ -6,7 +6,8 @@ removed or renamed name would only show when they run.  This module
 reads their source and runs the short trajectory demo; it changes
 none of them.  It also parses every ``turbobec`` example in README, so
 a renamed or removed flag cannot stay in the docs, and it reads the
-package's own imports, so each module's dependencies stay one-way.
+package's own imports, so each module's dependencies stay one-way, and
+its names, so the rule that ends a decode stays in ``decoder.py``.
 """
 
 import ast
@@ -143,3 +144,15 @@ def test_package_import_graph_has_no_cycle():
 def test_decoder_contract_imports_no_package_module():
     # Both code families build on decoder.py, so it depends on neither.
     assert not set(package_imports(PACKAGE["decoder"]))
+
+
+@pytest.mark.parametrize("module", sorted(set(PACKAGE) - {"decoder"}))
+def test_only_the_decoder_contract_tests_for_in_progress(module):
+    # decoder.py's ``feed`` is the one place that decides when a decode
+    # is over; a loop elsewhere that stops on IN_PROGRESS is a second one.
+    for node in ast.walk(PACKAGE[module]):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, ast.alias) else "")
+        assert "IN_PROGRESS" not in name, (
+            f"{module}.py line {getattr(node, 'lineno', '?')} names {name}")

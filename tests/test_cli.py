@@ -112,6 +112,37 @@ class TestEncodeDecode:
         assert code == 2
         assert f"error: {received}, " in err and message in err
 
+    def test_lines_after_the_decode_ends_are_not_parsed(self, tmp_path,
+                                                         capsys):
+        # info 00: every symbol is 0 (pr:1 interleaver, rate 1/3), and
+        # the decode succeeds before the last of the 24 symbols.
+        received = tmp_path / "rx.txt"
+        received.write_text("".join(f"{i} 0\n" for i in range(24))
+                            + "garbage line\n999 7\n")
+        code, out, _ = run(capsys, "decode", "--k", "8", "--received",
+                           str(received))
+        assert code == 0
+        assert "outcome: success" in out and "info=00000000" in out
+
+    def test_bad_line_names_its_physical_line(self, tmp_path, capsys):
+        received = tmp_path / "rx.txt"
+        received.write_text("# header\n\n0 0\n  # note\n\n0 0\n")
+        code, out, err = run(capsys, "decode", "--k", "8", "--received",
+                             str(received))
+        assert code == 2
+        assert out == "r=1 determined=1\n"
+        assert err.splitlines()[-1] == (
+            f"error: {received}, line 6 '0 0': symbol 0 was already received")
+
+    def test_unreadable_received_file(self, tmp_path, capsys):
+        received = tmp_path / "rx.txt"
+        received.write_bytes(b"0 0\n\xff\xfe\n")
+        code, _, err = run(capsys, "decode", "--k", "8", "--received",
+                           str(received))
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("error: ")
+
 
 class TestSimulate:
     def test_csv_schema(self, tmp_path, capsys):
@@ -265,6 +296,36 @@ class TestConfig:
         code, _, err = run(capsys, "simulate", "--config", str(cfg), "--k", "8")
         assert code == 2
         assert "error: config key 'bogus' is not a known flag" in err
+
+    def test_table_code_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"code": "13,15"}))
+        code, out, err = run(capsys, "table", "--config", str(cfg))
+        assert code == 0
+        assert out.startswith("transition table of RSC (13,15)_8, L=4:")
+        assert "'code': '13,15'" in err.splitlines()[0]
+
+    def test_encode_in_and_out_keys(self, tmp_path, capsys):
+        infile, outfile = tmp_path / "info.hex", tmp_path / "cw.hex"
+        infile.write_text("a7\n")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"in": str(infile), "out": str(outfile)}))
+        code, _, err = run(capsys, "encode", "--config", str(cfg), "--k", "8")
+        assert code == 0
+        assert outfile.read_text() == "ea313f\n"
+        echo = err.splitlines()[0]
+        assert f"'in': '{infile}'" in echo and f"'out': '{outfile}'" in echo
+
+    @pytest.mark.parametrize("command, key", [
+        ("table", "code_poly"), ("encode", "infile"), ("encode", "outfile"),
+    ])
+    def test_internal_names_are_not_config_keys(self, tmp_path, capsys,
+                                                 command, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: "x"}))
+        code, _, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert f"error: config key '{key}' is not a known flag" in err
 
     @pytest.mark.parametrize("key", ["k", "rate", "code"])
     def test_single_point_key_in_sweep_config(self, tmp_path, capsys, key):

@@ -104,11 +104,13 @@ def turbo_codes(draw):
 
 
 def feed(dec, indices, cw):
-    """Receives ``indices`` through ``receive_many``, which stops early
-    when the decode succeeds; the rest follow, as receptions after
+    """Receives ``indices`` through the decoder's ``feed``, which stops
+    early when the decode succeeds; the rest follow, as receptions after
     success are legal."""
     while indices:
-        taken = dec.receive_many(indices, [int(cw[i]) for i in indices])
+        taken = 0
+        for taken in dec.feed((i, int(cw[i])) for i in indices):
+            pass
         assert 1 <= taken <= len(indices)
         assert taken == len(indices) or not dec.unknown
         indices = indices[taken:]

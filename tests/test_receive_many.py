@@ -1,8 +1,9 @@
-"""``receive_many``, the one checked reception loop of both decoders.
+"""``feed``, the one checked reception loop of both decoders.
 
 A batch must leave a decoder exactly where the same pairs fed one at a
 time through ``receive`` leave it, stop after the reception that ends
-the decode, and check each pair before that pair changes any state.
+the decode without drawing another pair, and check each pair before
+that pair changes any state.
 """
 
 from fractions import Fraction
@@ -33,6 +34,14 @@ def snapshot(dec):
             bytes(dec._received), dec.outcome().status)
 
 
+def take(dec, indices, values):
+    """Feeds the pairs to ``dec``; the last r it yielded, 0 for none."""
+    r = 0
+    for r in dec.feed(zip(indices, values)):
+        pass
+    return r
+
+
 def instance(build, rng, flips):
     """A code, a word with ``flips`` symbols flipped, and an arrival order."""
     code = build(int(rng.integers(0, 1 << 16)))
@@ -60,7 +69,7 @@ def test_batches_match_a_receive_loop(family):
         taken = 0
         for lo, hi in zip([0, *cuts], [*cuts, code.N]):
             chunk = order[lo:hi]
-            got = batch.receive_many(chunk, [cw[i] for i in chunk])
+            got = take(batch, chunk, [cw[i] for i in chunk])
             taken += got
             if batch.outcome().status is not Status.IN_PROGRESS:
                 break
@@ -95,22 +104,37 @@ def test_bad_pair_mid_batch_raises_after_the_pairs_before_it(
         expect.receive(idx, cw[idx])
     dec = code.start_decoder()
     with pytest.raises(ValueError, match=message):
-        dec.receive_many(indices, values)
+        take(dec, indices, values)
     assert snapshot(dec) == snapshot(expect)
     # The decoder stays usable: the rest of the word still decodes.
     rest = order[5:]
-    assert dec.receive_many(rest, [cw[i] for i in rest]) <= len(rest)
+    assert take(dec, rest, [cw[i] for i in rest]) <= len(rest)
     assert dec.outcome().status is Status.SUCCESS
 
 
 @pytest.mark.parametrize("family", BUILDERS)
-def test_mismatched_lengths_change_nothing(family):
-    code = BUILDERS[family](3)
-    dec = code.start_decoder()
-    before = snapshot(dec)
-    with pytest.raises(ValueError, match="2 symbol indices but 1 values"):
-        dec.receive_many([0, 1], [0])
-    assert snapshot(dec) == before
+@pytest.mark.parametrize("flips", [0, 2], ids=["success", "corrupted"])
+def test_feed_never_draws_past_the_end(family, flips):
+    rng = rng_for(92, list(BUILDERS).index(family), flips)
+    for _ in range(8):
+        code, cw, order = instance(BUILDERS[family], rng, flips)
+        one = code.start_decoder()
+        for r_stop, idx in enumerate(order, start=1):
+            if one.receive(idx, cw[idx]).status is not Status.IN_PROGRESS:
+                break
+        drawn = 0
+
+        def pairs():
+            nonlocal drawn
+            for idx in order:
+                assert drawn < r_stop, "drew a pair after the decode ended"
+                drawn += 1
+                yield idx, cw[idx]
+
+        dec = code.start_decoder()
+        assert list(dec.feed(pairs())) == list(range(1, r_stop + 1))
+        assert drawn == r_stop
+        assert snapshot(dec) == snapshot(one)
 
 
 @pytest.mark.parametrize("family", BUILDERS)
