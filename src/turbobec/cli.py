@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .decoder import Status
+from .decoder import Status, _text_lines
 from .harness import run_trial, sweep
 from .ldpc import (build_irregular_staircase, build_regular_staircase,
                    load_degree_distribution)
@@ -120,8 +120,8 @@ def _echo_config(args) -> None:
 
 
 def _read_bits(path: str, count: int) -> list[int]:
-    with open(path) as fh:
-        text = "".join(fh.read().split())
+    text = "".join(word for _, line in _text_lines(path)
+                   for word in line.split())
     bits = []
     for ch in text:
         try:
@@ -168,10 +168,10 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _receptions(fh, lines: list):
-    """(index, bit) of each line of ``fh`` not blank or a ``#`` comment,
+def _receptions(path: str, lines: list):
+    """(index, bit) of each line of the file not blank or a ``#`` comment,
     read as it is drawn; its (number, text) goes on ``lines`` first."""
-    for lineno, line in enumerate(fh, start=1):
+    for lineno, line in _text_lines(path):
         line = line.split("#", 1)[0].strip()
         if line:
             lines.append((lineno, line))
@@ -185,16 +185,15 @@ def cmd_decode(args) -> int:
     code, _ = _make_code(args, args.code, args.k, _parse_rate(args.rate))
     decoder = code.start_decoder()
     lines, r = [], 0
-    with open(args.received) as fh:
-        try:
-            for r in decoder.feed(_receptions(fh, lines)):
-                print(f"r={r} determined={decoder.known_count()}")
-        except ValueError as exc:
-            if len(lines) == r:  # the file failed to read, not a line
-                raise
-            lineno, line = lines[r]
-            raise ValueError(
-                f"{args.received}, line {lineno} {line!r}: {exc}") from None
+    try:
+        for r in decoder.feed(_receptions(args.received, lines)):
+            print(f"r={r} determined={decoder.known_count()}")
+    except ValueError as exc:
+        if len(lines) == r:  # the file failed to read, not a line
+            raise
+        lineno, line = lines[r]
+        raise ValueError(
+            f"{args.received}, line {lineno} {line!r}: {exc}") from None
     status = decoder.outcome().status
     print(f"outcome: {status.value}")
     if status is Status.SUCCESS:
@@ -353,11 +352,14 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
-    with open(args.config) as fh:
-        try:
-            defaults = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
+    with open(args.config, "rb") as fh:
+        data = fh.read()
+    try:
+        defaults = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise ValueError(f"{args.config}: not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
     if not isinstance(defaults, dict):
         raise ValueError(f"{args.config}: expected a JSON object of flag values")
     tokens = []

@@ -4,7 +4,8 @@ A decoder takes codeword symbols one at a time, in any order, through
 one checked loop, ``feed``, which alone decides when a decode is over,
 and says where the decode stands with a :class:`DecodeOutcome`.  Each decoder lives beside its code:
 ``TurboErasureDecoder`` in :mod:`turbobec.turbo`, ``PeelingDecoder`` in
-:mod:`turbobec.ldpc`.
+:mod:`turbobec.ldpc`.  ``_text_lines`` reads the line-oriented input
+files of both code families and of the command line.
 """
 
 from __future__ import annotations
@@ -93,3 +94,20 @@ class _CheckedDecoder:
     def known_count(self) -> int:
         """How many entries of ``determined_bits()`` are not None."""
         return self.K - self.unknown
+
+
+def _text_lines(path):
+    """(number, text) of each line of the UTF-8 file at ``path``, from 1.
+
+    Each line is decoded only when drawn, so bytes after the last line
+    drawn are never checked; a line that is not UTF-8 raises ValueError
+    naming the file and the line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}, line {lineno}: not UTF-8 text") from None
+        yield lineno, line

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .decoder import _CheckedDecoder
+from .decoder import _CheckedDecoder, _text_lines
 
 
 @dataclass(frozen=True)
@@ -215,20 +215,19 @@ def build_irregular_staircase(k: int, rate: Fraction,
 def load_degree_distribution(path) -> dict[int, float]:
     """Reads "degree probability" pairs, one per line; '#' starts a comment."""
     dist = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                d, p = line.split()
-                d, p = int(d), float(p)
-            except ValueError:
-                raise ValueError(f"{path}, line {lineno} {line!r}: expected "
-                                 f"an integer degree and a fraction") from None
-            if d in dist:
-                raise ValueError(f"{path}, line {lineno}: degree {d} given twice")
-            dist[d] = p
+    for lineno, line in _text_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            d, p = line.split()
+            d, p = int(d), float(p)
+        except ValueError:
+            raise ValueError(f"{path}, line {lineno} {line!r}: expected "
+                             f"an integer degree and a fraction") from None
+        if d in dist:
+            raise ValueError(f"{path}, line {lineno}: degree {d} given twice")
+        dist[d] = p
     return dist
 
 

@@ -6,6 +6,11 @@ masks used by the erasure decoder.  Trellis termination is not handled
 here: the decoder applies the zero-state pins with the same closure
 that propagates a reception.
 
+A state is the register [s_1, ..., s_{L-1}], s_1 newest, written in
+binary MSB-first: cell s_i is bit L-1-i of the state, the bit that
+holds the D^i coefficient of a polynomial, so state i is the
+paper-style label e_{i+1}.
+
 A transition mask is stored as a plain int: entry (i, j) of the
 state-to-state matrix is bit ``i * n_states + j``.  The decoding loop is
 logical ANDs plus the all-zero row/column checks of ``LookupMasks.rule``,
@@ -49,29 +54,19 @@ class RscSpec:
     def n_states(self) -> int:
         return 1 << (self.constraint_length - 1)
 
-    def taps(self, poly: int) -> tuple[int, ...]:
-        """Coefficients of D^0 .. D^(L-1), low degree first."""
-        L = self.constraint_length
-        return tuple((poly >> (L - 1 - i)) & 1 for i in range(L))
-
     def step(self, state: int, info_bit: int) -> tuple[int, int]:
         """One shift-register step: returns (next_state, parity_bit).
 
-        The register is read MSB-first, newest bit highest, so state i is
-        the paper-style label e_{i+1} written in binary.
+        A polynomial's D^i coefficient and register cell s_i share one
+        bit, so each tap sum over the register is the parity of
+        ``poly & state``; D^0 lies above the state's bits and taps the
+        feedback bit ``a``.
         """
         L = self.constraint_length
-        f = self.taps(self.feedback_poly)
-        g = self.taps(self.forward_poly)
-        regs = [(state >> (L - 1 - i)) & 1 for i in range(1, L)]  # s_1 .. s_{L-1}
-        a = info_bit
-        for i in range(1, L):
-            a ^= f[i] & regs[i - 1]
-        parity = g[0] & a
-        for i in range(1, L):
-            parity ^= g[i] & regs[i - 1]
-        next_state = (a << (L - 2)) | (state >> 1)
-        return next_state, parity
+        a = info_bit ^ ((self.feedback_poly & state).bit_count() & 1)
+        parity = ((self.forward_poly >> (L - 1)) & a) ^ (
+            (self.forward_poly & state).bit_count() & 1)
+        return (a << (L - 2)) | (state >> 1), parity
 
 
 class TransitionTable:
@@ -84,23 +79,10 @@ class TransitionTable:
 
     def __init__(self, spec: RscSpec):
         self.spec = spec
-        S = spec.n_states
-        self.n_states = S
-        self.next_state = [[0, 0] for _ in range(S)]
-        self.parity = [[0, 0] for _ in range(S)]
-        for s in range(S):
-            for u in (0, 1):
-                nxt, p = spec.step(s, u)
-                self.next_state[s][u] = nxt
-                self.parity[s][u] = p
-        indeg = [0] * S
-        for s in range(S):
-            if self.next_state[s][0] == self.next_state[s][1]:
-                raise ValueError("degenerate recursion: both inputs reach one state")
-            for u in (0, 1):
-                indeg[self.next_state[s][u]] += 1
-        if any(d != 2 for d in indeg):
-            raise ValueError("transition table is not 2-in/2-out")
+        self.n_states = spec.n_states
+        steps = [[spec.step(s, u) for u in (0, 1)] for s in range(self.n_states)]
+        self.next_state = [[nxt for nxt, _ in row] for row in steps]
+        self.parity = [[p for _, p in row] for row in steps]
 
     def transitions(self):
         """Yields (from_state, to_state, info_bit, parity_bit)."""

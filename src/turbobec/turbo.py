@@ -53,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .decoder import _CheckedDecoder
+from .decoder import _CheckedDecoder, _text_lines
 from .trellis import UNKNOWN, LookupMasks, RscSpec, TransitionTable
 
 SYSTEMATIC, PARITY1, PARITY2 = 0, 1, 2
@@ -110,15 +110,14 @@ def make_pr_interleaver(k: int, seed: int) -> Interleaver:
 def load_interleaver(path) -> Interleaver:
     """Reads one permutation image per line (ASCII integers)."""
     entries = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                entries.append(int(line))
-            except ValueError:
-                raise ValueError(f"{path}, line {lineno} {line.strip()!r}: "
-                                 f"not an integer") from None
+    for lineno, line in _text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            entries.append(int(line))
+        except ValueError:
+            raise ValueError(f"{path}, line {lineno} {line.strip()!r}: "
+                             f"not an integer") from None
     return Interleaver(tuple(entries), kind=f"file:{path}")
 
 

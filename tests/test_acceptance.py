@@ -41,6 +41,15 @@ def turbo_campaigns():
     }
 
 
+@pytest.fixture(scope="module")
+def ldpc_campaigns():
+    return {
+        rate: run_campaign(build_regular_staircase(K_BIG, rate, seed=5),
+                           TRIALS, BASE_SEED)
+        for rate in (Fraction(1, 3), Fraction(2, 3))
+    }
+
+
 def test_golden_structures():
     table = TransitionTable(RSC75)
     masks = LookupMasks(table)
@@ -77,20 +86,69 @@ def test_turbo_rate_third_inefficiency(turbo_campaigns):
            ok, f"mu_av={stats.mu_av:.4f} std={stats.mu_std:.4f}")
 
 
-def test_ldpc_rate_third_inefficiency():
-    code = build_regular_staircase(K_BIG, Fraction(1, 3), seed=5)
-    stats = run_campaign(code, TRIALS, BASE_SEED)
+def test_ldpc_rate_third_inefficiency(ldpc_campaigns):
+    stats = ldpc_campaigns[Fraction(1, 3)]
     ok = 1.13 <= stats.mu_av <= 1.19
     report(f"rate-1/3 regular staircase LDPC K={K_BIG}: mu_av in [1.13, 1.19]",
            ok, f"mu_av={stats.mu_av:.4f}")
 
 
-def test_ldpc_rate_two_thirds_inefficiency():
-    code = build_regular_staircase(K_BIG, Fraction(2, 3), seed=5)
-    stats = run_campaign(code, TRIALS, BASE_SEED)
+def test_ldpc_rate_two_thirds_inefficiency(ldpc_campaigns):
+    stats = ldpc_campaigns[Fraction(2, 3)]
     ok = 1.055 <= stats.mu_av <= 1.095
     report(f"rate-2/3 regular staircase LDPC K={K_BIG}: mu_av in [1.055, 1.095]",
            ok, f"mu_av={stats.mu_av:.4f}")
+
+
+def staircase_bp_threshold(a: int) -> float:
+    """The BP erasure threshold eps_BP of the regular staircase ensemble
+    with column weight 4 and ``a`` information edges per check (a = 2,
+    4, 8 at rates 1/3, 1/2, 2/3), to 1e-6, by density evolution.
+
+    x and y are the erasure probabilities of the messages an
+    information and a parity variable send, u that of a check's message
+    to an information variable; a parity variable has two checks.
+    """
+    def decodes(eps):
+        x = y = eps
+        while x > 1e-12:
+            u = 1 - (1 - x) ** (a - 1) * (1 - y) ** 2
+            x_next = eps * u ** 3
+            y_next = eps * (1 - (1 - x) ** a * (1 - y))
+            if x - x_next < 1e-15 and abs(y - y_next) < 1e-15:
+                return False  # stuck at a nonzero fixed point
+            x, y = x_next, y_next
+        return True
+
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-6:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if decodes(mid) else (lo, mid)
+    return lo
+
+
+EPS_BP = {Fraction(1, 3): 0.6144, Fraction(1, 2): 0.4451,
+          Fraction(2, 3): 0.2847}
+
+
+def test_staircase_density_evolution_thresholds():
+    got = {rate: staircase_bp_threshold(int(4 * rate / (1 - rate)))
+           for rate in EPS_BP}
+    ok = all(abs(got[rate] - eps) <= 5e-4 for rate, eps in EPS_BP.items())
+    report("density evolution: staircase eps_BP = 0.6144, 0.4451, 0.2847",
+           ok, " ".join(f"{rate}: {eps:.4f}" for rate, eps in got.items()))
+
+
+def test_ldpc_campaigns_above_asymptote(ldpc_campaigns):
+    # A K=1024 campaign stays above the ensemble's large-K limit
+    # mu_inf = (1 - eps_BP) / R; 0.005 allows for sampling noise.
+    ok, details = True, []
+    for rate, stats in ldpc_campaigns.items():
+        mu_inf = (1 - EPS_BP[rate]) / float(rate)
+        ok &= stats.mu_av >= mu_inf - 0.005
+        details.append(f"{rate}: mu_av={stats.mu_av:.4f} mu_inf={mu_inf:.4f}")
+    report(f"K={K_BIG} LDPC campaigns: mu_av >= (1 - eps_BP)/R - 0.005", ok,
+           "; ".join(details))
 
 
 def test_punctured_turbo_trend(turbo_campaigns):

@@ -7,7 +7,8 @@ reads their source and runs the short trajectory demo; it changes
 none of them.  It also parses every ``turbobec`` example in README, so
 a renamed or removed flag cannot stay in the docs, and it reads the
 package's own imports, so each module's dependencies stay one-way, and
-its names, so the rule that ends a decode stays in ``decoder.py``.
+its names, so the rule that ends a decode stays in ``decoder.py`` and
+no import outlives the code that used it.
 """
 
 import ast
@@ -156,3 +157,33 @@ def test_only_the_decoder_contract_tests_for_in_progress(module):
                 else node.name if isinstance(node, ast.alias) else "")
         assert "IN_PROGRESS" not in name, (
             f"{module}.py line {getattr(node, 'lineno', '?')} names {name}")
+
+
+def unused_imports(tree):
+    """Names a module imports but never reads; ``from __future__`` and
+    the names its ``__all__`` re-exports do not count."""
+    imported = set()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.partition(".")[0]
+                         for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return imported - used
+
+
+def test_unused_import_check_finds_a_leftover():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\nimport numpy as np\n"
+                     "from .a import b, c as d\n__all__ = ['b']\nnp.e\n")
+    assert unused_imports(tree) == {"os", "d"}
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE))
+def test_no_unused_import(module):
+    assert not unused_imports(PACKAGE[module]), f"{module}.py"

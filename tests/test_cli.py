@@ -117,8 +117,8 @@ class TestEncodeDecode:
         # info 00: every symbol is 0 (pr:1 interleaver, rate 1/3), and
         # the decode succeeds before the last of the 24 symbols.
         received = tmp_path / "rx.txt"
-        received.write_text("".join(f"{i} 0\n" for i in range(24))
-                            + "garbage line\n999 7\n")
+        received.write_bytes("".join(f"{i} 0\n" for i in range(24)).encode()
+                             + b"garbage line\n999 7\n\xff\xfe\n")
         code, out, _ = run(capsys, "decode", "--k", "8", "--received",
                            str(received))
         assert code == 0
@@ -141,7 +141,8 @@ class TestEncodeDecode:
                            str(received))
         assert code == 2
         assert "Traceback" not in err
-        assert err.splitlines()[-1].startswith("error: ")
+        assert err.splitlines()[-1] == (
+            f"error: {received}, line 2: not UTF-8 text")
 
 
 class TestSimulate:
@@ -416,6 +417,15 @@ class TestMalformedInput:
          "--interleaver: 'pr:-1' needs an integer seed >= 0"),
         (["sweep", "--k-list", "8", "--trials", "2", "--emit-plot",
           "{tmp}/plot.gp"], "--emit-plot needs --out"),
+        (["decode", "--k", "8", "--received", "{tmp}/rx-bin.txt"],
+         "rx-bin.txt, line 2: not UTF-8 text"),
+        (["encode", "--k", "8", "--in", "{tmp}/info-bin.hex",
+          "--out", "{tmp}/cw.hex"], "info-bin.hex, line 2: not UTF-8 text"),
+        (["simulate", "--k", "3", "--interleaver", "file:{tmp}/pi-bin.txt"],
+         "pi-bin.txt, line 2: not UTF-8 text"),
+        (["simulate", "--k", "8", "--code", "ldpc-irregular:{tmp}/deg-bin.txt"],
+         "deg-bin.txt, line 2: not UTF-8 text"),
+        (["simulate", "--config", "{tmp}/bin.json"], "bin.json: not UTF-8 text"),
     ], ids=["config-not-json", "config-not-object", "config-missing",
             "unknown-interleaver", "interleaver-length",
             "too-few-bits", "missing-k", "config-null", "config-bool",
@@ -429,7 +439,9 @@ class TestMalformedInput:
             "interleaver-file-not-int", "hex-digit", "k-list-not-int",
             "ldpc-puncture-not-bits", "ldpc-unknown-interleaver",
             "ldpc-poly-not-octal", "ldpc-rate-1", "ldpc-k-0", "ldpc-rate-2",
-            "interleaver-seed-negative", "emit-plot-without-out"])
+            "interleaver-seed-negative", "emit-plot-without-out",
+            "received-not-utf8", "info-not-utf8", "interleaver-not-utf8",
+            "degree-file-not-utf8", "config-not-utf8"])
     def test_exit_code_two(self, tmp_path, capsys, argv, message):
         (tmp_path / "bad.json").write_text("{\"k\": 8,")
         (tmp_path / "list.json").write_text("[8]")
@@ -442,6 +454,11 @@ class TestMalformedInput:
         (tmp_path / "info-g.hex").write_text("a7g\n")
         (tmp_path / "pi-text.txt").write_text("2\none\n1\n")
         (tmp_path / "inf.txt").write_text("2 inf\n3 -inf\n")
+        (tmp_path / "rx-bin.txt").write_bytes(b"0 0\n1 \xff\n")
+        (tmp_path / "info-bin.hex").write_bytes(b"a7\n\xe9\n")
+        (tmp_path / "pi-bin.txt").write_bytes(b"2\n0\xc3\n1\n")
+        (tmp_path / "deg-bin.txt").write_bytes(b"2 0.5\n3 0.5 # \xff\n")
+        (tmp_path / "bin.json").write_bytes(b'{"k": 8, "seed": "\xff"}')
         argv = [a.format(tmp=tmp_path) for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == 2

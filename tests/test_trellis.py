@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from turbobec import LookupMasks, RscSpec, TransitionTable, UNKNOWN, format_mask
@@ -19,6 +21,16 @@ def masks75(table75):
     return LookupMasks(table75)
 
 
+@pytest.fixture(scope="module")
+def every_table():
+    """The table of every valid (feedback, forward) pair with L = 2..6:
+    2,666 codes, each feedback polynomial with a D^0 term."""
+    return [TransitionTable(RscSpec(fb, fw, length))
+            for length in range(2, 7)
+            for fb in range(1 << (length - 1), 1 << length)
+            for fw in range(1, 1 << length)]
+
+
 # Published table of the four-state (7,5)_8 code, 0-based states.
 TABLE_75 = {
     (0, 0): (0, 0), (0, 2): (1, 1),
@@ -33,17 +45,14 @@ class TestTransitionTable:
         got = {(i, j): (b1, b2) for i, j, b1, b2 in table75.transitions()}
         assert got == TABLE_75
 
-    def test_degrees_are_two(self):
-        for fb, fw, length in [(0o7, 0o5, 3), (0o13, 0o15, 4), (0o17, 0o15, 4),
-                               (0o3, 0o2, 2), (0o23, 0o35, 5)]:
-            table = TransitionTable(RscSpec(fb, fw, length))
-            outdeg = {}
-            indeg = {}
-            for i, j, _, _ in table.transitions():
-                outdeg[i] = outdeg.get(i, 0) + 1
-                indeg[j] = indeg.get(j, 0) + 1
-            assert all(v == 2 for v in outdeg.values())
-            assert all(v == 2 for v in indeg.values())
+    def test_degrees_are_two(self, every_table):
+        # Two arcs per state, all distinct: u=0 and u=1 never meet.
+        for table in every_table:
+            arcs = {(i, j) for i, j, _, _ in table.transitions()}
+            two_each = dict.fromkeys(range(table.n_states), 2)
+            assert len(arcs) == 2 * table.n_states, table.spec
+            assert Counter(i for i, _ in arcs) == two_each, table.spec
+            assert Counter(j for _, j in arcs) == two_each, table.spec
 
     def test_systematic_labels_distinct(self, table75):
         for fb, fw, length in [(0o7, 0o5, 3), (0o13, 0o15, 4)]:
@@ -52,12 +61,13 @@ class TestTransitionTable:
                 pair = [b1 for i, j, b1, b2 in table.transitions() if i == s]
                 assert sorted(pair) == [0, 1]
 
-    def test_eight_state_matches_register_oracle(self):
-        table = TransitionTable(RscSpec(0o13, 0o15, 4))
-        oracle = RegisterOracle(0o13, 0o15, 4)
-        expect = oracle.transitions()
-        got = {(i, j): (b1, b2) for i, j, b1, b2 in table.transitions()}
-        assert got == expect
+    def test_matches_register_oracle(self, every_table):
+        for table in every_table:
+            spec = table.spec
+            oracle = RegisterOracle(spec.feedback_poly, spec.forward_poly,
+                                    spec.constraint_length)
+            got = {(i, j): (b1, b2) for i, j, b1, b2 in table.transitions()}
+            assert got == oracle.transitions(), spec
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
