@@ -1,8 +1,10 @@
 """The reception contract shared by the turbo and the LDPC decoders.
 
 A decoder takes codeword symbols one at a time, in any order, through
-one checked loop, ``feed``, which alone decides when a decode is over,
-and says where the decode stands with a :class:`DecodeOutcome`.  Each decoder lives beside its code:
+one checked loop, ``feed``, and says where the decode stands with a
+:class:`DecodeOutcome`.  ``_CheckedDecoder._checked`` is the one place
+that checks a reception and decides when a decode is over; each decoder
+runs its own propagation around it.  Each decoder lives beside its code:
 ``TurboErasureDecoder`` in :mod:`turbobec.turbo`, ``PeelingDecoder`` in
 :mod:`turbobec.ldpc`.  ``_text_lines`` reads the line-oriented input
 files of both code families and of the command line.
@@ -37,8 +39,14 @@ class _CheckedDecoder:
     A decoder recovers the K information symbols of an N-symbol codeword.
     ``unknown`` counts the information symbols it has not determined;
     ``contradiction`` is set once the received symbols fit no codeword.
-    Subclasses implement ``_settle(index, value)``, which propagates one
-    new reception, and ``determined_bits()``.
+    Subclasses implement ``determined_bits()`` and the generator
+    ``_propagate(receptions, ops)``, their whole propagation loop: it
+    drains its stack ``ops``, stores its count of undetermined symbols
+    in ``unknown``, yields r unless no pair was taken yet, then takes
+    the next (index, value) pair from ``receptions`` and pushes that
+    pair's op; it returns once ``receptions`` is exhausted.  A subclass's
+    ``__init__`` runs its start state through the same loop by draining
+    ``_propagate((), seed_ops)``, which yields nothing.
     """
 
     def __init__(self, k: int, n: int):
@@ -55,11 +63,20 @@ class _CheckedDecoder:
         before changing any state for that pair, if its index is outside
         0..N-1, its value is not 0 or 1, the symbol was received before,
         or the decoder is already in a contradiction; the pairs before it
-        stay received.
+        stay received.  At every yield the decoder's state is settled, so
+        a feed may be abandoned after any r.
         """
-        received, settle = self._received, self._settle
+        return self._propagate(self._checked(pairs), [])
+
+    def _checked(self, pairs):
+        """The pairs of ``feed`` that pass the four checks, each marked
+        received, as (index, int value).
+
+        The stop rule is tested when the propagation asks for the next
+        pair, after it has settled the one before.
+        """
+        received = self._received
         n = len(received)
-        r = 0
         for index, value in pairs:
             if not 0 <= index < n:
                 raise ValueError(
@@ -73,9 +90,7 @@ class _CheckedDecoder:
                 raise ValueError(
                     f"symbol {index}: decoder is in a contradiction state")
             received[index] = 1
-            settle(index, int(value))
-            r += 1
-            yield r
+            yield index, int(value)
             if self.contradiction or not self.unknown:
                 return
 

@@ -239,6 +239,8 @@ class PeelingDecoder(_CheckedDecoder):
     a check with one unknown pins that variable to the running XOR.
     Success means all K information variables are known.  The graph is
     the code's ``tanner``, built once and shared by all of its decoders.
+    One loop, ``_propagate``, peels both the start state and every
+    reception ``feed`` passes it.
     """
 
     def __init__(self, code: StaircaseCode):
@@ -251,33 +253,59 @@ class PeelingDecoder(_CheckedDecoder):
         self._unknown = list(degrees)
         self._xor = bytearray(code.M)
         self._idx_sum = list(index_sums)
-        if degrees[0] == 1:
-            # Check 0 is the only one that can start with one variable:
-            # it has no information bit, so its parity is 0.
-            self._settle(index_sums[0], 0)
+        # Check 0 is the only one that can start with one variable: it
+        # has no information bit, so its parity is 0.
+        seed = [(index_sums[0], 0)] if degrees[0] == 1 else []
+        next(self._propagate((), seed), None)
 
-    def _settle(self, v: int, value: int) -> None:
-        stack = [(v, value)]
-        while stack:
-            v, value = stack.pop()
-            known = self.values[v]
-            if known is not None:
-                if known != value:
-                    self.contradiction = True
-                    return
-                continue
-            self.values[v] = value
-            if v < self.code.K:
-                self.unknown -= 1
-            for c in self._var_checks[v]:
-                self._unknown[c] -= 1
-                self._idx_sum[c] -= v
-                self._xor[c] ^= value
-                if self._unknown[c] == 1:
-                    stack.append((self._idx_sum[c], self._xor[c]))
-                elif self._unknown[c] == 0 and self._xor[c]:
-                    self.contradiction = True
-                    return
+    def _propagate(self, receptions, ops):
+        """Peels from a stack of (variable, value) ops, then from each
+        reception in turn.
+
+        An op sets an unknown variable and updates its checks; a check
+        left with one unknown variable pushes that variable's op.  An
+        op that disagrees with a known value, or a check left with no
+        unknown variable and a nonzero XOR, sets ``contradiction`` and
+        drops the ops left.
+        """
+        values, var_checks = self.values, self._var_checks
+        check_unknown, idx_sum, xor = self._unknown, self._idx_sum, self._xor
+        k = self.K
+        unknown = self.unknown
+        pop, push = ops.pop, ops.append
+        r = 0
+        while True:
+            while ops:
+                v, value = pop()
+                known = values[v]
+                if known is not None:
+                    if known != value:
+                        self.contradiction = True
+                        ops.clear()
+                    continue
+                values[v] = value
+                if v < k:
+                    unknown -= 1
+                for c in var_checks[v]:
+                    left = check_unknown[c] - 1
+                    check_unknown[c] = left
+                    idx_sum[c] -= v
+                    xor[c] ^= value
+                    if left == 1:
+                        push((idx_sum[c], xor[c]))
+                    elif not left and xor[c]:
+                        self.contradiction = True
+                        ops.clear()
+                        break
+            self.unknown = unknown
+            if r:
+                yield r
+            for pair in receptions:
+                break
+            else:
+                return
+            r += 1
+            push(pair)
 
     def determined_bits(self) -> list[int | None]:
         return self.values[: self.code.K]

@@ -15,10 +15,12 @@ in one knowledge array indexed by information position, and injected
 into the other trellis at its interleaved step.
 
 The whole closure is one loop over a stack of (trellis, step, AND mask)
-ops.  An op that changes its step walks from it along its chain, first
-left, then right: each next step ANDs in the keep mask of the step
-before it, and the walk stops at the first step that does not change or
-at the chain end.  A walked step never sends anything back: the step
+ops, and it is the decoder's only loop: ``_propagate`` drains the stack,
+yields, then pushes the next checked reception's op and drains again.
+An op that changes its step walks from it along its chain, first left,
+then right: each next step ANDs in the keep mask of the step before
+it, and the walk stops at the first step that does not change or at
+the chain end.  A walked step never sends anything back: the step
 before it has already emptied every row or column that it could empty
 there.  So the stack holds only receptions and injections.  Every op
 and every walked step only ANDs bits out of a mask, so the masks
@@ -31,10 +33,10 @@ whose bits are never transmitted.  So the encoder does not run them: it
 emits the K transmitted steps from state 0, and the puncture patterns
 cover those K steps only.  The decoder's chains hold all K + L - 1
 steps.  Termination is two more removals of the same kind as a
-reception: a decoder starts at the full adjacency, pins the first step
-to leave state 0 and the last to enter it, and closes; only the first
-and last L-1 steps change.  :func:`boundary_masks` returns that start
-state.
+reception: a decoder starts at the full adjacency and drains four pins
+through the same loop, the first step of each chain to leave state 0
+and the last to enter it; only the first and last L-1 steps change.
+:func:`boundary_masks` returns that start state.
 
 What a step mask implies for its neighbours and its information bit
 depends on the mask value alone, so the decoder never scans rows and
@@ -76,13 +78,15 @@ class Interleaver:
                 raise ValueError(f"interleaver entry {e} appears twice")
             inv[e] = i
         object.__setattr__(self, "pi_inv", tuple(inv))
+        # ``pi`` as an index array, so that ``scramble`` is one gather.
+        object.__setattr__(self, "_gather", np.array(self.pi, dtype=np.intp))
 
     def __len__(self) -> int:
         return len(self.pi)
 
     def scramble(self, seq: np.ndarray) -> np.ndarray:
         """Second-encoder input: position j carries seq[pi[j]]."""
-        return np.asarray(seq)[list(self.pi)]
+        return np.asarray(seq)[self._gather]
 
     def fingerprint(self) -> str:
         import hashlib
@@ -290,29 +294,23 @@ class TurboErasureDecoder(_CheckedDecoder):
         self.masks = [[lm.full] * self.n_steps for _ in range(2)]
         self.determined: list[int | None] = [None] * k
         pins = ((0, lm.row_masks[0]), (self.n_steps - 1, lm.col_masks[0]))
-        self._close([(d, t, pin) for d in (0, 1) for t, pin in pins])
+        next(self._propagate((), [(d, t, pin) for d in (0, 1)
+                                  for t, pin in pins]), None)
 
-    def _settle(self, symbol_index: int, value: int) -> None:
-        stream, t = self.spec.layout[symbol_index]
-        lm = self.lm
-        if stream == SYSTEMATIC:
-            # The closure carries the forced bit into the second trellis.
-            op = (0, t, lm.info[value])
-        else:
-            op = (0 if stream == PARITY1 else 1, t, lm.parity[value])
-        self._close([op])
-
-    def _close(self, ops: list[tuple[int, int, int]]) -> None:
-        """Runs the closure from a stack of ``(chain, step, and_mask)`` ops.
+    def _propagate(self, receptions, ops):
+        """Runs the closure from a stack of ``(chain, step, and_mask)`` ops,
+        then from each reception in turn.
 
         An op ANDs its mask into a step.  A changed step starts two
         walks along its chain, first left, then right: each walked step
         ANDs in the keep mask of the step it came from, and the walk
         stops at the first step that does not change or at the chain
         end.  A newly forced information bit pushes its injection into
-        the other chain as an op.  The loop ends at the fixpoint or at
-        the first emptied step, which sets ``contradiction`` and leaves
-        every other mask as it is.
+        the other chain as an op.  The closure ends at the fixpoint or
+        at the first emptied step, which sets ``contradiction``, drops
+        the ops left and leaves every other mask as it is.  A systematic
+        reception's op goes to chain 0; the closure carries the forced
+        bit into chain 1.
 
         A walked step needs no op back towards where the walk came from.
         A keep mask removes whole columns (rows), so the only columns
@@ -322,58 +320,88 @@ class TurboErasureDecoder(_CheckedDecoder):
         """
         masks, determined = self.masks, self.determined
         position, step = self._position, self._step
+        layout = self.spec.layout
         lm = self.lm
-        memo, rule, info = lm.memo, lm.rule, lm.info
+        memo, rule, info, parity = lm.memo, lm.rule, lm.info, lm.parity
         k, last = self.K, self.n_steps - 1
+        unknown = self.unknown
         pop, push = ops.pop, ops.append
-        while ops:
-            d, t, keep_left = pop()
-            chain = masks[d]
-            # The op's mask is the first keep mask of the left walk, which
-            # starts at the op's own step.  If that step changed, the
-            # right walk starts from it with its keep_right.
-            s, keep_right = t, 0
-            while True:
-                old = chain[s]
-                new = old & keep_left
+        r = 0
+        while True:
+            while ops:
+                d, t, mask = pop()
+                chain = masks[d]
+                old = chain[t]
+                new = old & mask
                 if new == old:
-                    break
-                chain[s] = new
+                    continue
+                chain[t] = new
                 if not new:
                     self.contradiction = True
-                    return
-                keep_left, right, b = memo.get(new) or rule(new)
-                if s == t:
-                    keep_right = right
-                if b != UNKNOWN and s < k:
-                    p = position[d][s]
+                    ops.clear()
+                    break
+                keep_left, keep_right, b = memo.get(new) or rule(new)
+                if b != UNKNOWN and t < k:
+                    p = position[d][t]
                     if determined[p] is None:
                         determined[p] = b
-                        self.unknown -= 1
+                        unknown -= 1
                         e = 1 - d
                         push((e, step[e][p], info[b]))
-                if not keep_left or not s:
-                    break
-                s -= 1
-            s = t
-            while keep_right and s < last:
-                s += 1
-                old = chain[s]
-                new = old & keep_right
-                if new == old:
-                    break
-                chain[s] = new
-                if not new:
-                    self.contradiction = True
-                    return
-                _, keep_right, b = memo.get(new) or rule(new)
-                if b != UNKNOWN and s < k:
-                    p = position[d][s]
-                    if determined[p] is None:
-                        determined[p] = b
-                        self.unknown -= 1
-                        e = 1 - d
-                        push((e, step[e][p], info[b]))
+                s = t
+                while keep_left and s:
+                    s -= 1
+                    old = chain[s]
+                    new = old & keep_left
+                    if new == old:
+                        break
+                    chain[s] = new
+                    if not new:
+                        self.contradiction = True
+                        ops.clear()
+                        keep_right = 0
+                        break
+                    keep_left, _, b = memo.get(new) or rule(new)
+                    if b != UNKNOWN and s < k:
+                        p = position[d][s]
+                        if determined[p] is None:
+                            determined[p] = b
+                            unknown -= 1
+                            e = 1 - d
+                            push((e, step[e][p], info[b]))
+                s = t
+                while keep_right and s < last:
+                    s += 1
+                    old = chain[s]
+                    new = old & keep_right
+                    if new == old:
+                        break
+                    chain[s] = new
+                    if not new:
+                        self.contradiction = True
+                        ops.clear()
+                        break
+                    _, keep_right, b = memo.get(new) or rule(new)
+                    if b != UNKNOWN and s < k:
+                        p = position[d][s]
+                        if determined[p] is None:
+                            determined[p] = b
+                            unknown -= 1
+                            e = 1 - d
+                            push((e, step[e][p], info[b]))
+            self.unknown = unknown
+            if r:
+                yield r
+            for index, value in receptions:
+                break
+            else:
+                return
+            r += 1
+            stream, t = layout[index]
+            if stream == SYSTEMATIC:
+                push((0, t, info[value]))
+            else:
+                push((0 if stream == PARITY1 else 1, t, parity[value]))
 
     def determined_bits(self) -> list[int | None]:
         """Per-position information-bit knowledge, None where unknown."""

@@ -7,8 +7,9 @@ reads their source and runs the short trajectory demo; it changes
 none of them.  It also parses every ``turbobec`` example in README, so
 a renamed or removed flag cannot stay in the docs, and it reads the
 package's own imports, so each module's dependencies stay one-way, and
-its names, so the rule that ends a decode stays in ``decoder.py`` and
-no import outlives the code that used it.
+its names, so the rule that ends a decode stays in ``decoder.py``, the
+reception checks keep one copy, each decoder keeps one propagation loop
+and no import outlives the code that used it.
 """
 
 import ast
@@ -157,6 +158,58 @@ def test_only_the_decoder_contract_tests_for_in_progress(module):
                 else node.name if isinstance(node, ast.alias) else "")
         assert "IN_PROGRESS" not in name, (
             f"{module}.py line {getattr(node, 'lineno', '?')} names {name}")
+
+
+RECEPTION_CHECKS = ["out of range 0..", "is not 0 or 1", "was already received",
+                    "contradiction state"]
+
+
+def functions_raising(text):
+    """(module, function) of each ``raise`` under ``src/turbobec`` whose
+    message contains ``text``."""
+    found = []
+    for module, tree in PACKAGE.items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Raise) and any(
+                            isinstance(piece, ast.Constant)
+                            and text in str(piece.value)
+                            for piece in ast.walk(node)):
+                        found.append((module, func.name))
+    return found
+
+
+@pytest.mark.parametrize("text", RECEPTION_CHECKS)
+def test_each_reception_check_has_one_copy(text):
+    # Only ``_CheckedDecoder._checked`` checks a reception; a decoder
+    # with its own copy of the checks could let them drift apart.
+    assert functions_raising(text) == [("decoder", "_checked")]
+
+
+def class_methods():
+    """(class name, names of its methods) of each class in the package."""
+    for tree in PACKAGE.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                yield node.name, {item.name for item in node.body
+                                  if isinstance(item, ast.FunctionDef)}
+
+
+def test_only_the_decoder_contract_defines_feed():
+    owners = [name for name, methods in class_methods() if "feed" in methods]
+    assert owners == ["_CheckedDecoder"]
+
+
+def test_each_decoder_propagates_in_one_loop():
+    # ``_propagate`` is each decoder's one propagation loop; the per-
+    # reception helpers it replaced stay gone.
+    decoders = {name: methods for name, methods in class_methods()
+                if name in ("TurboErasureDecoder", "PeelingDecoder")}
+    assert len(decoders) == 2
+    for name, methods in decoders.items():
+        assert "_propagate" in methods, name
+        assert not methods & {"_settle", "_close"}, name
 
 
 def unused_imports(tree):

@@ -6,6 +6,8 @@ the decode without drawing another pair, and check each pair before
 that pair changes any state.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +137,81 @@ def test_feed_never_draws_past_the_end(family, flips):
         assert list(dec.feed(pairs())) == list(range(1, r_stop + 1))
         assert drawn == r_stop
         assert snapshot(dec) == snapshot(one)
+
+
+def receive_loop(code, cw, order):
+    """The snapshot after each reception, from r = 1, of a decoder fed
+    ``order`` one ``receive`` at a time until the decode ends."""
+    dec = code.start_decoder()
+    states = []
+    for idx in order:
+        dec.receive(idx, cw[idx])
+        states.append(snapshot(dec))
+        if dec.outcome().status is not Status.IN_PROGRESS:
+            return states
+    raise AssertionError("the whole word did not end the decode")
+
+
+@pytest.mark.parametrize("family", BUILDERS)
+@pytest.mark.parametrize("flips", [0, 2], ids=["success", "corrupted"])
+def test_known_count_at_every_yield(family, flips):
+    # ``decode`` prints known_count() and ``run_trial(trace=...)`` records
+    # it at each yield, so it must be settled there, not only at the end.
+    rng = rng_for(93, list(BUILDERS).index(family), flips)
+    for _ in range(8):
+        code, cw, order = instance(BUILDERS[family], rng, flips)
+        expect = [state[2] for state in receive_loop(code, cw, order)]
+        dec = code.start_decoder()
+        got = []
+        for _ in dec.feed((idx, cw[idx]) for idx in order):
+            bits = dec.determined_bits()
+            assert dec.known_count() == len(bits) - bits.count(None)
+            got.append(dec.known_count())
+        assert got == expect
+
+
+@pytest.mark.parametrize("family", BUILDERS)
+@pytest.mark.parametrize("flips", [0, 2], ids=["success", "corrupted"])
+def test_abandoned_feed_leaves_a_consistent_decoder(family, flips):
+    rng = rng_for(94, list(BUILDERS).index(family), flips)
+    for _ in range(4):
+        code, cw, order = instance(BUILDERS[family], rng, flips)
+        states = receive_loop(code, cw, order)
+        r_stop = len(states)
+        stops = {1, r_stop - 1, *rng.integers(1, r_stop, 3).tolist()}
+        for r in sorted(stops):
+            dec = code.start_decoder()
+            feed = dec.feed((idx, cw[idx]) for idx in order)
+            for got in feed:
+                if got == r:
+                    break
+            assert snapshot(dec) == states[r - 1]
+            feed.close()
+            assert snapshot(dec) == states[r - 1]
+            # A second feed takes the rest of the word from where the
+            # first one stopped.
+            rest = order[r:]
+            assert r + take(dec, rest, [cw[i] for i in rest]) == r_stop
+            assert snapshot(dec) == states[-1]
+
+
+@pytest.mark.parametrize("family", BUILDERS)
+def test_a_decoder_is_freed_without_the_cycle_collector(family):
+    # A feed lives in its caller's frame only: a decoder that kept its own
+    # generator would form a cycle, and campaigns would hold dead decoders
+    # until the cycle collector ran, raising their peak memory.
+    code, cw, order = instance(BUILDERS[family], rng_for(95), flips=0)
+    gc.disable()
+    try:
+        dec = code.start_decoder()
+        dec.receive(order[0], cw[order[0]])
+        feed = dec.feed((idx, cw[idx]) for idx in order[1:])
+        next(feed)
+        gone = weakref.ref(dec)
+        del dec, feed
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("family", BUILDERS)
