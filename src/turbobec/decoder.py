@@ -42,9 +42,10 @@ class _CheckedDecoder:
     Subclasses implement ``determined_bits()`` and the generator
     ``_propagate(receptions, ops)``, their whole propagation loop: it
     drains its stack ``ops``, stores its count of undetermined symbols
-    in ``unknown``, yields r unless no pair was taken yet, then takes
-    the next (index, value) pair from ``receptions`` and pushes that
-    pair's op; it returns once ``receptions`` is exhausted.  A subclass's
+    in ``unknown``, yields r unless no pair was taken yet, reads
+    ``unknown`` back, then takes the next (index, value) pair from
+    ``receptions`` and pushes that pair's op; it returns once
+    ``receptions`` is exhausted.  A subclass's
     ``__init__`` runs its start state through the same loop by draining
     ``_propagate((), seed_ops)``, which yields nothing.
     """
@@ -64,7 +65,8 @@ class _CheckedDecoder:
         0..N-1, its value is not 0 or 1, the symbol was received before,
         or the decoder is already in a contradiction; the pairs before it
         stay received.  At every yield the decoder's state is settled, so
-        a feed may be abandoned after any r.
+        a feed may be abandoned after any r, or left suspended while
+        other receptions reach the decoder.
         """
         return self._propagate(self._checked(pairs), [])
 

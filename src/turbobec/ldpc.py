@@ -300,6 +300,7 @@ class PeelingDecoder(_CheckedDecoder):
             self.unknown = unknown
             if r:
                 yield r
+                unknown = self.unknown
             for pair in receptions:
                 break
             else:

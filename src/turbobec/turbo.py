@@ -392,6 +392,7 @@ class TurboErasureDecoder(_CheckedDecoder):
             self.unknown = unknown
             if r:
                 yield r
+                unknown = self.unknown
             for index, value in receptions:
                 break
             else:

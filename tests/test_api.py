@@ -212,6 +212,34 @@ def test_each_decoder_propagates_in_one_loop():
         assert not methods & {"_settle", "_close"}, name
 
 
+def test_decoder_subclasses_in_tests_define_no_dead_methods():
+    # A test's subclass of a decoder that overrides a hook the decoder
+    # no longer calls runs the decoder's own code and checks nothing
+    # against the reference.  So each method such a subclass defines
+    # is one its base has, or one the subclass itself calls.
+    bases = {"PeelingDecoder": turbobec.PeelingDecoder,
+             "TurboErasureDecoder": turbobec.TurboErasureDecoder}
+    subclasses = 0
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            base = next((bases[b.id] for b in node.bases
+                         if isinstance(b, ast.Name) and b.id in bases), None)
+            if base is None:
+                continue
+            subclasses += 1
+            called = {n.attr for n in ast.walk(node)
+                      if isinstance(n, ast.Attribute)}
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    assert hasattr(base, item.name) or item.name in called, (
+                        f"{path.name} line {item.lineno}: {node.name}."
+                        f"{item.name} is neither a {base.__name__} method "
+                        f"nor called")
+    assert subclasses
+
+
 def unused_imports(tree):
     """Names a module imports but never reads; ``from __future__`` and
     the names its ``__all__`` re-exports do not count."""

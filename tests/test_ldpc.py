@@ -263,19 +263,28 @@ class TestPeeling:
             dec.receive(2, 1)
 
     def test_peeling_stops_at_the_first_contradiction(self):
-        # The reference settles like the decoder, in the same stack
-        # order, but recounts each check from its variables and returns
-        # at the first contradiction it meets.  Its graph is the rows and
-        # columns of H, not the code's Tanner graph.
+        # The reference peels like the decoder, in the same stack order,
+        # but recounts each check from its variables and returns at the
+        # first contradiction it meets.  Its graph is the rows and
+        # columns of H, not the code's Tanner graph.  It is the whole
+        # propagation loop of its decoder, start state included, so
+        # only the reception checks are shared with ``dec``.
         class StoppingPeel(PeelingDecoder):
             def __init__(self, code):
                 h = code.parity_check_matrix()
                 self.rows = [np.flatnonzero(row).tolist() for row in h]
                 self.cols = [np.flatnonzero(col).tolist() for col in h.T]
+                self.peeled = 0
                 super().__init__(code)
 
-            def _settle(self, v, value):
-                stack = [(v, value)]
+            def _propagate(self, receptions, ops):
+                self._peel(ops)
+                for r, pair in enumerate(receptions, start=1):
+                    self.peeled += 1
+                    self._peel([pair])
+                    yield r
+
+            def _peel(self, stack):
                 while stack:
                     v, value = stack.pop()
                     if self.values[v] is not None:
@@ -307,9 +316,10 @@ class TestPeeling:
             for v in rng.choice(code.N, 2, replace=False):
                 cw[v] ^= 1
             dec, ref = PeelingDecoder(code), StoppingPeel(code)
-            for v in rng.permutation(code.N).tolist():
+            for count, v in enumerate(rng.permutation(code.N).tolist(), 1):
                 status = dec.receive(v, int(cw[v])).status
                 assert ref.receive(v, int(cw[v])).status is status
+                assert ref.peeled == count
                 assert dec.values == ref.values
                 assert dec.known_count() == ref.known_count()
                 if status is not Status.IN_PROGRESS:

@@ -196,6 +196,30 @@ def test_abandoned_feed_leaves_a_consistent_decoder(family, flips):
 
 
 @pytest.mark.parametrize("family", BUILDERS)
+@pytest.mark.parametrize("flips", [0, 2], ids=["success", "corrupted"])
+def test_receive_between_the_yields_of_a_feed(family, flips):
+    # A suspended feed resumes from the decoder's state, not from the
+    # count it held when it yielded, so a reception in between is
+    # neither lost nor undone.
+    rng = rng_for(96, list(BUILDERS).index(family), flips)
+    for _ in range(4):
+        code, cw, order = instance(BUILDERS[family], rng, flips)
+        states = receive_loop(code, cw, order)
+        dec = code.start_decoder()
+        feed = dec.feed((idx, cw[idx]) for idx in order[::2])
+        done = 0
+        for r in feed:
+            done += 1
+            assert r == (done + 1) // 2
+            assert snapshot(dec) == states[done - 1]
+            if done < len(states):
+                dec.receive(order[done], cw[order[done]])
+                done += 1
+                assert snapshot(dec) == states[done - 1]
+        assert done == len(states)
+
+
+@pytest.mark.parametrize("family", BUILDERS)
 def test_a_decoder_is_freed_without_the_cycle_collector(family):
     # A feed lives in its caller's frame only: a decoder that kept its own
     # generator would form a cycle, and campaigns would hold dead decoders
