@@ -25,8 +25,14 @@ from .turbo import (identity_interleaver, load_interleaver,
                     parse_puncture_patterns)
 
 
+# A step mask has 4^(L-1) bits, so each added register cell makes every
+# mask operation several times slower; L = 2..8 covers the shipped codes.
+_MAX_CONSTRAINT_LENGTH = 8
+
+
 def _parse_poly(text: str, base: str, flag: str) -> tuple[int, int, int]:
-    """"7,5" -> (feedback, forward, constraint_length)."""
+    """"7,5" -> (feedback, forward, constraint_length), L at most
+    ``_MAX_CONSTRAINT_LENGTH``."""
     radix = 8 if base == "octal" else 2
     try:
         fb, fw = (int(p, radix) for p in text.split(","))
@@ -34,6 +40,9 @@ def _parse_poly(text: str, base: str, flag: str) -> tuple[int, int, int]:
         raise ValueError(f"{flag}: '{text}' is not a feedback,forward pair "
                          f"of {base} polynomials") from None
     length = max(fb.bit_length(), fw.bit_length())
+    if length > _MAX_CONSTRAINT_LENGTH:
+        raise ValueError(f"{flag}: '{text}' has constraint length {length}, "
+                         f"above the limit of {_MAX_CONSTRAINT_LENGTH}")
     return fb, fw, length
 
 

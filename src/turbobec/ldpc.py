@@ -239,8 +239,8 @@ class PeelingDecoder(_CheckedDecoder):
     a check with one unknown pins that variable to the running XOR.
     Success means all K information variables are known.  The graph is
     the code's ``tanner``, built once and shared by all of its decoders.
-    One loop, ``_propagate``, peels both the start state and every
-    reception ``feed`` passes it.
+    One loop, the coroutine ``_propagate``, peels both the start state
+    and every reception ``feed`` sends it.
     """
 
     def __init__(self, code: StaircaseCode):
@@ -256,11 +256,12 @@ class PeelingDecoder(_CheckedDecoder):
         # Check 0 is the only one that can start with one variable: it
         # has no information bit, so its parity is 0.
         seed = [(index_sums[0], 0)] if degrees[0] == 1 else []
-        next(self._propagate((), seed), None)
+        next(self._propagate(seed))
 
-    def _propagate(self, receptions, ops):
+    def _propagate(self, ops):
         """Peels from a stack of (variable, value) ops, then from each
-        reception in turn.
+        (index, value) pair sent to it, settling each one before it waits
+        for the next.
 
         An op sets an unknown variable and updates its checks; a check
         left with one unknown variable pushes that variable's op.  An
@@ -271,10 +272,9 @@ class PeelingDecoder(_CheckedDecoder):
         values, var_checks = self.values, self._var_checks
         check_unknown, idx_sum, xor = self._unknown, self._idx_sum, self._xor
         k = self.K
-        unknown = self.unknown
         pop, push = ops.pop, ops.append
-        r = 0
         while True:
+            unknown = self.unknown
             while ops:
                 v, value = pop()
                 known = values[v]
@@ -298,14 +298,7 @@ class PeelingDecoder(_CheckedDecoder):
                         ops.clear()
                         break
             self.unknown = unknown
-            if r:
-                yield r
-                unknown = self.unknown
-            for pair in receptions:
-                break
-            else:
-                return
-            r += 1
+            pair = yield
             push(pair)
 
     def determined_bits(self) -> list[int | None]:

@@ -15,8 +15,9 @@ in one knowledge array indexed by information position, and injected
 into the other trellis at its interleaved step.
 
 The whole closure is one loop over a stack of (trellis, step, AND mask)
-ops, and it is the decoder's only loop: ``_propagate`` drains the stack,
-yields, then pushes the next checked reception's op and drains again.
+ops, and it is the decoder's only loop: the coroutine ``_propagate``
+drains the stack, then waits for ``feed`` to send it the next checked
+reception, pushes that reception's op and drains again.
 An op that changes its step walks from it along its chain, first left,
 then right: each next step ANDs in the keep mask of the step before
 it, and the walk stops at the first step that does not change or at
@@ -294,12 +295,12 @@ class TurboErasureDecoder(_CheckedDecoder):
         self.masks = [[lm.full] * self.n_steps for _ in range(2)]
         self.determined: list[int | None] = [None] * k
         pins = ((0, lm.row_masks[0]), (self.n_steps - 1, lm.col_masks[0]))
-        next(self._propagate((), [(d, t, pin) for d in (0, 1)
-                                  for t, pin in pins]), None)
+        next(self._propagate([(d, t, pin) for d in (0, 1) for t, pin in pins]))
 
-    def _propagate(self, receptions, ops):
+    def _propagate(self, ops):
         """Runs the closure from a stack of ``(chain, step, and_mask)`` ops,
-        then from each reception in turn.
+        then from each (index, value) pair sent to it, settling each one
+        before it waits for the next.
 
         An op ANDs its mask into a step.  A changed step starts two
         walks along its chain, first left, then right: each walked step
@@ -324,10 +325,9 @@ class TurboErasureDecoder(_CheckedDecoder):
         lm = self.lm
         memo, rule, info, parity = lm.memo, lm.rule, lm.info, lm.parity
         k, last = self.K, self.n_steps - 1
-        unknown = self.unknown
         pop, push = ops.pop, ops.append
-        r = 0
         while True:
+            unknown = self.unknown
             while ops:
                 d, t, mask = pop()
                 chain = masks[d]
@@ -390,14 +390,7 @@ class TurboErasureDecoder(_CheckedDecoder):
                             e = 1 - d
                             push((e, step[e][p], info[b]))
             self.unknown = unknown
-            if r:
-                yield r
-                unknown = self.unknown
-            for index, value in receptions:
-                break
-            else:
-                return
-            r += 1
+            index, value = yield
             stream, t = layout[index]
             if stream == SYSTEMATIC:
                 push((0, t, info[value]))

@@ -8,8 +8,9 @@ none of them.  It also parses every ``turbobec`` example in README, so
 a renamed or removed flag cannot stay in the docs, and it reads the
 package's own imports, so each module's dependencies stay one-way, and
 its names, so the rule that ends a decode stays in ``decoder.py``, the
-reception checks keep one copy, each decoder keeps one propagation loop
-and no import outlives the code that used it.
+reception checks, the r count and the stop rule keep one copy in
+``feed``, each decoder keeps one propagation loop and no import
+outlives the code that used it.
 """
 
 import ast
@@ -182,9 +183,9 @@ def functions_raising(text):
 
 @pytest.mark.parametrize("text", RECEPTION_CHECKS)
 def test_each_reception_check_has_one_copy(text):
-    # Only ``_CheckedDecoder._checked`` checks a reception; a decoder
-    # with its own copy of the checks could let them drift apart.
-    assert functions_raising(text) == [("decoder", "_checked")]
+    # Only ``_CheckedDecoder.feed`` checks a reception; a decoder with
+    # its own copy of the checks could let them drift apart.
+    assert functions_raising(text) == [("decoder", "feed")]
 
 
 def class_methods():
@@ -210,6 +211,26 @@ def test_each_decoder_propagates_in_one_loop():
     for name, methods in decoders.items():
         assert "_propagate" in methods, name
         assert not methods & {"_settle", "_close"}, name
+
+
+def test_only_feed_counts_receptions_and_stops():
+    # ``feed`` counts r and tests the stop rule.  A ``_propagate`` that
+    # yields a value, or a ``_checked`` stage between the two, would be
+    # a second place that does either.
+    propagators = 0
+    for name, methods in class_methods():
+        assert "_checked" not in methods, name
+    for module, tree in PACKAGE.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_propagate":
+                propagators += 1
+                yields = [n for n in ast.walk(node)
+                          if isinstance(n, (ast.Yield, ast.YieldFrom))]
+                assert yields, f"{module}.py: _propagate never yields"
+                for y in yields:
+                    assert isinstance(y, ast.Yield) and y.value is None, (
+                        f"{module}.py line {y.lineno}: _propagate yields a value")
+    assert propagators == 2
 
 
 def test_decoder_subclasses_in_tests_define_no_dead_methods():

@@ -380,6 +380,10 @@ class TestMalformedInput:
          "--poly: '7,5,3' is not a feedback,forward pair of octal polynomials"),
         (["table", "--code", "111,2", "--base", "binary"],
          "--code: '111,2' is not a feedback,forward pair of binary polynomials"),
+        (["simulate", "--k", "8", "--poly", "777,5"],
+         "--poly: '777,5' has constraint length 9, above the limit of 8"),
+        (["table", "--code", "7777777777,5"],
+         "--code: '7777777777,5' has constraint length 30, above the limit of 8"),
         (["simulate", "--k", "8", "--interleaver", "id", "--puncture",
           "p1=10,p2=01", "--rate", "1/3"],
          "puncture pattern gives rate 1/2, requested 1/3"),
@@ -433,6 +437,7 @@ class TestMalformedInput:
             "rate-list-1/0", "ldpc-rate-0", "puncture-period-0",
             "k-0-identity", "poly-one-value", "poly-not-octal",
             "poly-three-values", "table-code-not-binary",
+            "poly-length-9", "table-code-length-30",
             "override-wrong-rate", "puncture-not-bits", "puncture-no-equals",
             "puncture-repeated-part",
             "degree-file-inf", "interleaver-seed-not-int",

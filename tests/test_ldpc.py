@@ -277,12 +277,12 @@ class TestPeeling:
                 self.peeled = 0
                 super().__init__(code)
 
-            def _propagate(self, receptions, ops):
+            def _propagate(self, ops):
                 self._peel(ops)
-                for r, pair in enumerate(receptions, start=1):
+                while True:
+                    pair = yield
                     self.peeled += 1
                     self._peel([pair])
-                    yield r
 
             def _peel(self, stack):
                 while stack:
