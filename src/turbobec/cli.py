@@ -25,25 +25,33 @@ from .turbo import (identity_interleaver, load_interleaver,
                     parse_puncture_patterns)
 
 
-# A step mask has 4^(L-1) bits, so each added register cell makes every
-# mask operation several times slower; L = 2..8 covers the shipped codes.
+# A step mask has 2^L bits, two per state, so each added register cell
+# doubles every mask operation and the rule's row and column scans;
+# L = 2..8 covers the shipped codes.
 _MAX_CONSTRAINT_LENGTH = 8
+# Far above any K a campaign here needs; a K near the machine's limits
+# fails deep inside numpy, with no flag named, instead of at its flag.
+_MAX_K = 1 << 20
+_DIGITS = {"octal": set("01234567"), "binary": set("01")}
 
 
-def _parse_poly(text: str, base: str, flag: str) -> tuple[int, int, int]:
-    """"7,5" -> (feedback, forward, constraint_length), L at most
-    ``_MAX_CONSTRAINT_LENGTH``."""
-    radix = 8 if base == "octal" else 2
-    try:
-        fb, fw = (int(p, radix) for p in text.split(","))
-    except ValueError:
+def _parse_poly(text: str, base: str, flag: str) -> RscSpec:
+    """"7,5" -> the RscSpec of (feedback, forward), whose constraint
+    length, the longer polynomial's, is at most ``_MAX_CONSTRAINT_LENGTH``.
+    Each half is only digits of ``base``."""
+    halves = text.split(",")
+    if len(halves) != 2 or not all(h and set(h) <= _DIGITS[base] for h in halves):
         raise ValueError(f"{flag}: '{text}' is not a feedback,forward pair "
-                         f"of {base} polynomials") from None
+                         f"of {base} polynomials")
+    fb, fw = (int(h, 8 if base == "octal" else 2) for h in halves)
     length = max(fb.bit_length(), fw.bit_length())
     if length > _MAX_CONSTRAINT_LENGTH:
         raise ValueError(f"{flag}: '{text}' has constraint length {length}, "
                          f"above the limit of {_MAX_CONSTRAINT_LENGTH}")
-    return fb, fw, length
+    try:
+        return RscSpec(fb, fw, length)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: '{text}': {exc}") from None
 
 
 def _parse_rate(text, flag: str = "--rate") -> Fraction:
@@ -105,7 +113,10 @@ def _make_code(args, name: str, k: int, rate: Fraction):
     The turbo flags are checked for every family, so a malformed one
     fails an LDPC run too; a well-formed one is unused there.
     """
-    rsc = RscSpec(*_parse_poly(args.poly, args.base, "--poly"))
+    if k > _MAX_K:
+        flag = "--k-list" if args.command == "sweep" else "--k"
+        raise ValueError(f"{flag}: K={k} is above the limit of {_MAX_K}")
+    rsc = _parse_poly(args.poly, args.base, "--poly")
     interleaver = _parse_interleaver(args.interleaver)
     puncture = parse_puncture_patterns(args.puncture) if args.puncture else None
     if name == "turbo":
@@ -155,16 +166,17 @@ def _write_bits(path: str, bits) -> None:
 
 def cmd_table(args) -> int:
     _echo_config(args)
-    fb, fw, length = _parse_poly(args.code, args.base, "--code")
-    table = TransitionTable(RscSpec(fb, fw, length))
+    rsc = _parse_poly(args.code, args.base, "--code")
+    table = TransitionTable(rsc)
     masks = LookupMasks(table)
-    print(f"transition table of RSC ({fb:o},{fw:o})_8, L={length}:")
+    print(f"transition table of RSC ({rsc.feedback_poly:o},"
+          f"{rsc.forward_poly:o})_8, L={rsc.constraint_length}:")
     print(table.to_text())
     names = {0: "0", 1: "1", UNKNOWN: "x"}
     for c1 in (UNKNOWN, 0, 1):
         for c2 in (UNKNOWN, 0, 1):
             print(f"\nT_{names[c1]}{names[c2]}:")
-            print(format_mask(masks.by_constraint[(c1, c2)], table.n_states))
+            print(format_mask(masks.by_constraint[(c1, c2)], table))
     return 0
 
 

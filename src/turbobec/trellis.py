@@ -11,10 +11,14 @@ binary MSB-first: cell s_i is bit L-1-i of the state, the bit that
 holds the D^i coefficient of a polynomial, so state i is the
 paper-style label e_{i+1}.
 
-A transition mask is stored as a plain int: entry (i, j) of the
-state-to-state matrix is bit ``i * n_states + j``.  The decoding loop is
-logical ANDs plus the all-zero row/column checks of ``LookupMasks.rule``,
-which run once per distinct mask and are looked up after that.
+A transition mask is stored as a plain int with one bit per trellis
+transition: the transition from state i on information bit u is bit
+``2 * i + u``, so a mask of an S-state code has 2S bits.
+:meth:`TransitionTable.arc_bit` maps a state pair (i, j) to its bit, and
+:func:`format_mask` draws a mask as the S x S state-pair matrix.  The
+decoding loop is logical ANDs plus the all-zero row/column checks of
+``LookupMasks.rule``, which run once per distinct mask and are looked
+up after that.
 """
 
 from __future__ import annotations
@@ -84,6 +88,14 @@ class TransitionTable:
         self.next_state = [[nxt for nxt, _ in row] for row in steps]
         self.parity = [[p for _, p in row] for row in steps]
 
+    def arc_bit(self, i: int, j: int) -> int:
+        """The one-bit mask of the transition from state i to state j,
+        bit ``2 * i + u`` for its information bit u; 0 if there is none."""
+        for u in (0, 1):
+            if self.next_state[i][u] == j:
+                return 1 << (2 * i + u)
+        return 0
+
     def transitions(self):
         """Yields (from_state, to_state, info_bit, parity_bit)."""
         for s in range(self.n_states):
@@ -104,12 +116,21 @@ class TransitionTable:
         return "\n".join([header] + rows)
 
 
-def format_mask(mask: int, n_states: int) -> str:
-    rows = []
-    for i in range(n_states):
-        row = (mask >> (i * n_states)) & ((1 << n_states) - 1)
-        rows.append("".join(str((row >> j) & 1) for j in range(n_states)))
-    return "\n".join(rows)
+def format_mask(mask: int, table: TransitionTable) -> str:
+    """``mask`` as the S x S matrix of ``table``'s state pairs: row i,
+    column j is 1 where the mask holds the transition i -> j."""
+    S = table.n_states
+    return "\n".join(
+        "".join("1" if mask & table.arc_bit(i, j) else "0" for j in range(S))
+        for i in range(S))
+
+
+class _Memo(dict):
+    """The rule memo of a code with more than 8 states: a dict that
+    answers None for a mask not met yet, as the list memo does."""
+
+    def __missing__(self, mask):
+        return None
 
 
 class LookupMasks:
@@ -118,39 +139,41 @@ class LookupMasks:
     Indexed by ``(b1, b2)`` with each coordinate in {0, 1, UNKNOWN}.
     ``full`` is the unconstrained adjacency mask, ``info[b]`` keeps only
     transitions with information bit b, ``parity[b]`` only those with
-    parity bit b.  ``row_masks[i]`` and ``col_masks[j]`` select row i and
-    column j, so ``not mask & row_masks[i]`` tests for an all-zero row.
+    parity bit b.  ``row_masks[i]`` holds the two transitions leaving
+    state i, row i of the state-pair matrix, and ``col_masks[j]`` the two
+    entering state j, column j; so ``not mask & row_masks[i]`` tests for
+    an all-zero row.
 
-    ``memo`` maps a step mask to what the decoder derives from it, as
-    filled by :meth:`rule`.  It starts empty and grows by one entry per
-    distinct mask met.  100 decoded K=1024 words met 50 of the 256
-    subsets of ``full`` for the (7,5) code, 298 of 65,536 for (13,15)
-    and about 2,350 for the 16-state (23,35) code, so no table over all
-    subsets is ever built.
+    ``memo[mask]`` is what the decoder derives from a step mask, as
+    filled by :meth:`rule`, or None before the mask is first met.  Up to
+    8 states it is a list with one slot per subset of ``full``'s 2S
+    bits, since a list subscript is the cheapest lookup: 256 slots for
+    the (7,5) code, 65,536 (0.5 MiB) for (13,15).  Past 8 states it is
+    a dict that answers None for a missing mask, since 100 decoded
+    K=1024 words of the 16-state (23,35) code met only about 2,350 of
+    its 2^32 subsets.
     """
 
     def __init__(self, table: TransitionTable):
         S = table.n_states
         self.n_states = S
         self.table = table
-        by = {}
-        for c1 in (0, 1, UNKNOWN):
-            for c2 in (0, 1, UNKNOWN):
-                m = 0
-                for i, j, b1, b2 in table.transitions():
-                    if c1 in (b1, UNKNOWN) and c2 in (b2, UNKNOWN):
-                        m |= 1 << (i * S + j)
-                by[(c1, c2)] = m
-        self.by_constraint = by
-        self.full = by[(UNKNOWN, UNKNOWN)]
-        self.info = (by[(0, UNKNOWN)], by[(1, UNKNOWN)])
-        self.parity = (by[(UNKNOWN, 0)], by[(UNKNOWN, 1)])
-        full_row = (1 << S) - 1
-        self.row_masks = tuple(full_row << (i * S) for i in range(S))
+        info, parity = [0, 0], [0, 0]
+        for i, _, u, p in table.transitions():
+            info[u] |= 1 << (2 * i + u)
+            parity[p] |= 1 << (2 * i + u)
+        self.full = info[0] | info[1]
+        self.info, self.parity = tuple(info), tuple(parity)
+        # Index UNKNOWN (2) of each list is the unconstrained mask.
+        info.append(self.full)
+        parity.append(self.full)
+        self.by_constraint = {(c1, c2): info[c1] & parity[c2]
+                              for c1 in (0, 1, UNKNOWN) for c2 in (0, 1, UNKNOWN)}
+        self.row_masks = tuple(3 << (2 * i) for i in range(S))
         self.col_masks = tuple(
-            sum(1 << (i * S + j) for i in range(S)) for j in range(S)
+            sum(table.arc_bit(i, j) for i in range(S)) for j in range(S)
         )
-        self.memo: dict[int, tuple[int, int, int]] = {}
+        self.memo = [None] * (1 << (2 * S)) if S <= 8 else _Memo()
 
     def rule(self, mask: int) -> tuple[int, int, int]:
         """(keep_left, keep_right, info_bit) of a step mask; fills ``memo``.

@@ -109,7 +109,7 @@ def make_pr_interleaver(k: int, seed: int) -> Interleaver:
     if k < 1:
         raise ValueError("K must be >= 1")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return Interleaver(tuple(int(x) for x in rng.permutation(k)), kind=f"pr:{seed}")
+    return Interleaver(tuple(rng.permutation(k).tolist()), kind=f"pr:{seed}")
 
 
 def load_interleaver(path) -> Interleaver:
@@ -340,7 +340,7 @@ class TurboErasureDecoder(_CheckedDecoder):
                     self.contradiction = True
                     ops.clear()
                     break
-                keep_left, keep_right, b = memo.get(new) or rule(new)
+                keep_left, keep_right, b = memo[new] or rule(new)
                 if b != UNKNOWN and t < k:
                     p = position[d][t]
                     if determined[p] is None:
@@ -361,7 +361,7 @@ class TurboErasureDecoder(_CheckedDecoder):
                         ops.clear()
                         keep_right = 0
                         break
-                    keep_left, _, b = memo.get(new) or rule(new)
+                    keep_left, _, b = memo[new] or rule(new)
                     if b != UNKNOWN and s < k:
                         p = position[d][s]
                         if determined[p] is None:
@@ -381,7 +381,7 @@ class TurboErasureDecoder(_CheckedDecoder):
                         self.contradiction = True
                         ops.clear()
                         break
-                    _, keep_right, b = memo.get(new) or rule(new)
+                    _, keep_right, b = memo[new] or rule(new)
                     if b != UNKNOWN and s < k:
                         p = position[d][s]
                         if determined[p] is None:

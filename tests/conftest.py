@@ -97,7 +97,7 @@ def enumerate_codeword_paths(oracle: RegisterOracle, k: int):
     return out
 
 
-def trellis_fixpoint(oracle: RegisterOracle, pi, received):
+def trellis_fixpoint(oracle: RegisterOracle, pi, received, arc_bit):
     """Forward-backward closure of a turbo code's two trellises.
 
     ``received`` maps (stream, t) to a bit: stream 0 is information
@@ -111,11 +111,10 @@ def trellis_fixpoint(oracle: RegisterOracle, pi, received):
     from state 0 to state 0 agreeing with its received parities and the
     known information bits, then records each bit on which all surviving
     arcs of its step agree.  Returns (masks, bits): per trellis the
-    surviving arcs of each step as an int with bit ``i * S + j`` for arc
-    i -> j, and per position the known bit or None.
+    surviving arcs of each step as an int, the OR of ``arc_bit(i, j)``
+    over its arcs i -> j, and per position the known bit or None.
     """
     k = len(pi)
-    n_states = 1 << (oracle.length - 1)
     n_steps = k + oracle.length - 1
     arcs = {}  # (info bit or None, parity bit or None) -> allowed arcs
     for (i, j), (u, p) in oracle.transitions().items():
@@ -143,7 +142,7 @@ def trellis_fixpoint(oracle: RegisterOracle, pi, received):
             r, back, mask, seen = reach[t], 0, 0, set()
             for i, j, u in allowed[t]:
                 if r >> i & 1 and alive >> j & 1:
-                    mask |= 1 << (i * n_states + j)
+                    mask |= arc_bit(i, j)
                     back |= 1 << i
                     seen.add(u)
             chain[t], alive = mask, back

@@ -57,14 +57,14 @@ def test_golden_structures():
     expect = {(0, 0): (0, 0), (0, 2): (1, 1), (1, 0): (1, 1), (1, 2): (0, 0),
               (2, 1): (1, 0), (2, 3): (0, 1), (3, 1): (0, 1), (3, 3): (1, 0)}
     ok = got == expect
-    ok &= format_mask(masks.full, 4) == "1010\n1010\n0101\n0101"
-    ok &= format_mask(masks.info[0], 4) == "1000\n0010\n0001\n0100"
-    ok &= format_mask(masks.parity[0], 4) == "1000\n0010\n0100\n0001"
+    ok &= format_mask(masks.full, table) == "1010\n1010\n0101\n0101"
+    ok &= format_mask(masks.info[0], table) == "1000\n0010\n0001\n0100"
+    ok &= format_mask(masks.parity[0], table) == "1000\n0010\n0100\n0001"
     bm = boundary_masks(table, 100)
-    ok &= format_mask(bm[0], 4) == "1010\n0000\n0000\n0000"
-    ok &= format_mask(bm[1], 4) == "1010\n0000\n0101\n0000"
-    ok &= format_mask(bm[100], 4) == "1000\n1000\n0100\n0100"
-    ok &= format_mask(bm[101], 4) == "1000\n1000\n0000\n0000"
+    ok &= format_mask(bm[0], table) == "1010\n0000\n0000\n0000"
+    ok &= format_mask(bm[1], table) == "1010\n0000\n0101\n0000"
+    ok &= format_mask(bm[100], table) == "1000\n1000\n0100\n0100"
+    ok &= format_mask(bm[101], table) == "1000\n1000\n0000\n0000"
     report("golden structures: transition table, T and M matrices", ok)
 
 
@@ -184,7 +184,7 @@ def test_single_trellis_oracle_equivalence(oracle75):
         for t in range(k + 2):
             expect = 0
             for _, states in survivors:
-                expect |= 1 << (states[t] * 4 + states[t + 1])
+                expect |= spec.table.arc_bit(states[t], states[t + 1])
             ok &= dec.masks[0][t] == expect
         for t in range(k):
             agreed = {info[t] for info, _ in survivors}

@@ -430,6 +430,18 @@ class TestMalformedInput:
         (["simulate", "--k", "8", "--code", "ldpc-irregular:{tmp}/deg-bin.txt"],
          "deg-bin.txt, line 2: not UTF-8 text"),
         (["simulate", "--config", "{tmp}/bin.json"], "bin.json: not UTF-8 text"),
+        (["simulate", "--k", "8", "--poly", "7_7,5"],
+         "--poly: '7_7,5' is not a feedback,forward pair of octal polynomials"),
+        (["simulate", "--k", "8", "--poly", "0o7,5"],
+         "--poly: '0o7,5' is not a feedback,forward pair of octal polynomials"),
+        (["simulate", "--k", "8", "--poly", "0,5"], "--poly: '0,5'"),
+        (["simulate", "--code", "ldpc-regular", "--k", "99999999999999999999",
+          "--rate", "1/2"],
+         "--k: K=99999999999999999999 is above the limit of 1048576"),
+        (["simulate", "--k", "1048577", "--interleaver", "id"],
+         "--k: K=1048577 is above the limit of 1048576"),
+        (["sweep", "--k-list", "8,99999999999999999999", "--trials", "1"],
+         "--k-list: K=99999999999999999999 is above the limit of 1048576"),
     ], ids=["config-not-json", "config-not-object", "config-missing",
             "unknown-interleaver", "interleaver-length",
             "too-few-bits", "missing-k", "config-null", "config-bool",
@@ -446,7 +458,9 @@ class TestMalformedInput:
             "ldpc-poly-not-octal", "ldpc-rate-1", "ldpc-k-0", "ldpc-rate-2",
             "interleaver-seed-negative", "emit-plot-without-out",
             "received-not-utf8", "info-not-utf8", "interleaver-not-utf8",
-            "degree-file-not-utf8", "config-not-utf8"])
+            "degree-file-not-utf8", "config-not-utf8", "poly-underscore",
+            "poly-octal-prefix", "poly-zero-feedback", "ldpc-k-above-limit",
+            "k-above-limit", "k-list-above-limit"])
     def test_exit_code_two(self, tmp_path, capsys, argv, message):
         (tmp_path / "bad.json").write_text("{\"k\": 8,")
         (tmp_path / "list.json").write_text("[8]")

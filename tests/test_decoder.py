@@ -12,15 +12,16 @@ from conftest import (RegisterOracle, enumerate_codeword_paths, rng_for,
                       trellis_fixpoint)
 
 RSC75 = RscSpec(0o7, 0o5, 3)
+TABLE75 = TransitionTable(RSC75)
 
 
 @pytest.fixture(scope="module")
 def table75():
-    return TransitionTable(RSC75)
+    return TABLE75
 
 
-def mask_rows(mask, n=4):
-    return format_mask(mask, n).splitlines()
+def mask_rows(mask, table=TABLE75):
+    return format_mask(mask, table).splitlines()
 
 
 def turbo_spec(k, rate=Fraction(1, 3), seed=1):
@@ -85,8 +86,8 @@ class TestInitialization:
         table = TransitionTable(RscSpec(0o13, 0o15, 4))
         m = boundary_masks(table, 8)
         # First step leaves the zero state only; last step enters it only.
-        assert mask_rows(m[0], 8)[1:] == ["0" * 8] * 7
-        assert all(row[1:] == "0" * 7 for row in mask_rows(m[-1], 8))
+        assert mask_rows(m[0], table)[1:] == ["0" * 8] * 7
+        assert all(row[1:] == "0" * 7 for row in mask_rows(m[-1], table))
 
     @pytest.mark.parametrize("fb, fw, length", [
         (0o7, 0o5, 3), (0o13, 0o15, 4), (0o17, 0o15, 4), (0o3, 0o2, 2),
@@ -98,12 +99,11 @@ class TestInitialization:
         table = TransitionTable(RscSpec(fb, fw, length))
         info = LookupMasks(table).info
         oracle = RegisterOracle(fb, fw, length)
-        S = table.n_states
         for k in (1, 2, 3, 8):
             expect = [0] * (k + length - 1)
             for _, _, states in enumerate_codeword_paths(oracle, k):
                 for t in range(len(expect)):
-                    expect[t] |= 1 << (states[t] * S + states[t + 1])
+                    expect[t] |= table.arc_bit(states[t], states[t + 1])
             masks = boundary_masks(table, k)
             assert masks == expect, f"K={k}"
             for t in range(k):
@@ -329,7 +329,7 @@ class TestPerTrellisExactness:
             for t in range(k + 2):
                 expect = 0
                 for _, _, states in survivors:
-                    expect |= 1 << (states[t] * 4 + states[t + 1])
+                    expect |= TABLE75.arc_bit(states[t], states[t + 1])
                 assert dec.masks[0][t] == expect, f"step {t}"
             for t in range(k):
                 agreed = {info[t] for info, _, _ in survivors}
@@ -342,11 +342,14 @@ class TestPerTrellisExactness:
 class TestTurboExactness:
     """The two-trellis closure equals forward-backward pruning at K=1024."""
 
-    @pytest.mark.parametrize("polys, rate", [
-        ((0o7, 0o5, 3), Fraction(1, 2)), ((0o13, 0o15, 4), Fraction(1, 2)),
-        ((0o7, 0o5, 3), Fraction(2, 3))], ids=["75-r12", "1315-r12", "75-r23"])
-    def test_against_forward_backward_fixpoint(self, polys, rate):
-        k = 1024
+    # (23,35) has 16 states, so its rule memo is a dict, not a list.
+    @pytest.mark.parametrize("polys, rate, k", [
+        ((0o7, 0o5, 3), Fraction(1, 2), 1024),
+        ((0o13, 0o15, 4), Fraction(1, 2), 1024),
+        ((0o7, 0o5, 3), Fraction(2, 3), 1024),
+        ((0o23, 0o35, 5), Fraction(1, 3), 256)],
+        ids=["75-r12", "1315-r12", "75-r23", "2335-r13-k256"])
+    def test_against_forward_backward_fixpoint(self, polys, rate, k):
         spec = make_turbo_spec(RscSpec(*polys), k, make_pr_interleaver(k, 11),
                                rate=rate)
         oracle = RegisterOracle(*polys)
@@ -361,7 +364,7 @@ class TestTurboExactness:
             received[spec.layout[idx]] = cw[idx]
             if r in prefixes or status is Status.SUCCESS:
                 masks, bits = trellis_fixpoint(oracle, spec.interleaver.pi,
-                                               received)
+                                               received, spec.table.arc_bit)
                 assert dec.masks == masks, f"r={r}"
                 assert dec.determined_bits() == bits, f"r={r}"
                 checks += 1

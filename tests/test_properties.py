@@ -40,12 +40,13 @@ def rsc_codes(draw):
     return fb, fw, length, table
 
 
-def path_masks(paths, n_states, n_steps):
-    """Per-step union of the transitions of ``paths``."""
+def path_masks(paths, table, n_steps):
+    """Per-step union of the transitions of ``paths``, as ``table``'s
+    step masks."""
     masks = [0] * n_steps
     for _, _, states in paths:
         for t in range(n_steps):
-            masks[t] |= 1 << (states[t] * n_states + states[t + 1])
+            masks[t] |= table.arc_bit(states[t], states[t + 1])
     return masks
 
 
@@ -55,7 +56,7 @@ def test_boundary_masks_are_the_terminated_paths(code, k):
     fb, fw, length, table = code
     paths = enumerate_codeword_paths(RegisterOracle(fb, fw, length), k)
     masks = boundary_masks(table, k)
-    assert masks == path_masks(paths, table.n_states, k + length - 1)
+    assert masks == path_masks(paths, table, k + length - 1)
     info = LookupMasks(table).info
     for t in range(k):
         assert masks[t] & ~info[0] and masks[t] & ~info[1], f"bit {t} forced"
@@ -81,8 +82,7 @@ def test_single_trellis_closure_is_exact(code, k, data):
 
     survivors = [p for p in paths
                  if all(p[1][t][pos] == b for t, pos, b in received)]
-    assert dec.masks[0] == path_masks(survivors, table.n_states,
-                                        k + length - 1)
+    assert dec.masks[0] == path_masks(survivors, table, k + length - 1)
     for t in range(k):
         agreed = {info[t] for info, _, _ in survivors}
         expect = agreed.pop() if len(agreed) == 1 else None
@@ -142,7 +142,8 @@ def test_turbo_closure_is_order_independent_and_sound(spec, data):
     oracle = RegisterOracle(spec.rsc.feedback_poly, spec.rsc.forward_poly,
                             spec.rsc.constraint_length)
     received = {spec.layout[idx]: int(cw[idx]) for idx in subset}
-    assert finals[0] == trellis_fixpoint(oracle, spec.interleaver.pi, received)
+    assert finals[0] == trellis_fixpoint(oracle, spec.interleaver.pi, received,
+                                         spec.table.arc_bit)
 
     feed(dec, order[len(subset):], cw)
     assert dec.outcome().status is Status.SUCCESS

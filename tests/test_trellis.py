@@ -7,8 +7,8 @@ from turbobec import LookupMasks, RscSpec, TransitionTable, UNKNOWN, format_mask
 from conftest import RegisterOracle
 
 
-def mask_rows(mask: int, n_states: int) -> list[str]:
-    return format_mask(mask, n_states).splitlines()
+def mask_rows(mask: int, table: TransitionTable) -> list[str]:
+    return format_mask(mask, table).splitlines()
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +69,21 @@ class TestTransitionTable:
             got = {(i, j): (b1, b2) for i, j, b1, b2 in table.transitions()}
             assert got == oracle.transitions(), spec
 
+    def test_arc_bits_are_the_transitions(self, every_table):
+        # Transition (i, u) is bit 2i + u: the 2S arcs take the 2S bits.
+        for table in every_table:
+            S = table.n_states
+            got = {table.arc_bit(i, j): (i, u)
+                   for i, j, u, _ in table.transitions()}
+            assert got == {1 << (2 * i + u): (i, u)
+                           for i in range(S) for u in (0, 1)}, table.spec
+
+    def test_arc_bit_is_zero_off_the_trellis(self, table75):
+        arcs = {(i, j) for i, j in TABLE_75}
+        for i in range(4):
+            for j in range(4):
+                assert bool(table75.arc_bit(i, j)) == ((i, j) in arcs)
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
             RscSpec(0o7, 0o5, 1)          # constraint length too small
@@ -82,11 +97,14 @@ class TestTransitionTable:
 
 class TestLookupMasks:
     def test_full_mask_published(self, masks75):
-        assert mask_rows(masks75.full, 4) == ["1010", "1010", "0101", "0101"]
+        assert mask_rows(masks75.full, masks75.table) == [
+            "1010", "1010", "0101", "0101"]
 
     def test_info_and_parity_masks_published(self, masks75):
-        assert mask_rows(masks75.info[0], 4) == ["1000", "0010", "0001", "0100"]
-        assert mask_rows(masks75.parity[0], 4) == ["1000", "0010", "0100", "0001"]
+        assert mask_rows(masks75.info[0], masks75.table) == [
+            "1000", "0010", "0001", "0100"]
+        assert mask_rows(masks75.parity[0], masks75.table) == [
+            "1000", "0010", "0100", "0001"]
 
     def test_nine_masks_total(self, masks75):
         assert len(masks75.by_constraint) == 9
@@ -121,7 +139,7 @@ class TestLookupMasks:
     def test_figure_two_survivors(self, masks75):
         # b1=0 combined with b2=1 leaves e3->e4 and e4->e2.
         m = masks75.info[0] & masks75.parity[1]
-        assert mask_rows(m, 4) == ["0000", "0000", "0001", "0100"]
+        assert mask_rows(m, masks75.table) == ["0000", "0000", "0001", "0100"]
 
     def test_zero_rows_and_cols(self, masks75):
         # The decoder's all-zero tests: ``not mask & row_masks[i]``.
@@ -163,7 +181,7 @@ class TestMemo:
                              ids=["75", "1315"])
     def test_rule_matches_row_col_scan(self, fb, fw, length):
         lm = LookupMasks(TransitionTable(RscSpec(fb, fw, length)))
-        assert lm.memo == {}
+        assert all(lm.memo[m] is None for m in subsets(lm.full))
         count = 0
         for m in subsets(lm.full):
             gone_left = gone_right = 0
@@ -176,11 +194,21 @@ class TestMemo:
             expect = (~gone_left if gone_left else 0,
                       ~gone_right if gone_right else 0,
                       bits[0] if bits else UNKNOWN)
-            assert lm.rule(m) == expect, format_mask(m, lm.n_states)
+            assert lm.rule(m) == expect, format_mask(m, lm.table)
             assert lm.memo[m] == expect
             count += 1
         assert count == 1 << lm.full.bit_count()
         assert len(lm.memo) == count
+
+    def test_sixteen_state_memo_fills_on_first_rule(self):
+        # Past 8 states the memo is a dict; a missing mask reads as None.
+        lm = LookupMasks(TransitionTable(RscSpec(0o23, 0o35, 5)))
+        m = lm.info[0] & lm.parity[1]
+        assert lm.memo[m] is None
+        entry = lm.rule(m)
+        assert lm.memo[m] == entry
+        assert lm.memo[lm.full] is None
+        assert len(lm.memo) == 1
 
     def test_keep_masks_clear_only_dead_states(self, masks75):
         # e3->e4 and e4->e2 survive: states e1, e2 have no successor here,
@@ -188,9 +216,9 @@ class TestMemo:
         # so the step after must not leave them.
         keep_left, keep_right, info_bit = masks75.rule(
             masks75.info[0] & masks75.parity[1])
-        assert mask_rows(masks75.full & keep_left, 4) == [
+        assert mask_rows(masks75.full & keep_left, masks75.table) == [
             "0010", "0010", "0001", "0001"]
-        assert mask_rows(masks75.full & keep_right, 4) == [
+        assert mask_rows(masks75.full & keep_right, masks75.table) == [
             "0000", "1010", "0000", "0101"]
         assert info_bit == 0
         assert masks75.rule(masks75.full) == (0, 0, UNKNOWN)
