@@ -6,10 +6,12 @@ diagonal (ones at (i, i) and (i, i-1)).  Encoding is forward
 substitution through D; decoding is standard BEC peeling, resolving any
 check that has exactly one unknown incident variable.
 
-A code stores only the columns of A.  The Tanner graph the decoders
-share and the edge array the encoder reads are each derived from them
-once; ``parity_check_matrix()`` builds H on its own, as the reference
-the tests check both against.
+A code stores the columns of A and one edge array, built from them
+once, with numpy, when the code is made.  That array serves three
+uses: it validates the columns, it gives the check degrees and index
+sums of the Tanner graph the decoders share, and the encoder reads it.
+``parity_check_matrix()`` builds H on its own, as the reference the
+tests check both against.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -39,11 +42,37 @@ class StaircaseCode:
             raise ValueError("M must be >= 1")
         if len(self.left_cols) != self.K:
             raise ValueError("need one left column per information variable")
-        for col in self.left_cols:
-            if len(set(col)) != len(col):
-                raise ValueError("duplicate edge in a left column")
-            if any(not 0 <= r < self.M for r in col):
-                raise ValueError("check index out of range")
+        try:
+            edges = self._edge_array()
+        except (TypeError, ValueError, OverflowError):
+            edges = None
+        if edges is None or not self._edges_valid(edges):
+            # Name the first bad column's fault.
+            for col in self.left_cols:
+                if len(set(col)) != len(col):
+                    raise ValueError("duplicate edge in a left column")
+                if any(not 0 <= r < self.M for r in col):
+                    raise ValueError("check index out of range")
+            raise TypeError("check indices must be integers")
+        object.__setattr__(self, "_left_edges", edges)
+
+    def _edge_array(self) -> np.ndarray:
+        """The edges of the left part A, one (variable, check) column
+        each, variables ascending and each column's checks as given."""
+        lengths = np.fromiter(map(len, self.left_cols), np.intp, self.K)
+        chk = np.fromiter(chain.from_iterable(self.left_cols), np.intp,
+                          int(lengths.sum()))
+        return np.stack([np.repeat(np.arange(self.K), lengths), chk])
+
+    def _edges_valid(self, edges: np.ndarray) -> bool:
+        """Every check index lies in range and no edge appears twice."""
+        var, chk = edges
+        if not chk.size:
+            return True
+        if chk.min() < 0 or chk.max() >= self.M:
+            return False
+        keys = np.sort(var * self.M + chk)
+        return not (keys[1:] == keys[:-1]).any()
 
     @property
     def N(self) -> int:
@@ -58,16 +87,18 @@ class StaircaseCode:
         """Peeling constants shared by every decoder of this code, which
         only reads them: the checks of each variable, ascending, then the
         degree and the variable-index sum of each check.  Information
-        variable v sits on its left column, parity K + i on checks i, i + 1."""
-        m = self.M
+        variable v sits on its left column, parity K + i on checks i, i + 1,
+        so check c holds the parities K + c and, for c >= 1, K + c - 1."""
+        k, m = self.K, self.M
         var_checks = [sorted(col) for col in self.left_cols]
         var_checks += [[i, i + 1] for i in range(m - 1)] + [[m - 1]]
-        degrees, index_sums = [0] * m, [0] * m
-        for v, checks in enumerate(var_checks):
-            for c in checks:
-                degrees[c] += 1
-                index_sums[c] += v
-        return var_checks, degrees, index_sums
+        var, chk = self._left_edges
+        c = np.arange(m)
+        degrees = np.bincount(chk, minlength=m) + 1 + (c >= 1)
+        # Float weights are exact: every sum stays far below 2**53.
+        left_sums = np.bincount(chk, weights=var, minlength=m).astype(np.int64)
+        index_sums = left_sums + (k + c) + np.where(c >= 1, k + c - 1, 0)
+        return var_checks, degrees.tolist(), index_sums.tolist()
 
     def parity_check_matrix(self) -> np.ndarray:
         h = np.zeros((self.M, self.N), dtype=np.uint8)
@@ -78,12 +109,6 @@ class StaircaseCode:
             if i > 0:
                 h[i, self.K + i - 1] = 1
         return h
-
-    @cached_property
-    def _left_edges(self) -> np.ndarray:
-        """The edges of the left part A, one (variable, check) column each."""
-        return np.array([(v, c) for v, col in enumerate(self.left_cols)
-                         for c in col], dtype=np.intp).reshape(-1, 2).T
 
     def encode(self, info) -> np.ndarray:
         """Codeword [info | parities] with H . c = 0 over GF(2).
@@ -130,37 +155,42 @@ def _assign_columns(col_weights: list[int], m: int, rng) -> list[tuple[int, ...]
     """Draws each column's check indices from a balanced shuffled pool.
 
     The pool round-robins over all checks so row degrees stay near
-    uniform; duplicates within a column are repaired by swapping with a
-    later pool entry.
+    uniform.  A column takes the next w pool entries; a duplicate among
+    them is repaired by swapping it with a later pool entry.
     """
     total = sum(col_weights)
     reps = -(-total // m)
-    pool = [int(x) for x in rng.permutation(np.tile(np.arange(m), reps))][:total]
+    pool = rng.permutation(np.tile(np.arange(m), reps)).tolist()[:total]
     cols = []
     pos = 0
     for w in col_weights:
         if w > m:
             raise ValueError(f"column weight {w} exceeds the check count {m}")
+        col = set(pool[pos:pos + w])
+        if len(col) == w:
+            pos += w
+            cols.append(tuple(sorted(col)))
+            continue
         col = set()
         take = pos
         while len(col) < w:
             if take >= len(pool):
                 # Pool exhausted by repairs: draw fresh distinct checks.
-                extra = [int(r) for r in rng.permutation(m) if int(r) not in col]
+                extra = [r for r in rng.permutation(m).tolist() if r not in col]
                 col.update(extra[: w - len(col)])
                 break
-            r = int(pool[take])
+            r = pool[take]
             if r in col:
                 # Defer the duplicate: swap with a later entry.
                 swap = next(
-                    (s for s in range(take + 1, len(pool)) if int(pool[s]) not in col),
+                    (s for s in range(take + 1, len(pool)) if pool[s] not in col),
                     None,
                 )
                 if swap is None:
                     take += 1
                     continue
                 pool[take], pool[swap] = pool[swap], pool[take]
-                r = int(pool[take])
+                r = pool[take]
             col.add(r)
             take += 1
         pos = take
@@ -204,11 +234,9 @@ def build_irregular_staircase(k: int, rate: Fraction,
         counts[d] += 1
     weights = [d for d in sorted(counts) for _ in range(counts[d])]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    order = rng.permutation(k)
-    shuffled = [0] * k
-    for slot, w in zip(order, weights):
-        shuffled[int(slot)] = w
-    cols = _assign_columns(shuffled, m, rng)
+    shuffled = np.empty(k, dtype=np.intp)
+    shuffled[rng.permutation(k)] = weights
+    cols = _assign_columns(shuffled.tolist(), m, rng)
     return StaircaseCode(k, m, tuple(cols), kind="ldpc-irregular")
 
 

@@ -188,7 +188,13 @@ def parse_puncture_patterns(text: str) -> PunctureMap:
 
 @dataclass(frozen=True)
 class TurboCodeSpec:
-    """A concrete turbo code: constituent, info length, interleaver, puncturing."""
+    """A concrete turbo code: constituent, info length, interleaver, puncturing.
+
+    The transmitted order is kept as two int lists, ``streams`` and
+    ``steps``: transmitted symbol n is bit ``steps[n]`` of stream
+    ``streams[n]``.  ``layout`` views them as (stream, step) pairs; it is
+    built only on demand, since neither a build nor a trial needs it.
+    """
 
     rsc: RscSpec
     K: int
@@ -207,10 +213,15 @@ class TurboCodeSpec:
         kept = np.array([(True, p1, p2) for p1, p2 in
                          zip(self.puncture.p1_pattern, self.puncture.p2_pattern)])
         steps, streams = np.nonzero(np.tile(kept, (-(-self.K // period), 1))[:self.K])
-        object.__setattr__(self, "layout",
-                           tuple(zip(streams.tolist(), steps.tolist())))
+        object.__setattr__(self, "streams", streams.tolist())
+        object.__setattr__(self, "steps", steps.tolist())
         # Where each transmitted symbol sits in the stacked [info, p1, p2].
         object.__setattr__(self, "_gather", streams * self.K + steps)
+
+    @cached_property
+    def layout(self) -> tuple[tuple[int, int], ...]:
+        """The (stream, step) pair of each transmitted symbol, in order."""
+        return tuple(zip(self.streams, self.steps))
 
     @cached_property
     def lookup(self) -> LookupMasks:
@@ -219,7 +230,7 @@ class TurboCodeSpec:
 
     @property
     def N(self) -> int:
-        return len(self.layout)
+        return len(self.steps)
 
     @property
     def rate(self) -> Fraction:
@@ -321,7 +332,7 @@ class TurboErasureDecoder(_CheckedDecoder):
         """
         masks, determined = self.masks, self.determined
         position, step = self._position, self._step
-        layout = self.spec.layout
+        streams, steps = self.spec.streams, self.spec.steps
         lm = self.lm
         memo, rule, info, parity = lm.memo, lm.rule, lm.info, lm.parity
         k, last = self.K, self.n_steps - 1
@@ -391,7 +402,7 @@ class TurboErasureDecoder(_CheckedDecoder):
                             push((e, step[e][p], info[b]))
             self.unknown = unknown
             index, value = yield
-            stream, t = layout[index]
+            stream, t = streams[index], steps[index]
             if stream == SYSTEMATIC:
                 push((0, t, info[value]))
             else:

@@ -1,5 +1,7 @@
+import hashlib
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +90,79 @@ class TestConstruction:
         a = build_regular_staircase(64, Fraction(1, 2), seed=9)
         b = build_regular_staircase(64, Fraction(1, 2), seed=9)
         assert a.left_cols == b.left_cols
+
+
+class TestValidation:
+    """The constructor names the first bad column's fault, column by
+    column: a duplicate edge before an out-of-range index."""
+
+    def test_one_column_per_information_variable(self):
+        with pytest.raises(ValueError, match="need one left column per "
+                                             "information variable"):
+            StaircaseCode(3, 4, ((0,), (1,)))
+
+    @pytest.mark.parametrize("cols, message", [
+        (((0, 2, 0), (1,)), "duplicate edge in a left column"),
+        (((0,), (1, 4)), "check index out of range"),
+        (((-1,), (1,)), "check index out of range"),
+        (((0,), (10**30,)), "check index out of range"),
+        (((0,), (-10**30, 1)), "check index out of range"),
+        (((0, 4), (1, 1)), "check index out of range"),
+        (((1, 1), (0, 4)), "duplicate edge in a left column"),
+        (((4, 4), (0,)), "duplicate edge in a left column"),
+    ], ids=["duplicate", "too-large", "negative", "huge", "huge-negative",
+            "range-then-duplicate", "duplicate-then-range",
+            "duplicate-out-of-range"])
+    def test_rejects_bad_columns(self, cols, message):
+        with pytest.raises(ValueError, match="^" + message + "$"):
+            StaircaseCode(2, 4, cols)
+
+    def test_rejects_indices_that_are_not_integers(self):
+        # numpy reads 1.2 and 1.7 as the one check 1; the column has no
+        # duplicate and no index out of range, so neither message fits.
+        with pytest.raises(TypeError, match="check indices must be integers"):
+            StaircaseCode(2, 4, ((1.2, 1.7), (0,)))
+
+    def test_accepts_an_empty_column(self):
+        code = StaircaseCode(2, 3, ((), (0, 2)))
+        assert code.left_cols == ((), (0, 2))
+        assert list(code.encode([1, 1])) == [1, 1, 1, 1, 0]
+
+    def test_accepts_an_unsorted_column(self):
+        code = StaircaseCode(2, 3, ((2, 0), (1, 0)))
+        assert code.left_cols == ((2, 0), (1, 0))
+
+
+IRREGULAR = Path(__file__).resolve().parents[1] / "configs" / "irregular_example.txt"
+
+
+class TestBuilderGolden:
+    """sha256 of ``repr(left_cols)``: the builders' columns, exactly."""
+
+    @pytest.mark.parametrize("k, rate, seed, weight, digest", [
+        # 3 windows of the pool with a repeated check
+        (1024, Fraction(1, 3), 5, 4,
+         "5ea6275374a2f1301e7c9247d981c7cc6381b90e49461abc937fc7acc96933fe"),
+        (1024, Fraction(1, 2), 5, 4,
+         "59ec56779c53bdbf9114b6d02c3959fc39c5d9807f22e7dcdc73721ef7430df7"),
+        # 9 windows with a repeated check
+        (1024, Fraction(2, 3), 5, 4,
+         "bf9993ff0b9324ec7c23e47a818b1065ddde720ae66b7f60c60d0275356f08fa"),
+        # repairs use up the pool, so a column draws fresh checks
+        (6, Fraction(1, 2), 22, 4,
+         "150183411f0422902b1f20dac751956edaf99731cf1b5df6b3c0c463eb25be18"),
+        (8, Fraction(2, 3), 2, 3,
+         "1a1e5b2307c218d5780ff9002ee39176d6acbac12e035756b4b51e88b7e80c33"),
+    ], ids=["r13", "r12", "r23", "pool-runs-out", "pool-runs-out-w3"])
+    def test_regular(self, k, rate, seed, weight, digest):
+        code = build_regular_staircase(k, rate, seed, column_weight=weight)
+        assert hashlib.sha256(repr(code.left_cols).encode()).hexdigest() == digest
+
+    def test_irregular(self):
+        code = build_irregular_staircase(
+            1024, Fraction(1, 2), load_degree_distribution(IRREGULAR), seed=5)
+        assert hashlib.sha256(repr(code.left_cols).encode()).hexdigest() == (
+            "481a677052b7f22eede9594c128ca224a0fb038128c719144ec911f5484919a1")
 
 
 class TestIrregular:
@@ -381,9 +456,10 @@ class TestPerCodeConstants:
         build_irregular_staircase(100, Fraction(1, 2), {2: 0.3, 3: 0.4, 8: 0.3},
                                   seed=3),
         StaircaseCode(2, 3, ((2, 0), (1, 0))),
+        StaircaseCode(3, 3, ((), (0, 2), ())),
         *EMPTY_ROW_CODES.values(),
     ], ids=["regular-r12", "regular-r13", "regular-r23", "irregular",
-            "unsorted-columns", *EMPTY_ROW_CODES])
+            "unsorted-columns", "empty-columns", *EMPTY_ROW_CODES])
     def test_tanner_is_h(self, code):
         # Each variable's checks are the nonzero rows of its column, in
         # ascending order; degrees and index sums are H's row counts and

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +144,22 @@ class TestPunctureMap:
     def test_layout_positions_unique(self):
         spec = turbo_spec(16, Fraction(1, 2))
         assert len(set(spec.layout)) == spec.N
+
+    def test_build_makes_no_object_per_symbol(self):
+        # A spec and its first decoder hold a few lists per code, not a
+        # Python object per transmitted symbol (N = 3K here).  The
+        # collector stays off: a collection untracks tuples of ints.
+        k = 1024
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            spec = turbo_spec(k)
+            spec.start_decoder()
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert added < k // 4
 
 
 class TestEncoder:
