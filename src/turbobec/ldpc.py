@@ -156,7 +156,8 @@ def _assign_columns(col_weights: list[int], m: int, rng) -> list[tuple[int, ...]
 
     The pool round-robins over all checks so row degrees stay near
     uniform.  A column takes the next w pool entries; a duplicate among
-    them is repaired by swapping it with a later pool entry.
+    them is repaired by swapping it with a later pool entry.  Each
+    weight is at most m: both builders check that first.
     """
     total = sum(col_weights)
     reps = -(-total // m)
@@ -164,8 +165,6 @@ def _assign_columns(col_weights: list[int], m: int, rng) -> list[tuple[int, ...]
     cols = []
     pos = 0
     for w in col_weights:
-        if w > m:
-            raise ValueError(f"column weight {w} exceeds the check count {m}")
         col = set(pool[pos:pos + w])
         if len(col) == w:
             pos += w
@@ -232,6 +231,11 @@ def build_irregular_staircase(k: int, rate: Fraction,
     short = k - sum(counts.values())
     for d in sorted(quotas, key=lambda d: quotas[d] - counts[d], reverse=True)[:short]:
         counts[d] += 1
+    # Checked before any column is drawn: numpy cannot hold a weight
+    # past the int64 range, nor allocate a pool for one near it.
+    heavy = [d for d, count in counts.items() if count and d > m]
+    if heavy:
+        raise ValueError(f"column weight {min(heavy)} exceeds the check count {m}")
     weights = [d for d in sorted(counts) for _ in range(counts[d])]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     shuffled = np.empty(k, dtype=np.intp)

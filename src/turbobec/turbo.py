@@ -26,8 +26,12 @@ before it has already emptied every row or column that it could empty
 there.  So the stack holds only receptions and injections.  Every op
 and every walked step only ANDs bits out of a mask, so the masks
 converge to one fixpoint, the largest below the start masks, whatever
-the order of the ops or of the receptions.  The loop stops at the first
-emptied mask: a contradiction ends the decode.
+the order of the ops or of the receptions.  Only an op's own step can
+empty, and that contradiction ends the decode.  A walked step cannot:
+between ops each chain is at its row/column fixpoint, where a state is
+entered at step s exactly when it is left at step s+1, so each state
+that the non-empty step before a walked step still uses keeps a
+transition there.
 
 Both constituent paths are zero-state terminated by L-1 tail steps
 whose bits are never transmitted.  So the encoder does not run them: it
@@ -319,10 +323,21 @@ class TurboErasureDecoder(_CheckedDecoder):
         stops at the first step that does not change or at the chain
         end.  A newly forced information bit pushes its injection into
         the other chain as an op.  The closure ends at the fixpoint or
-        at the first emptied step, which sets ``contradiction``, drops
-        the ops left and leaves every other mask as it is.  A systematic
-        reception's op goes to chain 0; the closure carries the forced
-        bit into chain 1.
+        when an op empties its own step, which sets ``contradiction``,
+        drops the ops left and leaves every other mask as it is.  A
+        systematic reception's op goes to chain 0; the closure carries
+        the forced bit into chain 1.
+
+        A walked step never empties, so that is the only exit.  Between
+        ops each chain is at its row/column fixpoint: at step s a state
+        has a transition into it exactly when it has one leaving it at
+        step s+1.  That holds at the full adjacency a decoder starts
+        from, and each op's walks run until a step stops changing.  A
+        left walk ANDs into step s-1 only the removal of transitions
+        into states with no transition out at step s.  Step s is not
+        empty, so some state leaves it, and by the fixpoint a transition
+        into that state at step s-1 survives.  The right walk is the
+        mirror case.  A reception or an injection can empty its step.
 
         A walked step needs no op back towards where the walk came from.
         A keep mask removes whole columns (rows), so the only columns
@@ -367,11 +382,6 @@ class TurboErasureDecoder(_CheckedDecoder):
                     if new == old:
                         break
                     chain[s] = new
-                    if not new:
-                        self.contradiction = True
-                        ops.clear()
-                        keep_right = 0
-                        break
                     keep_left, _, b = memo[new] or rule(new)
                     if b != UNKNOWN and s < k:
                         p = position[d][s]
@@ -388,10 +398,6 @@ class TurboErasureDecoder(_CheckedDecoder):
                     if new == old:
                         break
                     chain[s] = new
-                    if not new:
-                        self.contradiction = True
-                        ops.clear()
-                        break
                     _, keep_right, b = memo[new] or rule(new)
                     if b != UNKNOWN and s < k:
                         p = position[d][s]

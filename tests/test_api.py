@@ -9,8 +9,9 @@ a renamed or removed flag cannot stay in the docs, and it reads the
 package's own imports, so each module's dependencies stay one-way, and
 its names, so the rule that ends a decode stays in ``decoder.py``, the
 reception checks, the r count and the stop rule keep one copy in
-``feed``, each decoder keeps one propagation loop and no import
-outlives the code that used it.
+``feed``, each decoder keeps one propagation loop, the turbo closure
+keeps one contradiction exit and no import outlives the code that used
+it.
 """
 
 import ast
@@ -231,6 +232,24 @@ def test_only_feed_counts_receptions_and_stops():
                     assert isinstance(y, ast.Yield) and y.value is None, (
                         f"{module}.py line {y.lineno}: _propagate yields a value")
     assert propagators == 2
+
+
+def test_turbo_closure_has_one_contradiction_exit():
+    # Only an op's own step can empty: a walked step keeps a transition
+    # into (or out of) each state the step before it still uses.  So
+    # the walks need no contradiction exit of their own.
+    decoder = next(node for node in ast.walk(PACKAGE["turbo"])
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == "TurboErasureDecoder")
+    propagate = next(item for item in decoder.body
+                     if isinstance(item, ast.FunctionDef)
+                     and item.name == "_propagate")
+    exits = [node.lineno for node in ast.walk(propagate)
+             if isinstance(node, ast.Assign) and any(
+                 isinstance(t, ast.Attribute) and t.attr == "contradiction"
+                 and isinstance(t.value, ast.Name) and t.value.id == "self"
+                 for t in node.targets)]
+    assert len(exits) == 1, f"turbo.py lines {exits} set self.contradiction"
 
 
 def test_decoder_subclasses_in_tests_define_no_dead_methods():

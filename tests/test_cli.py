@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from turbobec import make_pr_interleaver
 from turbobec.cli import main
 
 
@@ -165,6 +166,20 @@ class TestSimulate:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    def test_interleaver_file_runs_like_its_generator(self, tmp_path, capsys):
+        pi = tmp_path / "pi.txt"
+        pi.write_text("".join(f"{e}\n" for e in make_pr_interleaver(8, 1).pi))
+
+        def stats(interleaver):
+            code, out, _ = run(capsys, "simulate", "--k", "8", "--trials", "6",
+                               "--seed", "4", "--interleaver", interleaver)
+            assert code == 0
+            row = out.splitlines()[1].split(",")
+            assert row[3] == interleaver
+            return row[6:]
+
+        assert stats(f"file:{pi}") == stats("pr:1")
 
     @pytest.mark.parametrize("flags", [
         ("--puncture", "p1=10,p2=01"), ("--interleaver", "file:{tmp}/pi.txt"),
@@ -442,6 +457,9 @@ class TestMalformedInput:
          "--k: K=1048577 is above the limit of 1048576"),
         (["sweep", "--k-list", "8,99999999999999999999", "--trials", "1"],
          "--k-list: K=99999999999999999999 is above the limit of 1048576"),
+        (["simulate", "--k", "8", "--rate", "1/2",
+          "--code", "ldpc-irregular:{tmp}/deg-huge.txt"],
+         f"column weight {10**30} exceeds the check count 8"),
     ], ids=["config-not-json", "config-not-object", "config-missing",
             "unknown-interleaver", "interleaver-length",
             "too-few-bits", "missing-k", "config-null", "config-bool",
@@ -460,7 +478,7 @@ class TestMalformedInput:
             "received-not-utf8", "info-not-utf8", "interleaver-not-utf8",
             "degree-file-not-utf8", "config-not-utf8", "poly-underscore",
             "poly-octal-prefix", "poly-zero-feedback", "ldpc-k-above-limit",
-            "k-above-limit", "k-list-above-limit"])
+            "k-above-limit", "k-list-above-limit", "degree-above-check-count"])
     def test_exit_code_two(self, tmp_path, capsys, argv, message):
         (tmp_path / "bad.json").write_text("{\"k\": 8,")
         (tmp_path / "list.json").write_text("[8]")
@@ -478,6 +496,7 @@ class TestMalformedInput:
         (tmp_path / "pi-bin.txt").write_bytes(b"2\n0\xc3\n1\n")
         (tmp_path / "deg-bin.txt").write_bytes(b"2 0.5\n3 0.5 # \xff\n")
         (tmp_path / "bin.json").write_bytes(b'{"k": 8, "seed": "\xff"}')
+        (tmp_path / "deg-huge.txt").write_text(f"{10**30} 1.0\n")
         argv = [a.format(tmp=tmp_path) for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == 2

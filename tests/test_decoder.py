@@ -296,6 +296,37 @@ class TestProperties:
             removals = start - end
             assert 0 <= removals <= 2 * (k + 2) * 8  # 2 trellises, 2^{k+L-1}=8
 
+    @pytest.mark.parametrize("rsc, rate", [
+        (RSC75, Fraction(1, 3)),
+        (RscSpec(0o13, 0o15, 4), Fraction(1, 2)),
+        (RscSpec(0o23, 0o35, 5), Fraction(2, 3))],
+        ids=["75-r13", "1315-r12", "2335-r23"])
+    def test_settled_chains_stay_at_the_row_column_fixpoint(self, rsc, rate):
+        # After every settled reception, a state is entered at step s of
+        # a chain exactly when it is left at step s+1, and no mask is 0.
+        # That is why a walk never empties a step: only a reception or
+        # an injection can end a decode in a contradiction.
+        k = 32
+        spec = make_turbo_spec(rsc, k, make_pr_interleaver(k, 3), rate=rate)
+        rows, cols = spec.lookup.row_masks, spec.lookup.col_masks
+        rng = rng_for(77, 8, rsc.feedback_poly)
+        contradictions = 0
+        for flips in (0, 0, 1, 1, 2, 4, 8, 16):
+            cw = spec.encode(rng.integers(0, 2, k, dtype=np.uint8))
+            cw[rng.choice(spec.N, flips, replace=False)] ^= 1
+            dec = spec.start_decoder()
+            for idx in rng.permutation(spec.N).tolist():
+                dec.receive(idx, int(cw[idx]))
+                if dec.contradiction:
+                    contradictions += 1
+                    break
+                for chain in dec.masks:
+                    assert all(chain)
+                    for m, m_next in zip(chain, chain[1:]):
+                        for row, col in zip(rows, cols):
+                            assert bool(m & col) == bool(m_next & row)
+        assert contradictions
+
 
 class TestPerTrellisExactness:
     """Closure on one trellis equals brute-force path enumeration."""

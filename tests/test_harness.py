@@ -64,6 +64,8 @@ class TestTrials:
         stats = run_campaign(spec, 1, base_seed=5)
         assert stats.mu_av == run_trial(spec, 5, 0).mu
         assert stats.mu_std == 0.0
+        with pytest.raises(ValueError, match="at least one trial"):
+            run_campaign(spec, 0, base_seed=5)
 
     def test_campaign_aggregates(self):
         spec = turbo_spec(16)

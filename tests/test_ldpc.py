@@ -181,6 +181,10 @@ class TestIrregular:
                                          seed=5)
         weights = sorted(len(c) for c in code.left_cols)
         assert weights == [2] * 3 + [3] * 6
+        # No column gets degree 10**30, so it may exceed M.
+        code = build_irregular_staircase(8, Fraction(1, 2),
+                                         {3: 0.99, 10**30: 0.01}, seed=5)
+        assert [len(c) for c in code.left_cols] == [3] * 8
 
     def test_invalid_distributions(self):
         with pytest.raises(ValueError):
@@ -194,6 +198,12 @@ class TestIrregular:
                     {2: float("nan"), 3: 1.0}):
             with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
                 build_irregular_staircase(16, Fraction(1, 2), law, seed=0)
+        # A degree above M = 8 that some column gets is rejected before
+        # any column is drawn, so numpy never meets one it cannot hold.
+        for law, weight in (({10**30: 1.0}, 10**30), ({3: 0.5, 9: 0.5}, 9)):
+            with pytest.raises(ValueError, match=f"column weight {weight} "
+                                                 f"exceeds the check count 8"):
+                build_irregular_staircase(8, Fraction(1, 2), law, seed=0)
 
     def test_load_distribution(self, tmp_path):
         p = tmp_path / "dist.txt"
@@ -457,9 +467,11 @@ class TestPerCodeConstants:
                                   seed=3),
         StaircaseCode(2, 3, ((2, 0), (1, 0))),
         StaircaseCode(3, 3, ((), (0, 2), ())),
+        StaircaseCode(2, 3, ((), ())),
         *EMPTY_ROW_CODES.values(),
     ], ids=["regular-r12", "regular-r13", "regular-r23", "irregular",
-            "unsorted-columns", "empty-columns", *EMPTY_ROW_CODES])
+            "unsorted-columns", "empty-columns", "all-columns-empty",
+            *EMPTY_ROW_CODES])
     def test_tanner_is_h(self, code):
         # Each variable's checks are the nonzero rows of its column, in
         # ascending order; degrees and index sums are H's row counts and

@@ -48,6 +48,8 @@ class TestInterleaver:
         p = tmp_path / "pi.txt"
         p.write_text("2\n0\n1\n")
         assert load_interleaver(p).pi == (2, 0, 1)
+        p.write_text("\n2\n  \n0\n1\n\n")  # blank lines are skipped
+        assert load_interleaver(p).pi == (2, 0, 1)
 
     def test_load_rejects_duplicates(self, tmp_path):
         p = tmp_path / "pi.txt"
