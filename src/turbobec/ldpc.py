@@ -10,12 +10,15 @@ A code stores the columns of A and one edge array, built from them
 once, with numpy, when the code is made.  That array serves three
 uses: it validates the columns, it gives the check degrees and index
 sums of the Tanner graph the decoders share, and the encoder reads it.
-``parity_check_matrix()`` builds H on its own, as the reference the
-tests check both against.
+The graph's checks of each variable are the code's own column tuples
+and, for the parities, ranges, so a build makes no container per
+variable.  ``parity_check_matrix()`` builds H on its own, as the
+reference the tests check both against.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -83,17 +86,27 @@ class StaircaseCode:
         return Fraction(self.K, self.N)
 
     @cached_property
-    def tanner(self) -> tuple[list[list[int]], list[int], list[int]]:
+    def tanner(self) -> tuple[list[Sequence[int]], list[int], list[int]]:
         """Peeling constants shared by every decoder of this code, which
         only reads them: the checks of each variable, ascending, then the
         degree and the variable-index sum of each check.  Information
         variable v sits on its left column, parity K + i on checks i, i + 1,
-        so check c holds the parities K + c and, for c >= 1, K + c - 1."""
+        so check c holds the parities K + c and, for c >= 1, K + c - 1.
+
+        No entry is a new container per variable: information variable v
+        reuses ``left_cols[v]`` when every column is ascending (a sorted
+        tuple otherwise), and parity K + i is ``range(i, min(i + 2, M))``.
+        The garbage collector does not track a range, so a cold build adds
+        about K tracked objects (the columns), not K + N, and seldom sets
+        off a collection of everything the imports made."""
         k, m = self.K, self.M
-        var_checks = [sorted(col) for col in self.left_cols]
-        var_checks += [[i, i + 1] for i in range(m - 1)] + [[m - 1]]
         var, chk = self._left_edges
         c = np.arange(m)
+        if (np.diff(chk) > 0)[var[1:] == var[:-1]].all():
+            var_checks = list(self.left_cols)
+        else:
+            var_checks = [tuple(sorted(col)) for col in self.left_cols]
+        var_checks += map(range, c.tolist(), np.minimum(c + 2, m).tolist())
         degrees = np.bincount(chk, minlength=m) + 1 + (c >= 1)
         # Float weights are exact: every sum stays far below 2**53.
         left_sums = np.bincount(chk, weights=var, minlength=m).astype(np.int64)
@@ -151,15 +164,24 @@ def _parity_count(k: int, rate: Fraction) -> int:
     return int(n) - k
 
 
+# 16 edges per information bit at K = 2**20, the CLI's limit on K.
+_MAX_EDGES = 1 << 24
+
+
 def _assign_columns(col_weights: list[int], m: int, rng) -> list[tuple[int, ...]]:
     """Draws each column's check indices from a balanced shuffled pool.
 
     The pool round-robins over all checks so row degrees stay near
     uniform.  A column takes the next w pool entries; a duplicate among
     them is repaired by swapping it with a later pool entry.  Each
-    weight is at most m: both builders check that first.
+    weight is at most m: both builders check that first.  The total
+    weight is at most ``_MAX_EDGES``, checked here before the pool of
+    about that many entries is drawn.
     """
     total = sum(col_weights)
+    if total > _MAX_EDGES:
+        raise ValueError(f"the code has {total} edges, above the limit of "
+                         f"{_MAX_EDGES}")
     reps = -(-total // m)
     pool = rng.permutation(np.tile(np.arange(m), reps)).tolist()[:total]
     cols = []

@@ -460,6 +460,9 @@ class TestMalformedInput:
         (["simulate", "--k", "8", "--rate", "1/2",
           "--code", "ldpc-irregular:{tmp}/deg-huge.txt"],
          f"column weight {10**30} exceeds the check count 8"),
+        (["simulate", "--k", "1048576", "--rate", "1/2",
+          "--code", "ldpc-irregular:{tmp}/deg-dense.txt"],
+         f"the code has {1 << 40} edges, above the limit of {1 << 24}"),
     ], ids=["config-not-json", "config-not-object", "config-missing",
             "unknown-interleaver", "interleaver-length",
             "too-few-bits", "missing-k", "config-null", "config-bool",
@@ -478,7 +481,8 @@ class TestMalformedInput:
             "received-not-utf8", "info-not-utf8", "interleaver-not-utf8",
             "degree-file-not-utf8", "config-not-utf8", "poly-underscore",
             "poly-octal-prefix", "poly-zero-feedback", "ldpc-k-above-limit",
-            "k-above-limit", "k-list-above-limit", "degree-above-check-count"])
+            "k-above-limit", "k-list-above-limit", "degree-above-check-count",
+            "edge-count-above-limit"])
     def test_exit_code_two(self, tmp_path, capsys, argv, message):
         (tmp_path / "bad.json").write_text("{\"k\": 8,")
         (tmp_path / "list.json").write_text("[8]")
@@ -497,6 +501,7 @@ class TestMalformedInput:
         (tmp_path / "deg-bin.txt").write_bytes(b"2 0.5\n3 0.5 # \xff\n")
         (tmp_path / "bin.json").write_bytes(b'{"k": 8, "seed": "\xff"}')
         (tmp_path / "deg-huge.txt").write_text(f"{10**30} 1.0\n")
+        (tmp_path / "deg-dense.txt").write_text("1048576 1.0\n")
         argv = [a.format(tmp=tmp_path) for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == 2

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import re
 from fractions import Fraction
@@ -85,6 +86,16 @@ class TestConstruction:
     def test_constructor_rejects_empty_sides(self, k, m, cols, message):
         with pytest.raises(ValueError, match=message):
             StaircaseCode(k, m, cols)
+
+    def test_edge_count_limit(self):
+        # Rejected before the pool of about one entry per edge is drawn.
+        message = f"the code has {1 << 40} edges, above the limit of {1 << 24}"
+        with pytest.raises(ValueError, match=message):
+            build_regular_staircase(1 << 20, Fraction(1, 2), 0,
+                                    column_weight=1 << 20)
+        with pytest.raises(ValueError, match=message):
+            build_irregular_staircase(1 << 20, Fraction(1, 2), {1 << 20: 1.0},
+                                      seed=0)
 
     def test_construction_deterministic(self):
         a = build_regular_staircase(64, Fraction(1, 2), seed=9)
@@ -478,9 +489,32 @@ class TestPerCodeConstants:
         # row index sums.
         var_checks, degrees, index_sums = code.tanner
         h = code.parity_check_matrix()
-        assert var_checks == [np.flatnonzero(col).tolist() for col in h.T]
+        assert ([list(c) for c in var_checks]
+                == [np.flatnonzero(col).tolist() for col in h.T])
         assert degrees == h.sum(axis=1).tolist()
         assert index_sums == (h @ np.arange(code.N)).tolist()
+        # An ascending column is its own entry, not a copy.
+        if all(list(col) == sorted(col) for col in code.left_cols):
+            assert all(var_checks[v] is code.left_cols[v]
+                       for v in range(code.K))
+
+    def test_build_makes_no_container_per_variable(self):
+        # A code and its first decoder hold the K column tuples and a few
+        # lists and arrays, not a list per variable (N = 3K here).  The
+        # collector stays off: a collection untracks tuples of ints.
+        k = 1024
+        # A first build makes what a module or numpy sets up lazily.
+        build_regular_staircase(16, Fraction(1, 2), seed=1).start_decoder()
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            code = build_regular_staircase(k, Fraction(1, 3), seed=5)
+            code.start_decoder()
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert added < k + k // 4
 
     @pytest.mark.parametrize("rate", [Fraction(1, 3), Fraction(1, 2)],
                              ids=["r13", "r12"])
