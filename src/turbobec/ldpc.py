@@ -6,14 +6,15 @@ diagonal (ones at (i, i) and (i, i-1)).  Encoding is forward
 substitution through D; decoding is standard BEC peeling, resolving any
 check that has exactly one unknown incident variable.
 
-A code stores the columns of A and one edge array, built from them
-once, with numpy, when the code is made.  That array serves three
-uses: it validates the columns, it gives the check degrees and XOR
-starts of the Tanner graph the decoders share, and the encoder reads it.
-The graph lists only the information variables' checks, the code's own
-column tuples, so a build makes no container per variable; a parity's
-two checks follow from its index.  ``parity_check_matrix()`` builds H
-on its own, as the reference the tests check both against.
+A code stores the columns of A, each a tuple of strictly ascending
+check indices, and one edge array, built from them once, with numpy,
+when the code is made.  That array serves three uses: it validates the
+columns, it gives the check degrees and XOR starts of the Tanner graph
+the decoders share, and the encoder reads it.  The graph lists only the
+information variables' checks, the code's own column tuples, so a build
+makes no container per variable; a parity's two checks follow from its
+index.  ``parity_check_matrix()`` builds H on its own, as the reference
+the tests check both against.
 """
 
 from __future__ import annotations
@@ -30,7 +31,10 @@ from .decoder import _CheckedDecoder, _text_lines
 
 @dataclass(frozen=True)
 class StaircaseCode:
-    """K information variables, M accumulated parities, N = K + M."""
+    """K information variables, M accumulated parities, N = K + M.
+
+    Each left column lists its checks in strictly ascending order.
+    """
 
     K: int
     M: int
@@ -55,6 +59,8 @@ class StaircaseCode:
                     raise ValueError("duplicate edge in a left column")
                 if any(not 0 <= r < self.M for r in col):
                     raise ValueError("check index out of range")
+                if list(col) != sorted(col):
+                    raise ValueError("check indices of a left column must ascend")
             raise TypeError("check indices must be integers")
         object.__setattr__(self, "_left_edges", edges)
 
@@ -67,14 +73,14 @@ class StaircaseCode:
         return np.stack([np.repeat(np.arange(self.K), lengths), chk])
 
     def _edges_valid(self, edges: np.ndarray) -> bool:
-        """Every check index lies in range and no edge appears twice."""
+        """Every check index lies in range and each column's checks
+        strictly ascend, so no edge appears twice."""
         var, chk = edges
         if not chk.size:
             return True
         if chk.min() < 0 or chk.max() >= self.M:
             return False
-        keys = np.sort(var * self.M + chk)
-        return not (keys[1:] == keys[:-1]).any()
+        return (np.diff(chk) > 0)[var[1:] == var[:-1]].all()
 
     @property
     def N(self) -> int:
@@ -94,23 +100,18 @@ class StaircaseCode:
         K + c and, for c >= 1, K + c - 1.  Check c's start is the XOR of
         ``u << 1`` over its variables u.
 
-        The first item is ``left_cols`` itself when every column is
-        ascending (sorted tuples otherwise), so a cold build adds no
-        container per variable, and seldom sets off a collection of
-        everything the imports made."""
+        The first item is ``left_cols`` itself, whose columns ascend, so a
+        cold build adds no container per variable, and seldom sets off a
+        collection of everything the imports made."""
         k, m = self.K, self.M
         var, chk = self._left_edges
         c = np.arange(m)
-        if (np.diff(chk) > 0)[var[1:] == var[:-1]].all():
-            info_checks = self.left_cols
-        else:
-            info_checks = tuple(tuple(sorted(col)) for col in self.left_cols)
         degrees = np.bincount(chk, minlength=m) + 1 + (c >= 1)
         starts = np.zeros(m, dtype=np.int64)
         np.bitwise_xor.at(starts, chk, var << 1)
         starts ^= (k + c) << 1
         starts[1:] ^= (k + c[1:] - 1) << 1
-        return info_checks, degrees.tolist(), starts.tolist()
+        return self.left_cols, degrees.tolist(), starts.tolist()
 
     def parity_check_matrix(self) -> np.ndarray:
         h = np.zeros((self.M, self.N), dtype=np.uint8)
@@ -171,11 +172,14 @@ def _assign_columns(col_weights: list[int], m: int, rng) -> list[tuple[int, ...]
     """Draws each column's check indices from a balanced shuffled pool.
 
     The pool round-robins over all checks so row degrees stay near
-    uniform.  A column takes the next w pool entries; a duplicate among
-    them is repaired by swapping it with a later pool entry.  Each
-    weight is at most m: both builders check that first.  The total
-    weight is at most ``_MAX_EDGES``, checked here before the pool of
-    about that many entries is drawn.
+    uniform.  A column takes the next w pool entries when they are
+    distinct.  Otherwise it takes them one at a time: each is the first
+    entry from the cursor on that the column does not yet hold, swapped
+    to the cursor.  When no such entry is left, the column draws fresh
+    distinct checks and the pool is spent.  Each weight is at most m:
+    both builders check that first.  The total weight is at most
+    ``_MAX_EDGES``, checked here before the pool of about that many
+    entries is drawn.
     """
     total = sum(col_weights)
     if total > _MAX_EDGES:
@@ -192,28 +196,17 @@ def _assign_columns(col_weights: list[int], m: int, rng) -> list[tuple[int, ...]
             cols.append(tuple(sorted(col)))
             continue
         col = set()
-        take = pos
         while len(col) < w:
-            if take >= len(pool):
-                # Pool exhausted by repairs: draw fresh distinct checks.
+            swap = next((s for s in range(pos, len(pool)) if pool[s] not in col),
+                        None)
+            if swap is None:
                 extra = [r for r in rng.permutation(m).tolist() if r not in col]
                 col.update(extra[: w - len(col)])
+                pos = len(pool)
                 break
-            r = pool[take]
-            if r in col:
-                # Defer the duplicate: swap with a later entry.
-                swap = next(
-                    (s for s in range(take + 1, len(pool)) if pool[s] not in col),
-                    None,
-                )
-                if swap is None:
-                    take += 1
-                    continue
-                pool[take], pool[swap] = pool[swap], pool[take]
-                r = pool[take]
-            col.add(r)
-            take += 1
-        pos = take
+            pool[pos], pool[swap] = pool[swap], pool[pos]
+            col.add(pool[pos])
+            pos += 1
         cols.append(tuple(sorted(col)))
     return cols
 

@@ -71,7 +71,7 @@ class Interleaver:
     """A bijection on information positions {0..K-1}."""
 
     pi: tuple[int, ...]
-    kind: str = "identity"
+    kind: str
 
     def __post_init__(self):
         k = len(self.pi)
@@ -196,8 +196,7 @@ class TurboCodeSpec:
 
     The transmitted order is kept as two int lists, ``streams`` and
     ``steps``: transmitted symbol n is bit ``steps[n]`` of stream
-    ``streams[n]``.  ``layout`` views them as (stream, step) pairs; it is
-    built only on demand, since neither a build nor a trial needs it.
+    ``streams[n]``.
     """
 
     rsc: RscSpec
@@ -221,11 +220,6 @@ class TurboCodeSpec:
         object.__setattr__(self, "steps", steps.tolist())
         # Where each transmitted symbol sits in the stacked [info, p1, p2].
         object.__setattr__(self, "_gather", streams * self.K + steps)
-
-    @cached_property
-    def layout(self) -> tuple[tuple[int, int], ...]:
-        """The (stream, step) pair of each transmitted symbol, in order."""
-        return tuple(zip(self.streams, self.steps))
 
     @cached_property
     def lookup(self) -> LookupMasks:

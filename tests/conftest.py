@@ -193,5 +193,11 @@ def paths75_k8(oracle75):
     return enumerate_codeword_paths(oracle75, 8)
 
 
+def layout(spec) -> list[tuple[int, int]]:
+    """The (stream, step) pair of each transmitted symbol of a turbo
+    spec, in transmission order."""
+    return list(zip(spec.streams, spec.steps))
+
+
 def rng_for(*seed) -> np.random.Generator:
     return np.random.default_rng(list(seed))

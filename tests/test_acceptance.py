@@ -16,7 +16,7 @@ from turbobec import (LookupMasks, RscSpec, Status, TransitionTable,
 from turbobec.harness import trial_rng
 from turbobec.turbo import PARITY1, SYSTEMATIC
 
-from conftest import enumerate_codeword_paths, oracle75, rng_for
+from conftest import enumerate_codeword_paths, layout, oracle75, rng_for
 
 RSC75 = RscSpec(0o7, 0o5, 3)
 K_BIG = 1024
@@ -176,7 +176,7 @@ def test_single_trellis_oracle_equivalence(oracle75):
         received = [(t, pos, truth[1][t][pos]) for t, pos in positions]
         dec = spec.start_decoder()
         for t, pos, b in received:
-            dec.receive(spec.layout.index(((SYSTEMATIC, PARITY1)[pos], t)), b)
+            dec.receive(layout(spec).index(((SYSTEMATIC, PARITY1)[pos], t)), b)
         survivors = [
             (info, states) for info, labels, states in paths
             if all(labels[t][pos] == b for t, pos, b in received)

@@ -3,30 +3,32 @@
 The benchmark (``perfbench/``) and the demos import from ``turbobec``
 and ``turbobec.harness`` but are not part of the test suite, so a
 removed or renamed name would only show when they run.  This module
-reads their source and runs the short trajectory demo; it changes
-none of them.  It also parses every ``turbobec`` example in README, so
-a renamed or removed flag cannot stay in the docs, and it reads the
-package's own imports, so each module's dependencies stay one-way, and
-its names, so the rule that ends a decode stays in ``decoder.py``, the
-reception checks, the r count and the stop rule keep one copy in
-``feed``, each decoder keeps one propagation loop, the turbo closure
-keeps one contradiction exit and no import outlives the code that used
-it.
+reads their source, runs the short trajectory demo and one traced
+benchmark trial per workload; it changes none of them.  It also parses
+every ``turbobec`` example in README, so a renamed or removed flag
+cannot stay in the docs, and it reads the package's own imports, so
+each module's dependencies stay one-way, and its names, so the rule
+that ends a decode stays in ``decoder.py``, the reception checks, the
+r count and the stop rule keep one copy in ``feed``, each decoder keeps
+one propagation loop, the turbo closure keeps one contradiction exit
+and no import outlives the code that used it.
 """
 
 import ast
 import graphlib
 import importlib
+import importlib.util
 import inspect
 import re
 import runpy
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
 import turbobec
-from turbobec import cli
+from turbobec import cli, run_trial
 
 ROOT = Path(__file__).resolve().parents[1]
 CLIENTS = sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("demos/*.py")])
@@ -85,6 +87,32 @@ def test_trajectory_demo_runs(capsys):
                    run_name="__main__")
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.startswith("success after r_stop=")
+
+
+def load_perfbench(name, monkeypatch):
+    """``perfbench/<name>.py``, loaded by path: perfbench is no package.
+    It is registered in ``sys.modules`` for this test only, as its
+    dataclasses need."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_trials_match_run_trial(monkeypatch):
+    # The benchmark's traced mode reads what turbobec returns, not just
+    # its names, so a changed return type shows here.
+    tracing = load_perfbench("tracing", monkeypatch)
+    workloads = load_perfbench("workloads", monkeypatch)
+    for name, workload in workloads.WORKLOADS.items():
+        code = workload.build()
+        tracer = tracing.Tracer()
+        traced = tracing.traced_trial(code, workload.family, 99, 0, tracer)
+        tracing.time_probes(workload, code, 0, tracer)
+        assert traced.error is None, name
+        assert traced.r_stop == run_trial(code, 99, 0).r_stop, name
 
 
 def test_readme_commands_are_found():

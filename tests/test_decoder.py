@@ -8,8 +8,8 @@ from turbobec import (LookupMasks, RscSpec, Status, TransitionTable,
                       make_pr_interleaver, make_turbo_spec)
 from turbobec.turbo import PARITY1, SYSTEMATIC
 
-from conftest import (RegisterOracle, enumerate_codeword_paths, rng_for,
-                      trellis_fixpoint)
+from conftest import (RegisterOracle, enumerate_codeword_paths, layout,
+                      rng_for, trellis_fixpoint)
 
 RSC75 = RscSpec(0o7, 0o5, 3)
 TABLE75 = TransitionTable(RSC75)
@@ -39,7 +39,7 @@ def single_trellis(k):
 def receive_label(dec, t, pos, b):
     """Receives bit ``pos`` (0 information, 1 parity) of step t."""
     stream = (SYSTEMATIC, PARITY1)[pos]
-    dec.receive(dec.spec.layout.index((stream, t)), b)
+    dec.receive(layout(dec.spec).index((stream, t)), b)
 
 
 def random_instance(k, rate, rng, seed=1):
@@ -137,7 +137,7 @@ class TestReception:
     def test_systematic_bit_lands_in_both_trellises(self):
         spec = turbo_spec(8, seed=3)
         dec = spec.start_decoder()
-        idx = spec.layout.index((SYSTEMATIC, 4))
+        idx = layout(spec).index((SYSTEMATIC, 4))
         dec.receive(idx, 0)
         t2 = spec.interleaver.pi_inv[4]
         assert mask_rows(dec.masks[0][4]) == ["1000", "0010", "0001", "0100"]
@@ -146,7 +146,7 @@ class TestReception:
     def test_parity_bit_is_trellis_local(self):
         spec = turbo_spec(8, seed=3)
         dec = spec.start_decoder()
-        idx = spec.layout.index((PARITY1, 4))
+        idx = layout(spec).index((PARITY1, 4))
         dec.receive(idx, 1)
         assert mask_rows(dec.masks[0][4]) == ["0010", "1000", "0001", "0100"]
         assert dec.masks[1] == spec.start_decoder().masks[1]
@@ -392,7 +392,7 @@ class TestTurboExactness:
         checks = 0
         for r, idx in enumerate(rng.permutation(spec.N).tolist(), start=1):
             status = dec.receive(idx, cw[idx]).status
-            received[spec.layout[idx]] = cw[idx]
+            received[spec.streams[idx], spec.steps[idx]] = cw[idx]
             if r in prefixes or status is Status.SUCCESS:
                 masks, bits = trellis_fixpoint(oracle, spec.interleaver.pi,
                                                received, spec.table.arc_bit)

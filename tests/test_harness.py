@@ -158,7 +158,7 @@ class BruteForceTurboReplay:
 
     def receive(self, index, bit):
         pi, pi_inv = self.spec.interleaver.pi, self.spec.interleaver.pi_inv
-        stream, t = self.spec.layout[index]
+        stream, t = self.spec.streams[index], self.spec.steps[index]
         if stream == SYSTEMATIC:
             self.constraints[0].append((t, 0, bit))
             self.constraints[1].append((pi_inv[t], 0, bit))

@@ -175,7 +175,8 @@ class TestConstruction:
 
 class TestValidation:
     """The constructor names the first bad column's fault, column by
-    column: a duplicate edge before an out-of-range index."""
+    column: a duplicate edge, then an out-of-range index, then checks
+    that do not ascend."""
 
     def test_one_column_per_information_variable(self):
         with pytest.raises(ValueError, match="need one left column per "
@@ -191,9 +192,13 @@ class TestValidation:
         (((0, 4), (1, 1)), "check index out of range"),
         (((1, 1), (0, 4)), "duplicate edge in a left column"),
         (((4, 4), (0,)), "duplicate edge in a left column"),
+        (((0, 2), (1, 0)), "check indices of a left column must ascend"),
+        (((2, 0, 2), (1,)), "duplicate edge in a left column"),
+        (((4, 1), (0,)), "check index out of range"),
     ], ids=["duplicate", "too-large", "negative", "huge", "huge-negative",
             "range-then-duplicate", "duplicate-then-range",
-            "duplicate-out-of-range"])
+            "duplicate-out-of-range", "descending", "duplicate-and-descent",
+            "out-of-range-and-descent"])
     def test_rejects_bad_columns(self, cols, message):
         with pytest.raises(ValueError, match="^" + message + "$"):
             StaircaseCode(2, 4, cols)
@@ -208,10 +213,6 @@ class TestValidation:
         code = StaircaseCode(2, 3, ((), (0, 2)))
         assert code.left_cols == ((), (0, 2))
         assert list(code.encode([1, 1])) == [1, 1, 1, 1, 0]
-
-    def test_accepts_an_unsorted_column(self):
-        code = StaircaseCode(2, 3, ((2, 0), (1, 0)))
-        assert code.left_cols == ((2, 0), (1, 0))
 
 
 IRREGULAR = Path(__file__).resolve().parents[1] / "configs" / "irregular_example.txt"
@@ -533,12 +534,11 @@ class TestPerCodeConstants:
         build_regular_staircase(96, Fraction(2, 3), seed=2),
         build_irregular_staircase(100, Fraction(1, 2), {2: 0.3, 3: 0.4, 8: 0.3},
                                   seed=3),
-        StaircaseCode(2, 3, ((2, 0), (1, 0))),
         StaircaseCode(3, 3, ((), (0, 2), ())),
         StaircaseCode(2, 3, ((), ())),
         *EMPTY_ROW_CODES.values(),
     ], ids=["regular-r12", "regular-r13", "regular-r23", "irregular",
-            "unsorted-columns", "empty-columns", "all-columns-empty",
+            "empty-columns", "all-columns-empty",
             *EMPTY_ROW_CODES])
     def test_tanner_is_h(self, code):
         # Each information variable's checks are the nonzero rows of its
@@ -551,9 +551,8 @@ class TestPerCodeConstants:
         assert degrees == h.sum(axis=1).tolist()
         assert starts == [np.bitwise_xor.reduce(np.flatnonzero(row) << 1)
                           for row in h]
-        # Ascending columns are their own entries, not a copy.
-        if all(list(col) == sorted(col) for col in code.left_cols):
-            assert var_checks is code.left_cols
+        # The columns are their own entries, not a copy.
+        assert var_checks is code.left_cols
 
     def test_build_makes_no_container_per_variable(self):
         # A code and its first decoder hold the K column tuples and a few

@@ -1,5 +1,7 @@
 """Property tests of the trellis closure and of LDPC peeling against
-the conftest oracles.
+the conftest oracles, and of both decoders' independence of the word
+sent: a prefix of arrivals determines the same positions for any
+codeword.
 
 Codes are drawn at random: feedback and forward polynomials at
 constraint lengths 2..5, information lengths up to 6 for one trellis
@@ -20,8 +22,8 @@ from turbobec import (Interleaver, LookupMasks, PunctureMap, RscSpec,
                       identity_interleaver, make_turbo_spec)
 from turbobec.turbo import PARITY1, SYSTEMATIC
 
-from conftest import (RegisterOracle, enumerate_codeword_paths, peel_oracle,
-                      trellis_fixpoint)
+from conftest import (RegisterOracle, enumerate_codeword_paths, layout,
+                      peel_oracle, trellis_fixpoint)
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     max_examples=100)
@@ -78,7 +80,7 @@ def test_single_trellis_closure_is_exact(code, k, data):
     spec = make_turbo_spec(table.spec, k, identity_interleaver(k))
     dec = spec.start_decoder()
     for t, pos, b in received:
-        dec.receive(spec.layout.index(((SYSTEMATIC, PARITY1)[pos], t)), b)
+        dec.receive(layout(spec).index(((SYSTEMATIC, PARITY1)[pos], t)), b)
 
     survivors = [p for p in paths
                  if all(p[1][t][pos] == b for t, pos, b in received)]
@@ -141,7 +143,8 @@ def test_turbo_closure_is_order_independent_and_sound(spec, data):
     assert all(f == finals[0] for f in finals)
     oracle = RegisterOracle(spec.rsc.feedback_poly, spec.rsc.forward_poly,
                             spec.rsc.constraint_length)
-    received = {spec.layout[idx]: int(cw[idx]) for idx in subset}
+    received = {(spec.streams[idx], spec.steps[idx]): int(cw[idx])
+                for idx in subset}
     assert finals[0] == trellis_fixpoint(oracle, spec.interleaver.pi, received,
                                          spec.table.arc_bit)
 
@@ -187,3 +190,32 @@ def test_peeling_matches_oracle_in_any_order(code, data):
         known = {v: b for v, b in enumerate(dec.values) if b is not None}
         assert known == expect
         assert not dec.contradiction
+
+
+def arrival(code, word, order):
+    """Feeds ``order`` with ``word``'s values to a fresh decoder; returns
+    ``known_count()`` after each reception, the final status and the
+    decoder."""
+    dec = code.start_decoder()
+    trace = [dec.known_count()
+             for _ in dec.feed((i, int(word[i])) for i in order)]
+    return trace, dec.outcome().status, dec
+
+
+@SETTINGS
+@given(code=st.one_of(turbo_codes(), staircase_codes()), data=st.data())
+def test_a_trial_is_its_arrival_order(code, data):
+    # Both codes are linear and the channel only erases, so what a
+    # prefix determines depends on its positions, not on the word sent.
+    info = data.draw(st.lists(st.integers(0, 1), min_size=code.K,
+                              max_size=code.K), label="info")
+    order = data.draw(st.permutations(range(code.N)), label="order")
+    prefix = order[:data.draw(st.integers(0, code.N), label="received")]
+    trace, status, dec = arrival(code, code.encode(info), prefix)
+    zero_trace, zero_status, zero_dec = arrival(code, [0] * code.N, prefix)
+    assert trace == zero_trace
+    assert status is zero_status
+    bits = dec.determined_bits()
+    assert ([b is None for b in bits]
+            == [b is None for b in zero_dec.determined_bits()])
+    assert all(b is None or b == u for b, u in zip(bits, info))

@@ -4,13 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from turbobec import (PunctureMap, RscSpec, Status, TurboCodeSpec,
-                      identity_interleaver, load_interleaver,
+from turbobec import (Interleaver, PunctureMap, RscSpec, Status,
+                      TurboCodeSpec, identity_interleaver, load_interleaver,
                       make_pr_interleaver, make_puncture_map, make_turbo_spec,
                       parse_puncture_patterns, turbo)
 from turbobec.turbo import PARITY1, PARITY2, SYSTEMATIC
 
-from conftest import RegisterOracle, rng_for
+from conftest import RegisterOracle, layout, rng_for
 
 RSC75 = RscSpec(0o7, 0o5, 3)
 
@@ -21,6 +21,12 @@ def turbo_spec(k, rate=Fraction(1, 3), interleaver=None, seed=1):
 
 
 class TestInterleaver:
+    def test_kind_is_required(self):
+        # A hand-built permutation has no default label: "identity" was
+        # the fingerprint of any permutation built without a kind.
+        with pytest.raises(TypeError):
+            Interleaver((1, 0))
+
     def test_k1_is_identity(self):
         for seed in (0, 1, 99):
             assert make_pr_interleaver(1, seed).pi == (0,)
@@ -68,17 +74,17 @@ class TestPunctureMap:
     def test_rate_third_keeps_everything(self):
         spec = turbo_spec(4)
         assert spec.N == 12
-        assert [s for s, _ in spec.layout].count(SYSTEMATIC) == 4
+        assert [s for s, _ in layout(spec)].count(SYSTEMATIC) == 4
 
     def test_rate_half_pattern(self):
         spec = turbo_spec(4, Fraction(1, 2))
-        kept = [(s, t) for s, t in spec.layout if s != SYSTEMATIC]
+        kept = [(s, t) for s, t in layout(spec) if s != SYSTEMATIC]
         assert kept == [(PARITY1, 0), (PARITY2, 1), (PARITY1, 2), (PARITY2, 3)]
         assert spec.N == 8
 
     def test_rate_two_thirds_pattern(self):
         spec = turbo_spec(4, Fraction(2, 3))
-        kept = [(s, t) for s, t in spec.layout if s != SYSTEMATIC]
+        kept = [(s, t) for s, t in layout(spec) if s != SYSTEMATIC]
         assert kept == [(PARITY1, 0), (PARITY2, 2)]
         assert spec.N == 6
 
@@ -123,8 +129,8 @@ class TestPunctureMap:
         assert pm.p1_pattern[0] and not pm.p1_pattern[1]
         assert not pm.p2_pattern[0] and pm.p2_pattern[1]
         # Systematic bits have no pattern: the code keeps them always.
-        layout = TurboCodeSpec(RSC75, 2, identity_interleaver(2), pm).layout
-        assert (SYSTEMATIC, 0) in layout and (SYSTEMATIC, 1) in layout
+        pairs = layout(TurboCodeSpec(RSC75, 2, identity_interleaver(2), pm))
+        assert (SYSTEMATIC, 0) in pairs and (SYSTEMATIC, 1) in pairs
 
     @pytest.mark.parametrize("k, rate, override", [
         (1024, Fraction(1, 3), None), (1024, Fraction(1, 2), None),
@@ -137,15 +143,15 @@ class TestPunctureMap:
         spec = TurboCodeSpec(RSC75, k, make_pr_interleaver(k, 2), puncture)
         keeps = {SYSTEMATIC: (True,) * puncture.period,
                  PARITY1: puncture.p1_pattern, PARITY2: puncture.p2_pattern}
-        expect = tuple((stream, t) for t in range(k)
-                       for stream in (SYSTEMATIC, PARITY1, PARITY2)
-                       if keeps[stream][t % puncture.period])
-        assert spec.layout == expect
-        assert all(type(x) is int for pair in spec.layout for x in pair)
+        expect = [(stream, t) for t in range(k)
+                  for stream in (SYSTEMATIC, PARITY1, PARITY2)
+                  if keeps[stream][t % puncture.period]]
+        assert layout(spec) == expect
+        assert all(type(x) is int for x in spec.streams + spec.steps)
 
     def test_layout_positions_unique(self):
         spec = turbo_spec(16, Fraction(1, 2))
-        assert len(set(spec.layout)) == spec.N
+        assert len(set(layout(spec))) == spec.N
 
     def test_build_makes_no_object_per_symbol(self):
         # A spec and its first decoder hold a few lists per code, not a
@@ -193,7 +199,7 @@ class TestEncoder:
             p1, _ = oracle.terminated_parity(list(info))
             p2, _ = oracle.terminated_parity(list(spec.interleaver.scramble(info)))
             streams = (list(info), p1, p2)
-            assert list(spec.encode(info)) == [streams[s][t] for s, t in spec.layout]
+            assert list(spec.encode(info)) == [streams[s][t] for s, t in layout(spec)]
 
     def test_linearity(self):
         rng = rng_for(2024, 2)
