@@ -10,11 +10,11 @@ A code stores the columns of A, each a tuple of strictly ascending
 check indices, and one edge array, built from them once, with numpy,
 when the code is made.  That array serves three uses: it validates the
 columns, it gives the check degrees and XOR starts of the Tanner graph
-the decoders share, and the encoder reads it.  The graph lists only the
-information variables' checks, the code's own column tuples, so a build
-makes no container per variable; a parity's two checks follow from its
-index.  ``parity_check_matrix()`` builds H on its own, as the reference
-the tests check both against.
+the decoders share, and the encoder reads it.  The decoders read each
+information variable's checks from the code's own column tuples, so a
+build makes no container per variable; a parity's two checks follow
+from its index.  ``parity_check_matrix()`` builds H on its own, as the
+reference the tests check both against.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+import operator
 
 import numpy as np
 
@@ -39,7 +40,7 @@ class StaircaseCode:
     K: int
     M: int
     left_cols: tuple[tuple[int, ...], ...]  # check indices per info column
-    kind: str = "ldpc-regular"
+    kind: str
 
     def __post_init__(self):
         if self.K < 1:
@@ -68,8 +69,8 @@ class StaircaseCode:
         """The edges of the left part A, one (variable, check) column
         each, variables ascending and each column's checks as given."""
         lengths = np.fromiter(map(len, self.left_cols), np.intp, self.K)
-        chk = np.fromiter(chain.from_iterable(self.left_cols), np.intp,
-                          int(lengths.sum()))
+        checks = map(operator.index, chain.from_iterable(self.left_cols))
+        chk = np.fromiter(checks, np.intp, int(lengths.sum()))
         return np.stack([np.repeat(np.arange(self.K), lengths), chk])
 
     def _edges_valid(self, edges: np.ndarray) -> bool:
@@ -91,18 +92,13 @@ class StaircaseCode:
         return Fraction(self.K, self.N)
 
     @cached_property
-    def tanner(self) -> tuple[tuple[tuple[int, ...], ...], list[int], list[int]]:
+    def tanner(self) -> tuple[list[int], list[int]]:
         """Peeling constants shared by every decoder of this code, which
-        only reads them: the checks of each information variable,
-        ascending, then the degree and the XOR start of each check.
+        only reads them: the degree and the XOR start of each check.
         Information variable v sits on its left column, parity K + i on
         checks i and, if i + 1 < M, i + 1, so check c holds the parities
         K + c and, for c >= 1, K + c - 1.  Check c's start is the XOR of
-        ``u << 1`` over its variables u.
-
-        The first item is ``left_cols`` itself, whose columns ascend, so a
-        cold build adds no container per variable, and seldom sets off a
-        collection of everything the imports made."""
+        ``u << 1`` over its variables u."""
         k, m = self.K, self.M
         var, chk = self._left_edges
         c = np.arange(m)
@@ -111,7 +107,7 @@ class StaircaseCode:
         np.bitwise_xor.at(starts, chk, var << 1)
         starts ^= (k + c) << 1
         starts[1:] ^= (k + c[1:] - 1) << 1
-        return self.left_cols, degrees.tolist(), starts.tolist()
+        return degrees.tolist(), starts.tolist()
 
     def parity_check_matrix(self) -> np.ndarray:
         h = np.zeros((self.M, self.N), dtype=np.uint8)
@@ -286,8 +282,8 @@ class PeelingDecoder(_CheckedDecoder):
     ``v << 1 | b`` into it.  So with one unknown left, ``acc >> 1`` is
     that variable and ``acc & 1`` its value; with none left, a nonzero
     ``acc`` is a contradiction.  Success means all K information
-    variables are known.  The graph is the code's ``tanner``, built once
-    and shared by all of its decoders.  One loop, the coroutine
+    variables are known.  The graph is the code's columns and ``tanner``,
+    built once and shared by all of its decoders.  One loop, the coroutine
     ``_propagate``, peels both the start state and every reception
     ``feed`` sends it.
     """
@@ -298,7 +294,8 @@ class PeelingDecoder(_CheckedDecoder):
         # Symbol values, kept apart from ``_received``: receiving a symbol
         # that peeling already pinned down is legal (and may contradict).
         self.values: list[int | None] = [None] * code.N
-        self._var_checks, degrees, starts = code.tanner
+        self._var_checks = code.left_cols
+        degrees, starts = code.tanner
         self._unknown = list(degrees)
         self._acc = list(starts)
         # Check 0 is the only one that can start with one variable, the

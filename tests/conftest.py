@@ -1,17 +1,23 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and helpers for the test suite.
 
 Everything here re-derives RSC behaviour from first principles (explicit
 shift registers, exhaustive path enumeration and forward-backward
 trellis pruning) without touching the library's transition tables, and
 staircase peeling from explicit edge sets, read off the rows of the
 code's parity-check matrix, without the decoder's Tanner graph or
-counters, so the two sides of each comparison stay independent.
+counters, so the two sides of each comparison stay independent.  The
+helpers at the end (a turbo test code, a spec's layout, seeded
+generators) use the library and are not oracles.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+
+from turbobec import RscSpec, make_pr_interleaver, make_turbo_spec
 
 
 def octal_taps(poly_octal: int, length: int) -> list[int]:
@@ -191,6 +197,13 @@ def oracle75() -> RegisterOracle:
 @pytest.fixture(scope="session")
 def paths75_k8(oracle75):
     return enumerate_codeword_paths(oracle75, 8)
+
+
+def turbo_spec(k, rate=Fraction(1, 3), seed=1):
+    """The (7,5) turbo code of K = ``k`` at ``rate`` with the
+    pseudo-random interleaver of ``seed``."""
+    return make_turbo_spec(RscSpec(0o7, 0o5, 3), k,
+                           make_pr_interleaver(k, seed), rate=rate)
 
 
 def layout(spec) -> list[tuple[int, int]]:

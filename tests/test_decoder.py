@@ -9,7 +9,7 @@ from turbobec import (LookupMasks, RscSpec, Status, TransitionTable,
 from turbobec.turbo import PARITY1, SYSTEMATIC
 
 from conftest import (RegisterOracle, enumerate_codeword_paths, layout,
-                      rng_for, trellis_fixpoint)
+                      rng_for, trellis_fixpoint, turbo_spec)
 
 RSC75 = RscSpec(0o7, 0o5, 3)
 TABLE75 = TransitionTable(RSC75)
@@ -22,10 +22,6 @@ def table75():
 
 def mask_rows(mask, table=TABLE75):
     return format_mask(mask, table).splitlines()
-
-
-def turbo_spec(k, rate=Fraction(1, 3), seed=1):
-    return make_turbo_spec(RSC75, k, make_pr_interleaver(k, seed), rate=rate)
 
 
 def single_trellis(k):
@@ -42,7 +38,7 @@ def receive_label(dec, t, pos, b):
     dec.receive(layout(dec.spec).index((stream, t)), b)
 
 
-def random_instance(k, rate, rng, seed=1):
+def random_instance(k, rate, rng):
     spec = turbo_spec(k, rate, seed=int(rng.integers(0, 1 << 16)))
     info = rng.integers(0, 2, k, dtype=np.uint8)
     cw = spec.encode(info)
@@ -151,12 +147,6 @@ class TestReception:
         assert mask_rows(dec.masks[0][4]) == ["0010", "1000", "0001", "0100"]
         assert dec.masks[1] == spec.start_decoder().masks[1]
 
-    def test_duplicate_symbol_rejected(self):
-        dec = turbo_spec(8).start_decoder()
-        dec.receive(0, 0)
-        with pytest.raises(ValueError):
-            dec.receive(0, 0)
-
     def test_contradiction_on_corrupted_word(self):
         spec = turbo_spec(8, seed=5)
         info = np.zeros(8, dtype=np.uint8)
@@ -191,98 +181,8 @@ class TestReception:
             contradictions += dec.contradiction
         assert contradictions > 10
 
-    @pytest.mark.parametrize("index, value, message", [
-        (-1, 0, "index -1 out of range"),
-        (24, 0, "index 24 out of range"),
-        (0, 2, "value 2 is not 0 or 1"),
-        (5, 0, "symbol 5 was already received"),
-    ])
-    def test_invalid_reception_changes_nothing(self, index, value, message):
-        spec = turbo_spec(8, seed=3)
-        cw = spec.encode(np.zeros(8, dtype=np.uint8))
-        dec = spec.start_decoder()
-        dec.receive(5, int(cw[5]))
-        before = ([list(c) for c in dec.masks], dec.determined_bits(),
-                  bytes(dec._received))
-        with pytest.raises(ValueError, match=message):
-            dec.receive(index, value)
-        after = ([list(c) for c in dec.masks], dec.determined_bits(),
-                 bytes(dec._received))
-        assert after == before
-
-    def test_rejected_call_leaves_decoder_usable(self):
-        spec = turbo_spec(8, seed=3)
-        info = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
-        cw = spec.encode(info)
-        dec = spec.start_decoder()
-        dec.receive(0, int(cw[0]))
-        for index, value in ((-1, 0), (spec.N, 0), (1, 2), (0, int(cw[0]))):
-            with pytest.raises(ValueError):
-                dec.receive(index, value)
-        for i in range(1, spec.N):
-            out = dec.receive(i, int(cw[i]))
-        assert out.status is Status.SUCCESS
-        assert dec.determined_bits() == list(info)
-
 
 class TestProperties:
-    def test_soundness_during_decode(self):
-        rng = rng_for(77, 0)
-        for _ in range(60):
-            spec, info, cw, order = random_instance(8, Fraction(1, 3), rng)
-            dec = spec.start_decoder()
-            for idx in order:
-                out = dec.receive(idx, int(cw[idx]))
-                for t, b in enumerate(dec.determined_bits()):
-                    if b is not None:
-                        assert b == info[t]
-                if out.status is Status.SUCCESS:
-                    break
-
-    def test_monotone_determinations(self):
-        rng = rng_for(77, 1)
-        spec, info, cw, order = random_instance(16, Fraction(1, 2), rng)
-        dec = spec.start_decoder()
-        seen = set()
-        for idx in order:
-            out = dec.receive(idx, int(cw[idx]))
-            now = {t for t, b in enumerate(dec.determined_bits()) if b is not None}
-            assert seen <= now
-            seen = now
-            if out.status is Status.SUCCESS:
-                break
-
-    def test_order_independence(self):
-        rng = rng_for(77, 2)
-        for _ in range(15):
-            spec, info, cw, order = random_instance(8, Fraction(1, 3), rng)
-            subset = order[: int(rng.integers(1, spec.N + 1))]
-            finals = []
-            for _ in range(4):
-                shuffled = list(subset)
-                rng.shuffle(shuffled)
-                dec = spec.start_decoder()
-                for idx in shuffled:
-                    dec.receive(idx, int(cw[idx]))
-                finals.append((dec.masks[0], dec.masks[1],
-                               tuple(dec.determined_bits())))
-            assert all(f == finals[0] for f in finals)
-
-    def test_completion_on_full_reception(self):
-        rng = rng_for(77, 3)
-        for rate in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
-            spec, info, cw, order = random_instance(16, rate, rng)
-            dec = spec.start_decoder()
-            out = dec.outcome()
-            r_stop = None
-            for count, idx in enumerate(order, start=1):
-                out = dec.receive(idx, int(cw[idx]))
-                if r_stop is None and out.status is Status.SUCCESS:
-                    r_stop = count
-            assert out.status is Status.SUCCESS
-            assert 16 <= r_stop <= spec.N
-            assert dec.determined_bits() == list(info)
-
     def test_removal_work_is_linear_in_k(self, table75):
         rng = rng_for(77, 4)
         for k in (8, 32):
@@ -326,6 +226,53 @@ class TestProperties:
                         for row, col in zip(rows, cols):
                             assert bool(m & col) == bool(m_next & row)
         assert contradictions
+
+    @pytest.mark.parametrize("rate", [
+        Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)],
+        ids=["r13", "r12", "r23"])
+    @pytest.mark.parametrize("rsc", [
+        RSC75, RscSpec(0o13, 0o15, 4), RscSpec(0o23, 0o35, 5)],
+        ids=["75", "1315", "2335"])
+    def test_each_chain_holds_a_power_of_two_paths(self, rsc, rate):
+        # Each chain is one terminated constituent code with an exact
+        # closure, so its paths form an affine space over GF(2): 2^K at
+        # the start, halved by each reception or injection that changes
+        # the chain's masks, and 1 in both chains exactly at success.
+        k = 16
+        table = TransitionTable(rsc)
+        arcs = [(i, j, table.arc_bit(i, j))
+                for i, j, _, _ in table.transitions()]
+
+        def paths(chain):
+            """The paths from state 0 to state 0 through the masks."""
+            count = [1] + [0] * (table.n_states - 1)
+            for mask in chain:
+                count, prev = [0] * table.n_states, count
+                for i, j, bit in arcs:
+                    if mask & bit:
+                        count[j] += prev[i]
+            return count[0]
+
+        rng = rng_for(77, 9, rsc.feedback_poly, rate.denominator)
+        for _ in range(5):
+            pi = make_pr_interleaver(k, int(rng.integers(0, 1 << 16)))
+            spec = make_turbo_spec(rsc, k, pi, rate=rate)
+            cw = spec.encode(rng.integers(0, 2, k, dtype=np.uint8)).tolist()
+            dec = spec.start_decoder()
+            masks = [list(chain) for chain in dec.masks]
+            counts = [paths(chain) for chain in masks]
+            assert counts == [1 << k] * 2
+            for idx in rng.permutation(spec.N).tolist():
+                status = dec.receive(idx, cw[idx]).status
+                for d, chain in enumerate(dec.masks):
+                    n = paths(chain)
+                    assert n > 0 and not n & (n - 1), f"{n} paths"
+                    assert n <= counts[d]
+                    assert (n < counts[d]) == (chain != masks[d])
+                    counts[d], masks[d] = n, list(chain)
+                assert (counts == [1, 1]) == (status is Status.SUCCESS)
+                if status is Status.SUCCESS:
+                    break
 
 
 class TestPerTrellisExactness:
@@ -418,36 +365,3 @@ class TestPerCodeConstants:
         fresh = spec.start_decoder()
         assert fresh.masks == [boundary_masks(spec.table, spec.K)] * 2
         assert fresh.lm is spec.lookup
-
-    @pytest.mark.parametrize("rsc, rate", [
-        (RSC75, Fraction(1, 3)), (RscSpec(0o13, 0o15, 4), Fraction(1, 2))],
-        ids=["75", "1315"])
-    def test_interleaved_decoders_match_sequential(self, rsc, rate):
-        k = 32
-
-        def build():
-            return make_turbo_spec(rsc, k, make_pr_interleaver(k, 9), rate=rate)
-
-        rng = rng_for(78, 1)
-        spec = build()
-        words = [spec.encode(rng.integers(0, 2, k, dtype=np.uint8))
-                 for _ in range(2)]
-        orders = [[int(x) for x in rng.permutation(spec.N)] for _ in range(2)]
-
-        def step(dec, cw, idx):
-            status = dec.receive(idx, int(cw[idx])).status
-            return status, dec.determined_bits()
-
-        sequential = build()
-        alone = []
-        for cw, order in zip(words, orders):
-            dec = sequential.start_decoder()
-            alone.append([step(dec, cw, idx) for idx in order])
-
-        decs = [spec.start_decoder(), spec.start_decoder()]
-        together = [[], []]
-        for pair in zip(*orders):
-            for j in (0, 1):
-                together[j].append(step(decs[j], words[j], pair[j]))
-        assert together == alone
-        assert all(trace[-1][0] is Status.SUCCESS for trace in together)

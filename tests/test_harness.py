@@ -1,25 +1,15 @@
-import importlib.util
 import math
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from turbobec import (RscSpec, RunStats, Status, make_pr_interleaver,
-                      make_turbo_spec, run_campaign, run_trial)
+from turbobec import RunStats, Status, run_campaign, run_trial
 from turbobec.harness import CSV_HEADER, stats_row, sweep, trial_rng
 from turbobec.ldpc import build_regular_staircase
 from turbobec.turbo import PARITY1, PARITY2, SYSTEMATIC
 
-from conftest import enumerate_codeword_paths, RegisterOracle
-
-RSC75 = RscSpec(0o7, 0o5, 3)
-
-
-def turbo_spec(k, rate=Fraction(1, 3), seed=1):
-    return make_turbo_spec(RSC75, k, make_pr_interleaver(k, seed), rate=rate)
+from conftest import enumerate_codeword_paths, RegisterOracle, turbo_spec
 
 
 class TestFormulas:
@@ -74,43 +64,6 @@ class TestTrials:
         assert stats.mu_av == pytest.approx(sum(mus) / 10)
         var = sum((m - stats.mu_av) ** 2 for m in mus) / 9
         assert stats.mu_std == pytest.approx(math.sqrt(var))
-
-    @pytest.mark.parametrize("build", [
-        lambda: turbo_spec(32, Fraction(1, 2)),
-        lambda: build_regular_staircase(32, Fraction(1, 3), seed=2),
-    ], ids=["turbo", "ldpc"])
-    def test_known_count_tracks_determined_bits(self, build):
-        code = build()
-        rng = trial_rng(12, 0)
-        cw = code.encode(rng.integers(0, 2, code.K, dtype=np.uint8))
-        dec = code.start_decoder()
-        assert dec.known_count() == 0
-        for sym in rng.permutation(code.N):
-            dec.receive(int(sym), int(cw[sym]))
-            assert dec.known_count() == sum(
-                b is not None for b in dec.determined_bits())
-        assert dec.known_count() == code.K
-
-    @pytest.mark.parametrize("family, build", [
-        ("turbo", lambda: turbo_spec(64)),
-        ("ldpc", lambda: build_regular_staircase(64, Fraction(1, 3), seed=2)),
-    ], ids=["turbo", "ldpc"])
-    def test_benchmark_traced_trial_matches_run_trial(self, family, build,
-                                                      monkeypatch):
-        # The benchmark replays run_trial one receive() at a time, reading
-        # its .status, and checks that it stops at the same r_stop.
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        loader = importlib.util.spec_from_file_location("tracing", path)
-        tracing = importlib.util.module_from_spec(loader)
-        monkeypatch.setitem(sys.modules, "tracing", tracing)
-        loader.loader.exec_module(tracing)
-        code = build()
-        tracer = tracing.Tracer()
-        for i in range(5):
-            traced = tracing.traced_trial(code, family, 13, i, tracer)
-            assert traced.error is None
-            assert traced.r_stop == run_trial(code, 13, i).r_stop
-            assert traced.decoder.outcome().status is Status.SUCCESS
 
     def test_trace_monotone(self):
         spec = turbo_spec(16)

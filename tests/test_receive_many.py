@@ -1,9 +1,11 @@
-"""``feed``, the one checked reception loop of both decoders.
+"""``feed``, the one checked reception loop of both decoders, and the
+reception contract every code family shares, tested here once on each.
 
 A batch must leave a decoder exactly where the same pairs fed one at a
 time through ``receive`` leave it, stop after the reception that ends
 the decode without drawing another pair, and check each pair before
-that pair changes any state.
+that pair changes any state.  Decoders of one code share its per-code
+constants and must not alter them.
 """
 
 import gc
@@ -25,13 +27,15 @@ BUILDERS = {
         RscSpec(0o13, 0o15, 4), 64, make_pr_interleaver(64, seed),
         rate=Fraction(1, 2)),
     "ldpc": lambda seed: build_regular_staircase(64, Fraction(1, 3), seed),
+    "ldpc-r12": lambda seed: build_regular_staircase(64, Fraction(1, 2), seed),
 }
 
 
 def snapshot(dec):
-    """Everything a reception can change, masks or peeled values first."""
+    """Everything a reception can change: the masks, or the peeled values
+    and each check's unknown count and accumulator, first."""
     state = ([list(c) for c in dec.masks] if hasattr(dec, "masks")
-             else list(dec.values))
+             else (list(dec.values), list(dec._unknown), list(dec._acc)))
     return (state, dec.determined_bits(), dec.known_count(),
             bytes(dec._received), dec.outcome().status)
 
@@ -85,15 +89,18 @@ def test_batches_match_a_receive_loop(family):
 @pytest.mark.parametrize("family", BUILDERS)
 @pytest.mark.parametrize("bad, message", [
     ((-1, 0), "index -1 out of range"),
+    (("N", 0), "index {N} out of range"),
     ((10**6, 0), "index 1000000 out of range"),
     ((None, 2), "value 2 is not 0 or 1"),
     ((None, None), "was already received"),
-], ids=["negative", "too-big", "value", "duplicate"])
+], ids=["negative", "n", "too-big", "value", "duplicate"])
 def test_bad_pair_mid_batch_raises_after_the_pairs_before_it(
         family, bad, message):
     code, cw, order = instance(BUILDERS[family], rng_for(91), flips=0)
     good = order[:5]
     index, value = bad
+    if index == "N":
+        index = code.N
     if index is None:
         index = order[5] if value is not None else good[2]
     if value is None:
@@ -105,13 +112,15 @@ def test_bad_pair_mid_batch_raises_after_the_pairs_before_it(
     for idx in good:
         expect.receive(idx, cw[idx])
     dec = code.start_decoder()
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message.format(N=code.N)):
         take(dec, indices, values)
     assert snapshot(dec) == snapshot(expect)
-    # The decoder stays usable: the rest of the word still decodes.
+    # The decoder stays usable: the rest of the word still decodes.  Both
+    # encoders are one-to-one, so the bits it determined are the word's.
     rest = order[5:]
     assert take(dec, rest, [cw[i] for i in rest]) <= len(rest)
     assert dec.outcome().status is Status.SUCCESS
+    assert code.encode(dec.determined_bits()).tolist() == cw
 
 
 @pytest.mark.parametrize("family", BUILDERS)
@@ -162,12 +171,18 @@ def test_known_count_at_every_yield(family, flips):
         code, cw, order = instance(BUILDERS[family], rng, flips)
         expect = [state[2] for state in receive_loop(code, cw, order)]
         dec = code.start_decoder()
+        before = dec.determined_bits()
+        assert before == [None] * code.K and dec.known_count() == 0
         got = []
         for _ in dec.feed((idx, cw[idx]) for idx in order):
             bits = dec.determined_bits()
             assert dec.known_count() == len(bits) - bits.count(None)
+            # A determined bit stays determined, with the same value.
+            assert all(a is None or a == b for a, b in zip(before, bits))
+            before = bits
             got.append(dec.known_count())
         assert got == expect
+        assert flips or got[-1] == code.K
 
 
 @pytest.mark.parametrize("family", BUILDERS)
@@ -236,6 +251,34 @@ def test_a_decoder_is_freed_without_the_cycle_collector(family):
         assert gone() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("family", BUILDERS)
+def test_interleaved_decoders_match_sequential(family):
+    # Decoders of one code share its per-code constants and none alters
+    # them: two fed in turns give the statuses and bits that decoders
+    # started one after another, on a second copy of the code, give.
+    rng = rng_for(97, list(BUILDERS).index(family))
+    code = BUILDERS[family](9)
+    words = [code.encode(rng.integers(0, 2, code.K, dtype=np.uint8)).tolist()
+             for _ in range(2)]
+    orders = [rng.permutation(code.N).tolist() for _ in range(2)]
+
+    def step(dec, cw, idx):
+        return dec.receive(idx, cw[idx]), dec.determined_bits()
+
+    sequential = BUILDERS[family](9)
+    alone = []
+    for cw, order in zip(words, orders):
+        dec = sequential.start_decoder()
+        alone.append([step(dec, cw, idx) for idx in order])
+    decs = [code.start_decoder(), code.start_decoder()]
+    together = [[], []]
+    for pair in zip(*orders):
+        for j in (0, 1):
+            together[j].append(step(decs[j], words[j], pair[j]))
+    assert together == alone
+    assert all(trace[-1][0].status is Status.SUCCESS for trace in together)
 
 
 @pytest.mark.parametrize("family", BUILDERS)
