@@ -63,11 +63,11 @@ class _CheckedDecoder:
         before changing any state for that pair, if its index is outside
         0..N-1, its value is not 0 or 1, the symbol was received before,
         or the decoder is already in a contradiction; the pairs before it
-        stay received.  A pair that passes is marked received and sent to
-        the decoder's ``_propagate`` coroutine, which settles it before r
-        is yielded; the stop rule is tested when the feed resumes.  So a
-        feed may be abandoned after any r, or left suspended while other
-        receptions reach the decoder.
+        stay received.  A pair that passes is marked received and sent,
+        with its value as the int 0 or 1, to the decoder's ``_propagate``
+        coroutine, which settles it before r is yielded; the stop rule is
+        tested when the feed resumes.  So a feed may be abandoned after
+        any r, or left suspended while other receptions reach the decoder.
         """
         # The coroutine lives in this frame only: one kept on the decoder
         # would make a reference cycle that only the cycle collector frees.
@@ -89,7 +89,7 @@ class _CheckedDecoder:
                 raise ValueError(
                     f"symbol {index}: decoder is in a contradiction state")
             received[index] = 1
-            settle((index, int(value)))
+            settle((index, 1 if value else 0))
             r += 1
             yield r
             if self.contradiction or not self.unknown:

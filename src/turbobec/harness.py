@@ -1,8 +1,11 @@
 """Monte-Carlo inefficiency measurement.
 
-A trial encodes a uniform random information word and feeds the codeword
-symbols to the decoder in a uniform random order; r_stop is the number
-of symbols consumed when decoding first succeeds, and mu = r_stop / K.
+A trial feeds the symbols of a codeword to the decoder in a uniform
+random order; r_stop is the number of symbols consumed when decoding
+first succeeds, and mu = r_stop / K.  On the erasure channel a trial is
+its arrival order, so it feeds the all-zero codeword; it still draws a
+uniform information word first, which keeps every seed's r_stop and
+every CSV byte-identical to those of a trial that encodes that word.
 Campaign aggregates give the average inefficiency, the estimated
 recovery threshold p_th = 1 - mu_av * R_c, and the gap to the channel
 capacity p = 1 - R_c.
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -55,29 +59,31 @@ def trial_rng(base_seed: int, index: int) -> np.random.Generator:
 
 def run_trial(code, base_seed: int, index: int = 0,
               trace: list | None = None) -> TrialRecord:
-    """One seeded encode / random-arrival decode; records r_stop.
+    """One seeded random-arrival decode; records r_stop.
 
-    ``code`` is any object with K, N, encode() and start_decoder(),
-    i.e. a TurboCodeSpec or a StaircaseCode.  The whole arrival order
-    goes to the decoder's ``feed``, and r_stop is the count of symbols
-    it took when it stopped.  ``trace``, if given, collects the
-    decoder's known_count() (determined information bits) after each
-    reception.
+    ``code`` is any object with K, N and start_decoder(), i.e. a
+    TurboCodeSpec or a StaircaseCode.  A trial is its arrival order: the
+    codes are linear and the channel erases, so what a prefix of
+    arrivals determines depends on its positions alone, never on the
+    word sent.  The trial therefore feeds the all-zero codeword.  It
+    still draws the uniform information word first, so each seed's
+    random stream, and with it the arrival order, is the one a genuine
+    word's trial would use, and CSVs stay byte-identical.  The whole
+    arrival order goes to the decoder's ``feed``, and r_stop is the
+    count of symbols it took when it stopped.  ``trace``, if given,
+    collects the decoder's known_count() (determined information bits)
+    after each reception.
     """
     rng = trial_rng(base_seed, index)
-    info = rng.integers(0, 2, code.K, dtype=np.uint8)
-    codeword = code.encode(info)
+    rng.integers(0, 2, code.K, dtype=np.uint8)  # drawn to keep the seed's stream
     order = rng.permutation(code.N)
-    symbols, values = order.tolist(), codeword[order].tolist()
     decoder = code.start_decoder()
-    for r_stop in decoder.feed(zip(symbols, values, strict=True)):
+    for r_stop in decoder.feed(zip(order.tolist(), repeat(0))):
         if trace is not None:
             trace.append(decoder.known_count())
     status = decoder.outcome().status
     if status is Status.CONTRADICTION:
-        raise RuntimeError(
-            "contradiction while decoding a genuine codeword; decoder bug"
-        )
+        raise RuntimeError("contradiction while decoding a codeword; decoder bug")
     if status is not Status.SUCCESS:
         raise RuntimeError("full reception did not reach success; decoder bug")
     return TrialRecord(index, r_stop, r_stop / code.K)

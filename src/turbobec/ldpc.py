@@ -54,14 +54,18 @@ class StaircaseCode:
         except (TypeError, ValueError, OverflowError):
             edges = None
         if edges is None or not self._edges_valid(edges):
-            # Name the first bad column's fault.
+            # Name the first bad column's fault; an index that cannot be
+            # compared with an int is not an integer.
             for col in self.left_cols:
-                if len(set(col)) != len(col):
-                    raise ValueError("duplicate edge in a left column")
-                if any(not 0 <= r < self.M for r in col):
-                    raise ValueError("check index out of range")
-                if list(col) != sorted(col):
-                    raise ValueError("check indices of a left column must ascend")
+                try:
+                    if len(set(col)) != len(col):
+                        raise ValueError("duplicate edge in a left column")
+                    if any(not 0 <= r < self.M for r in col):
+                        raise ValueError("check index out of range")
+                    if list(col) != sorted(col):
+                        raise ValueError("check indices of a left column must ascend")
+                except TypeError:
+                    break
             raise TypeError("check indices must be integers")
         object.__setattr__(self, "_left_edges", edges)
 

@@ -7,7 +7,8 @@ staircase peeling from explicit edge sets, read off the rows of the
 code's parity-check matrix, without the decoder's Tanner graph or
 counters, so the two sides of each comparison stay independent.  The
 helpers at the end (a turbo test code, a spec's layout, seeded
-generators) use the library and are not oracles.
+generators, a trial that decodes the genuine codeword) use the library
+and are not oracles.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from turbobec import RscSpec, make_pr_interleaver, make_turbo_spec
+from turbobec import RscSpec, Status, make_pr_interleaver, make_turbo_spec
+from turbobec.harness import trial_rng
 
 
 def octal_taps(poly_octal: int, length: int) -> list[int]:
@@ -214,3 +216,19 @@ def layout(spec) -> list[tuple[int, int]]:
 
 def rng_for(*seed) -> np.random.Generator:
     return np.random.default_rng(list(seed))
+
+
+def genuine_trial(code, base_seed, index, trace):
+    """A trial that decodes the genuine codeword: the same seeded draws
+    as ``run_trial``, the information word encoded, and each symbol fed
+    with its value.  Returns r_stop and fills ``trace`` with the
+    decoder's known_count() after each reception."""
+    rng = trial_rng(base_seed, index)
+    codeword = code.encode(rng.integers(0, 2, code.K, dtype=np.uint8))
+    order = rng.permutation(code.N)
+    decoder = code.start_decoder()
+    for r_stop in decoder.feed(zip(order.tolist(), codeword[order].tolist(),
+                                   strict=True)):
+        trace.append(decoder.known_count())
+    assert decoder.outcome().status is Status.SUCCESS
+    return r_stop

@@ -275,6 +275,54 @@ class TestProperties:
                     break
 
 
+    @pytest.mark.parametrize("rate", [
+        Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)],
+        ids=["r13", "r12", "r23"])
+    @pytest.mark.parametrize("rsc", [
+        RSC75, RscSpec(0o13, 0o15, 4), RscSpec(0o23, 0o35, 5)],
+        ids=["75", "1315", "2335"])
+    def test_closure_work_is_exact(self, rsc, rate):
+        # Past the start state every mask change halves its mask: each
+        # one halves a chain's affine space of paths.  So a decode that
+        # succeeds from the start state makes exactly 2*K*L of them, the
+        # bits of every step down to one transition.  The one exception
+        # is the op that empties its own step, the last change of a
+        # contradiction.  And the pins hold after every reception, which
+        # is what lets a left walk run past step 0 without a bound test.
+        length = rsc.constraint_length
+        rng = rng_for(77, 10, rsc.feedback_poly, rate.denominator)
+        for k, flips in ((64, 0), (128, 0), (256, 0), (64, 1), (128, 2), (64, 4)):
+            pi = make_pr_interleaver(k, int(rng.integers(0, 1 << 16)))
+            spec = make_turbo_spec(rsc, k, pi, rate=rate)
+            row0, col0 = spec.lookup.row_masks[0], spec.lookup.col_masks[0]
+            cw = spec.encode(rng.integers(0, 2, k, dtype=np.uint8))
+            cw[rng.choice(spec.N, flips, replace=False)] ^= 1
+            dec = spec.start_decoder()
+            changes = []
+
+            class RecordingChain(list):
+                def __setitem__(self, t, mask):
+                    changes.append((self[t], mask))
+                    super().__setitem__(t, mask)
+
+            dec.masks[:] = [RecordingChain(chain) for chain in dec.masks]
+            for idx in rng.permutation(spec.N).tolist():
+                status = dec.receive(idx, int(cw[idx])).status
+                for chain in dec.masks:
+                    assert not chain[0] & ~row0
+                    assert not chain[-1] & ~col0
+                assert len(dec.determined_bits()) == k
+                if status is not Status.IN_PROGRESS:
+                    break
+            if status is Status.CONTRADICTION:
+                assert changes.pop()[1] == 0
+            assert all(2 * new.bit_count() == old.bit_count()
+                       for old, new in changes)
+            if not flips:
+                assert status is Status.SUCCESS
+                assert len(changes) == 2 * k * length
+
+
 class TestPerTrellisExactness:
     """Closure on one trellis equals brute-force path enumeration."""
 

@@ -1,15 +1,19 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from turbobec import RunStats, Status, run_campaign, run_trial
+from turbobec import (RscSpec, RunStats, Status, build_irregular_staircase,
+                      load_degree_distribution, make_pr_interleaver,
+                      make_turbo_spec, run_campaign, run_trial)
 from turbobec.harness import CSV_HEADER, stats_row, sweep, trial_rng
 from turbobec.ldpc import build_regular_staircase
 from turbobec.turbo import PARITY1, PARITY2, SYSTEMATIC
 
-from conftest import enumerate_codeword_paths, RegisterOracle, turbo_spec
+from conftest import (enumerate_codeword_paths, genuine_trial, RegisterOracle,
+                      turbo_spec)
 
 
 class TestFormulas:
@@ -71,6 +75,42 @@ class TestTrials:
         run_trial(spec, 11, 0, trace=trace)
         assert trace == sorted(trace)
         assert trace[-1] == 16
+
+
+IRREGULAR = Path(__file__).resolve().parents[1] / "configs" / "irregular_example.txt"
+
+
+class TestArrivalOrderTrial:
+    """``run_trial`` feeds the all-zero codeword in the arrival order of
+    a trial that encodes its drawn information word; both trials must
+    take the same symbols and determine the same bits after each one."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: turbo_spec(64),
+        lambda: make_turbo_spec(RscSpec(0o13, 0o15, 4), 128,
+                                make_pr_interleaver(128, 2), rate=Fraction(1, 2)),
+        lambda: turbo_spec(256, Fraction(2, 3), seed=3),
+        lambda: build_regular_staircase(64, Fraction(1, 3), seed=3),
+        lambda: build_regular_staircase(256, Fraction(2, 3), seed=4),
+        lambda: build_irregular_staircase(
+            128, Fraction(1, 2), load_degree_distribution(IRREGULAR), seed=5),
+    ], ids=["turbo75-r13-k64", "turbo1315-r12-k128", "turbo75-r23-k256",
+            "ldpc-r13-k64", "ldpc-r23-k256", "irregular-r12-k128"])
+    def test_matches_the_genuine_codeword_trial(self, build, monkeypatch):
+        code = build()
+        genuine = []
+        for i in range(50):
+            trace = []
+            genuine.append((genuine_trial(code, 8, i, trace), trace))
+
+        def no_encode(self, info):
+            raise AssertionError("run_trial encoded a word")
+
+        monkeypatch.setattr(type(code), "encode", no_encode)
+        for i, (r_stop, trace) in enumerate(genuine):
+            got = []
+            assert run_trial(code, 8, i, trace=got).r_stop == r_stop
+            assert got == trace
 
 
 class BruteForceTurboReplay:

@@ -207,8 +207,9 @@ class TestValidation:
     def test_rejects_indices_that_are_not_integers(self):
         # No column has a duplicate, an index out of range or a descent,
         # so no other message fits.  numpy alone would truncate the
-        # first to the one check 1 and the second to two distinct checks.
-        for col in ((1.2, 1.7), (0.5, 1.5)):
+        # first to the one check 1 and the second to two distinct checks,
+        # and a string cannot be compared with the range's bounds.
+        for col in ((1.2, 1.7), (0.5, 1.5), ("1",)):
             with pytest.raises(TypeError,
                                match="check indices must be integers"):
                 StaircaseCode(2, 4, (col, (0,)), kind="hand")

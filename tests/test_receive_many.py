@@ -87,6 +87,24 @@ def test_batches_match_a_receive_loop(family):
 
 
 @pytest.mark.parametrize("family", BUILDERS)
+def test_values_reach_the_decoder_as_plain_ints(family):
+    # Any value equal to 0 or 1 is taken, and the decoder gets it as
+    # the int 0 or 1: a numpy scalar fed on into peeling would turn its
+    # ops into numpy ints, and a float or a Fraction would break them.
+    rng = rng_for(90, 9, list(BUILDERS).index(family))
+    for flips in (0, 1):
+        code, cw, order = instance(BUILDERS[family], rng, flips)
+        plain = code.start_decoder()
+        take(plain, order, [cw[i] for i in order])
+        for kind in (bool, np.uint8, np.int64, float, Fraction):
+            dec = code.start_decoder()
+            take(dec, order, [kind(cw[i]) for i in order])
+            assert snapshot(dec) == snapshot(plain)
+            kept = dec.determined_bits() + getattr(dec, "values", [])
+            assert all(type(v) is int for v in kept if v is not None)
+
+
+@pytest.mark.parametrize("family", BUILDERS)
 @pytest.mark.parametrize("bad, message", [
     ((-1, 0), "index -1 out of range"),
     (("N", 0), "index {N} out of range"),
