@@ -13,6 +13,7 @@ files of both code families and of the command line.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,14 +61,15 @@ class _CheckedDecoder:
 
         Returns after the pair that leaves the decode over, in success or
         in a contradiction, without drawing another.  Raises ValueError,
-        before changing any state for that pair, if its index is outside
-        0..N-1, its value is not 0 or 1, the symbol was received before,
-        or the decoder is already in a contradiction; the pairs before it
-        stay received.  A pair that passes is marked received and sent,
-        with its value as the int 0 or 1, to the decoder's ``_propagate``
-        coroutine, which settles it before r is yielded; the stop rule is
-        tested when the feed resumes.  So a feed may be abandoned after
-        any r, or left suspended while other receptions reach the decoder.
+        before changing any state for that pair, if its index is not an
+        integer or is outside 0..N-1, its value is not 0 or 1, the symbol
+        was received before, or the decoder is already in a contradiction;
+        the pairs before it stay received.  A pair that passes is marked
+        received and sent, with its index as a plain int and its value as
+        the int 0 or 1, to the decoder's ``_propagate`` coroutine, which
+        settles it before r is yielded; the stop rule is tested when the
+        feed resumes.  So a feed may be abandoned after any r, or left
+        suspended while other receptions reach the decoder.
         """
         # The coroutine lives in this frame only: one kept on the decoder
         # would make a reference cycle that only the cycle collector frees.
@@ -75,8 +77,14 @@ class _CheckedDecoder:
         settle(None)
         received = self._received
         n = len(received)
+        # A numpy index fed on into peeling would make its ops numpy ints.
+        as_int = operator.index
         r = 0  # a counter: ``enumerate`` measured about 1% slower per trial
         for index, value in pairs:
+            try:
+                index = as_int(index)
+            except TypeError:
+                raise ValueError(f"symbol index {index!r} is not an integer") from None
             if not 0 <= index < n:
                 raise ValueError(
                     f"symbol index {index} out of range 0..{n - 1}")

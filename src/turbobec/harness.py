@@ -54,7 +54,7 @@ class RunStats:
 
 
 def trial_rng(base_seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([base_seed, index])))
+    return np.random.default_rng([base_seed, index])
 
 
 def run_trial(code, base_seed: int, index: int = 0,

@@ -217,7 +217,7 @@ def build_regular_staircase(k: int, rate: Fraction, seed: int,
     m = _parity_count(k, rate)
     if k < column_weight or m < column_weight:
         raise ValueError("block too short for the requested column weight")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     cols = _assign_columns([column_weight] * k, m, rng)
     return StaircaseCode(k, m, tuple(cols), kind="ldpc-regular")
 
@@ -251,7 +251,7 @@ def build_irregular_staircase(k: int, rate: Fraction,
     if heavy:
         raise ValueError(f"column weight {min(heavy)} exceeds the check count {m}")
     weights = [d for d in sorted(counts) for _ in range(counts[d])]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     shuffled = np.empty(k, dtype=np.intp)
     shuffled[rng.permutation(k)] = weights
     cols = _assign_columns(shuffled.tolist(), m, rng)

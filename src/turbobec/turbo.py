@@ -14,28 +14,29 @@ information bit whose surviving transitions all agree is recorded once,
 in one knowledge array indexed by information position, and injected
 into the other trellis at its interleaved step.
 
-The whole closure is one loop over a stack of (trellis, step, AND mask)
-ops, and it is the decoder's only loop: the coroutine ``_propagate``
-drains the stack, then waits for ``feed`` to send it the next checked
-reception, pushes that reception's op and drains again.
+The decoder keeps both trellises' steps in one list of slots, chain
+0's, then chain 1's, then a sentinel.  The whole closure is one loop
+over a stack of (slot, AND mask) ops, and it is the decoder's only
+loop: the coroutine ``_propagate`` drains the stack, then waits for
+``feed`` to send it the next checked reception, pushes that
+reception's op and drains again.
 An op that changes its step walks from it along its chain, first left,
 then right: each next step ANDs in the keep mask of the step before
-it, and the walk stops at the first step that does not change or at
-the chain end.  A walked step never sends anything back: the step
-before it has already emptied every row or column that it could empty
-there.  So the stack holds only receptions and injections.  Every op
-and every walked step only ANDs bits out of a mask, so the masks
-converge to one fixpoint, the largest below the start masks, whatever
-the order of the ops or of the receptions.  Only an op's own step can
-empty, and that contradiction ends the decode.  A walked step cannot:
-between ops each chain is at its row/column fixpoint, where a state is
-entered at step s exactly when it is left at step s+1, so each state
-that the non-empty step before a walked step still uses keeps a
-transition there.  A left walk needs no test for the chain's start:
-the pins keep step 0 inside row 0 and the last step inside column 0,
-so a left walk past step 0 reads the last step and stops there
-unchanged.  A tail step maps to a slot past the word, so no step tests
-whether it carries an information bit.
+it, and the walk stops at the first step that does not change.  A
+walked step never sends anything back: the step before it has already
+emptied every row or column that it could empty there.  So the stack
+holds only receptions and injections.  Every op and every walked step
+only ANDs bits out of a mask, so the masks converge to one fixpoint,
+the largest below the start masks, whatever the order of the ops or of
+the receptions.  Only an op's own step can empty, and that
+contradiction ends the decode.  A walked step cannot: between ops each
+chain is at its row/column fixpoint, where a state is entered at step
+s exactly when it is left at step s+1, so each state that the
+non-empty step before a walked step still uses keeps a transition
+there.  No walk tests for the end of its chain: one that leaves it
+stops unchanged on a pinned step of the other chain or on the
+sentinel, the 0->0 transition.  A tail step maps to a slot past the
+word, so no step tests whether it carries an information bit.
 
 Both constituent paths are zero-state terminated by L-1 tail steps
 whose bits are never transmitted.  So the encoder does not run them: it
@@ -112,12 +113,12 @@ def identity_interleaver(k: int) -> Interleaver:
 def make_pr_interleaver(k: int, seed: int) -> Interleaver:
     """Pseudo-random interleaver, reproducible for a given seed.
 
-    Uses numpy's PCG64 generator seeded through SeedSequence, i.e. a
-    fully specified Fisher-Yates shuffle.
+    Uses ``np.random.default_rng(seed)``, numpy's PCG64 generator seeded
+    through SeedSequence, i.e. a fully specified Fisher-Yates shuffle.
     """
     if k < 1:
         raise ValueError("K must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     return Interleaver(tuple(rng.permutation(k).tolist()), kind=f"pr:{seed}")
 
 
@@ -257,20 +258,19 @@ class TurboCodeSpec:
         return np.concatenate([info, np.array(parity, dtype=np.uint8)])[self._gather]
 
     @cached_property
-    def _chain_maps(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per decoder chain, the information position of each step and
-        the step of each position, shared by every decoder of this code.
+    def _positions(self) -> tuple[int, ...]:
+        """The information position of each decoder slot, shared by every
+        decoder of this code.
 
-        Chain 0 carries position t at step t, chain 1 position ``pi[u]``
-        at step u.  Tail step K + j of either chain carries slot K + j,
-        past the word.  All four are tuples, not ranges: CPython 3.11
-        specialises a subscript only while every operand it meets has one
-        type, and a tuple's is its fastest.
+        Chain 0's step t carries position t and chain 1's step u
+        position ``pi[u]``; tail step K + j of either chain carries slot
+        K + j of ``determined``, past the word.  The sentinel's entry,
+        last, is never read.  A tuple, not a range: CPython 3.11
+        specialises a subscript only while every operand it meets has
+        one type, and a tuple's is its fastest.
         """
         n = self.K + self.rsc.constraint_length - 1
-        identity = tuple(range(n))
-        pi = self.interleaver
-        return (identity, pi.pi + identity[self.K:]), (identity, pi.pi_inv)
+        return (*range(n), *self.interleaver.pi, *range(self.K, n), 0)
 
     def start_decoder(self) -> TurboErasureDecoder:
         return TurboErasureDecoder(self)
@@ -307,56 +307,59 @@ class TurboErasureDecoder(_CheckedDecoder):
     :meth:`feed` (or :meth:`receive`, one at a time); decoding succeeds,
     and ``feed`` stops, once all K information bits are determined.
 
-    ``masks[0]`` and ``masks[1]`` are the step-mask chains of the two
+    ``masks`` returns fresh copies of the step-mask chains of the two
     trellises.  Chain 0 carries information position t at step t, chain
-    1 carries position ``pi[u]`` at step u.  ``determined[p]`` is what
-    the chains know of position p; its L-1 slots past the word belong to
-    the tail steps and are never None.  ``lm`` is ``spec.lookup``.
+    1 carries position ``pi[u]`` at step u.  The decoder keeps both in
+    one list of slots, chain 0's K + L - 1 steps, then chain 1's, then
+    one sentinel slot.  ``determined[p]`` is what the chains know of
+    position p; its L-1 slots past the word belong to the tail steps and
+    are never None.  ``lm`` is ``spec.lookup``.
     """
 
     def __init__(self, spec: TurboCodeSpec):
         super().__init__(spec.K, spec.N)
         self.spec = spec
         self.lm = lm = spec.lookup
-        k = spec.K
-        self.n_steps = n = k + spec.rsc.constraint_length - 1
-        # Per chain: the information position of each step, and its inverse.
-        self._position, self._step = spec._chain_maps
-        # The pins: step 0 leaves state 0 and the last step enters it.  They
-        # are set before the loop runs, so that a walk past step 0 always
-        # meets a pinned last step.  Step 0 keeps both information bits, so
-        # setting the pins forces none.  The loop walks on from each pinned
-        # end with an op that ANDs the end's keep mask into its neighbour;
-        # a keep mask of 0 removes nothing.
+        self.n_steps = n = spec.K + spec.rsc.constraint_length - 1
+        # The pins: step 0 of each chain leaves state 0 and its last step
+        # enters it.  They are set before the loop runs, so that a walk that
+        # leaves a chain stops on a pin or on the sentinel.  Step 0 keeps
+        # both information bits, so the pins force none.  The loop walks on
+        # from each pinned end with an op that ANDs the end's keep mask into
+        # its neighbour; a keep mask of 0 removes nothing.
         row0, col0 = lm.row_masks[0], lm.col_masks[0]
-        self.masks = [[lm.full] * n for _ in range(2)]
-        for chain in self.masks:
-            chain[0], chain[-1] = row0, col0
+        self._slots = slots = [lm.full] * (2 * n + 1)
+        slots[0] = slots[n] = row0
+        slots[n - 1] = slots[-2] = col0
+        slots[-1] = row0 & col0
         # The tail slots K.. are never None, so a tail step records no bit.
         self.determined: list[int | None] = [None] * n
-        self.determined[k:] = [UNKNOWN] * (n - k)
+        self.determined[spec.K:] = [UNKNOWN] * (n - spec.K)
         _, from_first, _ = lm.memo[row0] or lm.rule(row0)
         into_last, _, _ = lm.memo[col0] or lm.rule(col0)
-        walks = [(t, keep) for t, keep in ((1, from_first), (n - 2, into_last))
-                 if keep]
-        next(self._propagate([(d, t, keep) for d in (0, 1)
-                              for t, keep in walks]))
+        next(self._propagate([(base + t, keep) for base in (0, n)
+                              for t, keep in ((1, from_first), (n - 2, into_last))
+                              if keep]))
+
+    @property
+    def masks(self) -> list[list[int]]:
+        """Fresh copies of the two step-mask chains, ``[chain 0, chain 1]``."""
+        return [self._slots[:self.n_steps], self._slots[self.n_steps:-1]]
 
     def _propagate(self, ops):
-        """Runs the closure from a stack of ``(chain, step, and_mask)`` ops,
-        then from each (index, value) pair sent to it, settling each one
+        """Runs the closure from a stack of ``(slot, and_mask)`` ops, then
+        from each (index, value) pair sent to it, settling each one
         before it waits for the next.
 
-        An op ANDs its mask into a step.  A changed step starts two
+        An op ANDs its mask into a slot.  A changed step starts two
         walks along its chain, first left, then right: each walked step
         ANDs in the keep mask of the step it came from, and the walk
-        stops at the first step that does not change or at the chain
-        end.  A newly forced information bit pushes its injection into
-        the other chain as an op.  The closure ends at the fixpoint or
-        when an op empties its own step, which sets ``contradiction``,
-        drops the ops left and leaves every other mask as it is.  A
-        systematic reception's op goes to chain 0; the closure carries
-        the forced bit into chain 1.
+        stops at the first step that does not change.  A newly forced
+        information bit pushes its injection into the other chain as an
+        op.  The closure ends at the fixpoint or when an op empties its
+        own step, which sets ``contradiction``, drops the ops left and
+        leaves every other mask as it is.  A systematic reception's op
+        goes to chain 0; the closure carries the forced bit into chain 1.
 
         A walked step never empties, so that is the only exit.  Between
         ops each chain is at its row/column fixpoint: at step s a state
@@ -376,86 +379,82 @@ class TurboErasureDecoder(_CheckedDecoder):
         (columns) the step before it has already emptied; what its older
         empty columns (rows) imply was applied when they emptied.
 
-        The left walk has no bound test, and no step tests whether it
-        carries an information bit.  Masks only lose bits, so from the
-        start on step 0 lies inside row 0 and the last step inside column
+        No walk tests a bound, and no step tests whether it carries an
+        information bit.  Masks only lose bits, so from the start on each
+        chain's step 0 lies inside row 0 and its last step inside column
         0.  A non-empty step inside row 0 passes on the keep mask column
-        0, so a left walk past step 0 reads the last step as
-        ``chain[-1]`` and stops there unchanged.  A tail step carries a
-        slot of ``determined`` past the word, and those are never None,
-        so it records no bit.  The right walk keeps its test ``s <
-        last``: walking on to ``chain[0]`` would index from the end, and
-        CPython 3.11 specialises a list subscript only for indices of 0
-        and up; that variant measured 6-7% slower per turbo trial.
+        0, and one inside column 0 the keep mask row 0.  So a walk that
+        leaves a chain stops unchanged on the next slot: right from chain
+        0's last step on chain 1's step 0, left from chain 1's step 0 on
+        chain 0's last step, and left from chain 0's step 0 (as slot -1)
+        or right from chain 1's last step on the sentinel, which holds
+        only the 0->0 transition.  A tail step carries a slot of
+        ``determined`` past the word, and those are never None, so it
+        records no bit.
         """
-        masks, determined = self.masks, self.determined
-        position, step = self._position, self._step
-        streams, steps = self.spec.streams, self.spec.steps
-        lm = self.lm
-        memo, rule, info, parity = lm.memo, lm.rule, lm.info, lm.parity
-        last = self.n_steps - 1
+        slots, determined, n = self._slots, self.determined, self.n_steps
+        spec, lm = self.spec, self.lm
+        position, pi_inv = spec._positions, spec.interleaver.pi_inv
+        streams, steps = spec.streams, spec.steps
+        memo, rule, info = lm.memo, lm.rule, lm.info
+        # Per stream, SYSTEMATIC, PARITY1, PARITY2: its chain's first slot
+        # and its lookup masks.
+        base, labels = (0, 0, n), (info, lm.parity, lm.parity)
         pop, push = ops.pop, ops.append
         while True:
             unknown = self.unknown
             while ops:
-                d, t, mask = pop()
-                chain = masks[d]
-                old = chain[t]
+                t, mask = pop()
+                old = slots[t]
                 new = old & mask
                 if new == old:
                     continue
-                chain[t] = new
+                slots[t] = new
                 if not new:
                     self.contradiction = True
                     ops.clear()
                     break
                 keep_left, keep_right, b = memo[new] or rule(new)
                 if b != UNKNOWN:
-                    p = position[d][t]
+                    p = position[t]
                     if determined[p] is None:
                         determined[p] = b
                         unknown -= 1
-                        e = 1 - d
-                        push((e, step[e][p], info[b]))
+                        push((p if t >= n else n + pi_inv[p], info[b]))
                 s = t
                 while keep_left:
                     s -= 1
-                    old = chain[s]
+                    old = slots[s]
                     new = old & keep_left
                     if new == old:
                         break
-                    chain[s] = new
+                    slots[s] = new
                     keep_left, _, b = memo[new] or rule(new)
                     if b != UNKNOWN:
-                        p = position[d][s]
+                        p = position[s]
                         if determined[p] is None:
                             determined[p] = b
                             unknown -= 1
-                            e = 1 - d
-                            push((e, step[e][p], info[b]))
+                            push((p if s >= n else n + pi_inv[p], info[b]))
                 s = t
-                while keep_right and s < last:
+                while keep_right:
                     s += 1
-                    old = chain[s]
+                    old = slots[s]
                     new = old & keep_right
                     if new == old:
                         break
-                    chain[s] = new
+                    slots[s] = new
                     _, keep_right, b = memo[new] or rule(new)
                     if b != UNKNOWN:
-                        p = position[d][s]
+                        p = position[s]
                         if determined[p] is None:
                             determined[p] = b
                             unknown -= 1
-                            e = 1 - d
-                            push((e, step[e][p], info[b]))
+                            push((p if s >= n else n + pi_inv[p], info[b]))
             self.unknown = unknown
             index, value = yield
-            stream, t = streams[index], steps[index]
-            if stream == SYSTEMATIC:
-                push((0, t, info[value]))
-            else:
-                push((0 if stream == PARITY1 else 1, t, parity[value]))
+            stream = streams[index]
+            push((base[stream] + steps[index], labels[stream][value]))
 
     def determined_bits(self) -> list[int | None]:
         """Per-position information-bit knowledge, None where unknown."""

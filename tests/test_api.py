@@ -10,8 +10,9 @@ cannot stay in the docs, and it reads the package's own imports, so
 each module's dependencies stay one-way, and its names, so the rule
 that ends a decode stays in ``decoder.py``, the reception checks, the
 r count and the stop rule keep one copy in ``feed``, each decoder keeps
-one propagation loop, the turbo closure keeps one contradiction exit
-and no import outlives the code that used it.
+one propagation loop, the turbo closure keeps one contradiction exit,
+its walks test no bound and its ops name one slot, and no import
+outlives the code that used it.
 """
 
 import ast
@@ -190,8 +191,8 @@ def test_only_the_decoder_contract_tests_for_in_progress(module):
             f"{module}.py line {getattr(node, 'lineno', '?')} names {name}")
 
 
-RECEPTION_CHECKS = ["out of range 0..", "is not 0 or 1", "was already received",
-                    "contradiction state"]
+RECEPTION_CHECKS = ["is not an integer", "out of range 0..", "is not 0 or 1",
+                    "was already received", "contradiction state"]
 
 
 def functions_raising(text):
@@ -278,6 +279,45 @@ def test_turbo_closure_has_one_contradiction_exit():
                  and isinstance(t.value, ast.Name) and t.value.id == "self"
                  for t in node.targets)]
     assert len(exits) == 1, f"turbo.py lines {exits} set self.contradiction"
+
+
+def closure_shape_faults(tree):
+    """Where the ``TurboErasureDecoder._propagate`` in ``tree`` tests a
+    ``while`` on more than a bare name (or ``True``), or pushes or pops
+    a tuple that is not a (slot, mask) pair."""
+    decoder = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == "TurboErasureDecoder")
+    propagate = next(item for item in decoder.body
+                     if isinstance(item, ast.FunctionDef)
+                     and item.name == "_propagate")
+    faults = []
+    for node in ast.walk(propagate):
+        if isinstance(node, ast.While) and not (
+                isinstance(node.test, ast.Name)
+                or (isinstance(node.test, ast.Constant)
+                    and node.test.value is True)):
+            faults.append(f"line {node.lineno}: while {ast.unparse(node.test)}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "push"):
+            faults += [f"line {node.lineno}: push of {len(arg.elts)}"
+                       for arg in node.args
+                       if isinstance(arg, ast.Tuple) and len(arg.elts) != 2]
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and isinstance(node.value.func, ast.Name)
+              and node.value.func.id == "pop"):
+            faults += [f"line {node.lineno}: pop into {len(target.elts)}"
+                       for target in node.targets
+                       if not (isinstance(target, ast.Tuple)
+                               and len(target.elts) == 2)]
+    return faults
+
+
+def test_turbo_walks_test_no_bound_and_ops_name_one_slot():
+    # Every walk that leaves a chain stops unchanged on a pinned step or
+    # on the sentinel slot, so no walk tests a bound; and an op names
+    # one slot of the decoder's one list, not a chain and a step.
+    assert closure_shape_faults(PACKAGE["turbo"]) == []
 
 
 def test_decoder_subclasses_in_tests_define_no_dead_methods():

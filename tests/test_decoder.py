@@ -287,14 +287,16 @@ class TestProperties:
         # succeeds from the start state makes exactly 2*K*L of them, the
         # bits of every step down to one transition.  The one exception
         # is the op that empties its own step, the last change of a
-        # contradiction.  And the pins hold after every reception, which
-        # is what lets a left walk run past step 0 without a bound test.
+        # contradiction.  And the pins and the sentinel hold after every
+        # reception, which is what lets every walk leave its chain
+        # without a bound test.
         length = rsc.constraint_length
         rng = rng_for(77, 10, rsc.feedback_poly, rate.denominator)
         for k, flips in ((64, 0), (128, 0), (256, 0), (64, 1), (128, 2), (64, 4)):
             pi = make_pr_interleaver(k, int(rng.integers(0, 1 << 16)))
             spec = make_turbo_spec(rsc, k, pi, rate=rate)
             row0, col0 = spec.lookup.row_masks[0], spec.lookup.col_masks[0]
+            sentinel = row0 & col0
             cw = spec.encode(rng.integers(0, 2, k, dtype=np.uint8))
             cw[rng.choice(spec.N, flips, replace=False)] ^= 1
             dec = spec.start_decoder()
@@ -305,12 +307,15 @@ class TestProperties:
                     changes.append((self[t], mask))
                     super().__setitem__(t, mask)
 
-            dec.masks[:] = [RecordingChain(chain) for chain in dec.masks]
+            # Each feed's closure reads the decoder's one list of slots
+            # when it starts, so the wrapped list is the one it writes.
+            dec._slots = RecordingChain(dec._slots)
             for idx in rng.permutation(spec.N).tolist():
                 status = dec.receive(idx, int(cw[idx])).status
                 for chain in dec.masks:
                     assert not chain[0] & ~row0
                     assert not chain[-1] & ~col0
+                assert dec._slots[-1] == sentinel
                 assert len(dec.determined_bits()) == k
                 if status is not Status.IN_PROGRESS:
                     break
@@ -413,3 +418,14 @@ class TestPerCodeConstants:
         fresh = spec.start_decoder()
         assert fresh.masks == [boundary_masks(spec.table, spec.K)] * 2
         assert fresh.lm is spec.lookup
+
+    def test_returned_masks_are_copies(self):
+        spec = turbo_spec(16, seed=6)
+        dec = spec.start_decoder()
+        start = dec.masks
+        boundary = boundary_masks(spec.table, spec.K)
+        for chain in (*dec.masks, boundary):
+            chain[0] = chain[-1] = 0
+            chain.append(0)
+        assert dec.masks == start
+        assert boundary_masks(spec.table, spec.K) == start[0]

@@ -9,6 +9,7 @@ constants and must not alter them.
 """
 
 import gc
+import re
 import weakref
 from fractions import Fraction
 
@@ -91,17 +92,36 @@ def test_values_reach_the_decoder_as_plain_ints(family):
     # Any value equal to 0 or 1 is taken, and the decoder gets it as
     # the int 0 or 1: a numpy scalar fed on into peeling would turn its
     # ops into numpy ints, and a float or a Fraction would break them.
+    # Likewise any integer index reaches the decoder as a plain int.
     rng = rng_for(90, 9, list(BUILDERS).index(family))
     for flips in (0, 1):
         code, cw, order = instance(BUILDERS[family], rng, flips)
         plain = code.start_decoder()
         take(plain, order, [cw[i] for i in order])
-        for kind in (bool, np.uint8, np.int64, float, Fraction):
+        for index_kind, value_kind in [
+                (int, bool), (int, np.uint8), (int, np.int64), (int, float),
+                (int, Fraction), (np.int64, int), (np.intp, np.uint8)]:
             dec = code.start_decoder()
-            take(dec, order, [kind(cw[i]) for i in order])
+            take(dec, [index_kind(i) for i in order],
+                 [value_kind(cw[i]) for i in order])
             assert snapshot(dec) == snapshot(plain)
-            kept = dec.determined_bits() + getattr(dec, "values", [])
+            kept = (dec.determined_bits() + getattr(dec, "values", [])
+                    + getattr(dec, "_acc", []))
             assert all(type(v) is int for v in kept if v is not None)
+
+
+@pytest.mark.parametrize("family", BUILDERS)
+@pytest.mark.parametrize("index", [1.5, 2.0, "3", None])
+def test_an_index_that_is_not_an_integer_raises_before_any_change(
+        family, index):
+    code, cw, order = instance(BUILDERS[family], rng_for(94), flips=0)
+    expect = code.start_decoder()
+    take(expect, order[:5], [cw[i] for i in order[:5]])
+    dec = code.start_decoder()
+    with pytest.raises(ValueError,
+                       match=re.escape(f"symbol index {index!r} is not an integer")):
+        take(dec, [*order[:5], index], [cw[i] for i in order[:5]] + [0])
+    assert snapshot(dec) == snapshot(expect)
 
 
 @pytest.mark.parametrize("family", BUILDERS)
