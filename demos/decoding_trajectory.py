@@ -1,8 +1,10 @@
 """Watch one on-the-fly decode: determined bits per received symbol.
 
-Encodes a random word, feeds the codeword in a random order and prints
-how many information bits are pinned down after each reception.  The
-jump at the end is the avalanche once enough constraints connect.
+Runs one seeded trial, which feeds the all-zero codeword in a random
+arrival order (on the erasure channel a trial is its arrival order, so
+the word sent does not matter), and prints how many information bits
+are pinned down after each reception.  The jump at the end is the
+avalanche once enough constraints connect.
 """
 
 from fractions import Fraction

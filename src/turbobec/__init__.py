@@ -8,7 +8,7 @@ inefficiency and gap to capacity.
 
 __version__ = "0.1.0"
 
-from .decoder import DecodeOutcome, Status
+from .decoder import Status
 from .harness import RunStats, TrialRecord, run_campaign, run_trial, sweep
 from .ldpc import (PeelingDecoder, StaircaseCode, build_irregular_staircase,
                    build_regular_staircase, load_degree_distribution)
@@ -20,7 +20,7 @@ from .turbo import (Interleaver, PunctureMap, TurboCodeSpec,
                     make_turbo_spec, parse_puncture_patterns)
 
 __all__ = [
-    "DecodeOutcome", "Status", "TurboErasureDecoder", "boundary_masks",
+    "Status", "TurboErasureDecoder", "boundary_masks",
     "RunStats", "TrialRecord", "run_campaign", "run_trial", "sweep",
     "PeelingDecoder", "StaircaseCode", "build_irregular_staircase",
     "build_regular_staircase", "load_degree_distribution", "LookupMasks",

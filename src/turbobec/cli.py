@@ -226,7 +226,7 @@ def cmd_decode(args) -> int:
         lineno, line = lines[r]
         raise ValueError(
             f"{args.received}, line {lineno} {line!r}: {exc}") from None
-    status = decoder.outcome().status
+    status = decoder.outcome()
     print(f"outcome: {status.value}")
     if status is Status.SUCCESS:
         bits = "".join(str(b) for b in decoder.determined_bits())

@@ -81,7 +81,7 @@ def run_trial(code, base_seed: int, index: int = 0,
     for r_stop in decoder.feed(zip(order.tolist(), repeat(0))):
         if trace is not None:
             trace.append(decoder.known_count())
-    status = decoder.outcome().status
+    status = decoder.outcome()
     if status is Status.CONTRADICTION:
         raise RuntimeError("contradiction while decoding a codeword; decoder bug")
     if status is not Status.SUCCESS:

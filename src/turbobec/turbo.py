@@ -60,6 +60,7 @@ transitions in both trellises: linear in the interleaver size.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -74,20 +75,29 @@ SYSTEMATIC, PARITY1, PARITY2 = 0, 1, 2
 
 @dataclass(frozen=True)
 class Interleaver:
-    """A bijection on information positions {0..K-1}."""
+    """A bijection on information positions {0..K-1}.
+
+    ``pi`` is stored as a tuple of plain ints; an entry that is not an
+    integer raises TypeError before anything is built.
+    """
 
     pi: tuple[int, ...]
     kind: str
 
     def __post_init__(self):
-        k = len(self.pi)
+        try:
+            pi = tuple(map(operator.index, self.pi))
+        except TypeError:
+            raise TypeError("interleaver entries must be integers") from None
+        k = len(pi)
         inv = [None] * k
-        for i, e in enumerate(self.pi):
+        for i, e in enumerate(pi):
             if not 0 <= e < k:
                 raise ValueError(f"interleaver entry {e} out of range for K={k}")
             if inv[e] is not None:
                 raise ValueError(f"interleaver entry {e} appears twice")
             inv[e] = i
+        object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "pi_inv", tuple(inv))
         # ``pi`` as an index array, so that ``scramble`` is one gather.
         object.__setattr__(self, "_gather", np.array(self.pi, dtype=np.intp))
@@ -153,6 +163,9 @@ class PunctureMap:
             raise ValueError("p1 and p2 patterns must share one period")
         if not self.p1_pattern:
             raise ValueError(f"puncture period {self.period} must be >= 1")
+        for name, pattern in ("p1", self.p1_pattern), ("p2", self.p2_pattern):
+            if any(flag not in (0, 1) for flag in pattern):
+                raise ValueError(f"{name} pattern {pattern!r}: flags must be 0 or 1")
 
     @property
     def period(self) -> int:

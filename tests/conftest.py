@@ -230,5 +230,5 @@ def genuine_trial(code, base_seed, index, trace):
     for r_stop in decoder.feed(zip(order.tolist(), codeword[order].tolist(),
                                    strict=True)):
         trace.append(decoder.known_count())
-    assert decoder.outcome().status is Status.SUCCESS
+    assert decoder.outcome() is Status.SUCCESS
     return r_stop

@@ -208,7 +208,7 @@ def test_turbo_soundness_oracle():
             out = dec.receive(int(idx), int(cw[int(idx)]))
             ok &= all(b is None or b == info[t]
                       for t, b in enumerate(dec.determined_bits()))
-            if out.status is Status.SUCCESS or not ok:
+            if out is Status.SUCCESS or not ok:
                 break
         if not ok:
             break
@@ -260,7 +260,7 @@ def test_completion_and_bounds():
         out = dec.outcome()
         for i in range(spec.N):
             out = dec.receive(i, int(cw[i]))
-        ok &= out.status is Status.SUCCESS
+        ok &= out is Status.SUCCESS
     report("completion and bounds: K <= r_stop <= N, full reception succeeds", ok)
 
 

@@ -11,8 +11,9 @@ each module's dependencies stay one-way, and its names, so the rule
 that ends a decode stays in ``decoder.py``, the reception checks, the
 r count and the stop rule keep one copy in ``feed``, each decoder keeps
 one propagation loop, the turbo closure keeps one contradiction exit,
-its walks test no bound and its ops name one slot, and no import
-outlives the code that used it.
+its walks test no bound and its ops name one slot, no import outlives
+the code that used it, and no code outside the benchmark reads the
+``.status`` alias of a decoder's bare ``Status``.
 """
 
 import ast
@@ -24,15 +25,19 @@ import re
 import runpy
 import shlex
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import turbobec
-from turbobec import cli, run_trial
+from turbobec import (RscSpec, Status, build_regular_staircase, cli,
+                      identity_interleaver, make_turbo_spec, run_trial)
 
 ROOT = Path(__file__).resolve().parents[1]
 CLIENTS = sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("demos/*.py")])
+SOURCES = sorted(path for folder in ("src", "tests", "demos")
+                 for path in (ROOT / folder).rglob("*.py"))
 PACKAGE = {path.stem: ast.parse(path.read_text(), filename=str(path))
            for path in sorted((ROOT / "src" / "turbobec").glob("*.py"))}
 
@@ -114,6 +119,54 @@ def test_traced_trials_match_run_trial(monkeypatch):
         tracing.time_probes(workload, code, 0, tracer)
         assert traced.error is None, name
         assert traced.r_stop == run_trial(code, 99, 0).r_stop, name
+
+
+STATUS_ALIAS_TEST = "test_outcomes_are_bare_status_members"
+
+
+def status_reads(node):
+    """Line numbers of the ``.status`` reads under an AST node, outside
+    the alias's own test."""
+    if isinstance(node, ast.FunctionDef) and node.name == STATUS_ALIAS_TEST:
+        return
+    if isinstance(node, ast.Attribute) and node.attr == "status" and (
+            isinstance(node.ctx, ast.Load)):
+        yield node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from status_reads(child)
+
+
+def test_outcomes_are_bare_status_members():
+    # ``Status.status`` is an alias kept for the benchmark's traced trial.
+    for member in Status:
+        assert member.status is member
+    for code in (make_turbo_spec(RscSpec(0o7, 0o5, 3), 8,
+                                 identity_interleaver(8)),
+                 build_regular_staircase(8, Fraction(1, 3), 1)):
+        dec = code.start_decoder()
+        assert dec.outcome() is Status.IN_PROGRESS
+        for index in range(code.N):
+            out = dec.receive(index, 0)
+            assert type(out) is Status and out is dec.outcome()
+            if out is not Status.IN_PROGRESS:
+                break
+        assert out is Status.SUCCESS
+
+
+def test_status_reads_are_found():
+    tree = ast.parse("a.status\nb.status = 1\ndef f(): c.status\n"
+                     f"def {STATUS_ALIAS_TEST}(): d.status\n")
+    assert list(status_reads(tree)) == [1, 3]
+
+
+def test_no_status_read_outside_the_benchmark():
+    # Decoders return the bare ``Status``; perfbench's traced trial is
+    # the one reader of the ``.status`` alias left.
+    assert any(p.name == "test_api.py" for p in SOURCES)
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = list(status_reads(tree))
+        assert not lines, f"{path.relative_to(ROOT)} reads .status at {lines}"
 
 
 def test_readme_commands_are_found():

@@ -76,7 +76,7 @@ class TestInitialization:
     def test_fresh_state_all_unknown(self):
         dec = turbo_spec(8).start_decoder()
         assert dec.determined_bits() == [None] * 8
-        assert dec.outcome().status is Status.IN_PROGRESS
+        assert dec.outcome() is Status.IN_PROGRESS
 
     def test_eight_state_boundaries_are_path_consistent(self):
         table = TransitionTable(RscSpec(0o13, 0o15, 4))
@@ -156,9 +156,9 @@ class TestReception:
         dec = spec.start_decoder()
         for i in range(spec.N):
             outcome = dec.receive(i, int(cw[i]))
-            if outcome.status is Status.CONTRADICTION:
+            if outcome is Status.CONTRADICTION:
                 break
-        assert outcome.status is Status.CONTRADICTION
+        assert outcome is Status.CONTRADICTION
         remaining = next(i for i in range(spec.N) if not dec._received[i])
         with pytest.raises(ValueError, match="contradiction"):
             dec.receive(remaining, 0)
@@ -174,7 +174,7 @@ class TestReception:
                 cw[i] ^= 1
             dec = spec.start_decoder()
             for idx in order:
-                if dec.receive(idx, int(cw[idx])).status is not Status.IN_PROGRESS:
+                if dec.receive(idx, int(cw[idx])) is not Status.IN_PROGRESS:
                     break
             zeros = sum(m == 0 for chain in dec.masks for m in chain)
             assert zeros == (1 if dec.contradiction else 0)
@@ -190,7 +190,7 @@ class TestProperties:
             dec = spec.start_decoder()
             start = sum(m.bit_count() for chain in dec.masks for m in chain)
             for idx in order:
-                if dec.receive(idx, int(cw[idx])).status is Status.SUCCESS:
+                if dec.receive(idx, int(cw[idx])) is Status.SUCCESS:
                     break
             end = sum(m.bit_count() for chain in dec.masks for m in chain)
             removals = start - end
@@ -263,7 +263,7 @@ class TestProperties:
             counts = [paths(chain) for chain in masks]
             assert counts == [1 << k] * 2
             for idx in rng.permutation(spec.N).tolist():
-                status = dec.receive(idx, cw[idx]).status
+                status = dec.receive(idx, cw[idx])
                 for d, chain in enumerate(dec.masks):
                     n = paths(chain)
                     assert n > 0 and not n & (n - 1), f"{n} paths"
@@ -311,7 +311,7 @@ class TestProperties:
             # when it starts, so the wrapped list is the one it writes.
             dec._slots = RecordingChain(dec._slots)
             for idx in rng.permutation(spec.N).tolist():
-                status = dec.receive(idx, int(cw[idx])).status
+                status = dec.receive(idx, int(cw[idx]))
                 for chain in dec.masks:
                     assert not chain[0] & ~row0
                     assert not chain[-1] & ~col0
@@ -391,7 +391,7 @@ class TestTurboExactness:
         prefixes = {k * 7 // 10, k * 85 // 100, k * 95 // 100}
         checks = 0
         for r, idx in enumerate(rng.permutation(spec.N).tolist(), start=1):
-            status = dec.receive(idx, cw[idx]).status
+            status = dec.receive(idx, cw[idx])
             received[spec.streams[idx], spec.steps[idx]] = cw[idx]
             if r in prefixes or status is Status.SUCCESS:
                 masks, bits = trellis_fixpoint(oracle, spec.interleaver.pi,
@@ -414,7 +414,7 @@ class TestPerCodeConstants:
         assert dec.lm is spec.lookup
         for i in range(spec.N):
             dec.receive(i, int(cw[i]))
-        assert dec.outcome().status is Status.SUCCESS
+        assert dec.outcome() is Status.SUCCESS
         fresh = spec.start_decoder()
         assert fresh.masks == [boundary_masks(spec.table, spec.K)] * 2
         assert fresh.lm is spec.lookup

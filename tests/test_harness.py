@@ -211,7 +211,7 @@ class TestOracleReplay:
                    if b is not None}
             assert got == replay.forced_info()
             if done:
-                assert out.status is Status.SUCCESS
+                assert out is Status.SUCCESS
                 break
 
 

@@ -87,8 +87,8 @@ def _compare_with_stopping_peel(rng, make_code, words=60):
             cw[v] ^= 1
         dec, ref = PeelingDecoder(code), StoppingPeel(code)
         for count, v in enumerate(rng.permutation(code.N).tolist(), 1):
-            status = dec.receive(v, int(cw[v])).status
-            assert ref.receive(v, int(cw[v])).status is status
+            status = dec.receive(v, int(cw[v]))
+            assert ref.receive(v, int(cw[v])) is status
             assert ref.peeled == count
             assert dec.values == ref.values
             assert dec.known_count() == ref.known_count()
@@ -359,7 +359,7 @@ class TestPeeling:
         code = StaircaseCode(1, 1, ((0,),), kind="hand")
         dec = PeelingDecoder(code)
         out = dec.receive(0, 1)
-        assert out.status is Status.SUCCESS
+        assert out is Status.SUCCESS
         assert dec.values == [1, 1]
 
     def test_lone_parity_check_peels_at_start(self):
@@ -388,13 +388,13 @@ class TestPeeling:
         dec = PeelingDecoder(code)
         dec.receive(0, 1)        # forces v1 = 1
         out = dec.receive(1, 0)  # disagrees with the forced value
-        assert out.status is Status.CONTRADICTION
+        assert out is Status.CONTRADICTION
 
     def test_reception_after_contradiction_rejected(self):
         code = StaircaseCode(1, 2, ((0,),), kind="hand")  # v0 = v1 = v2
         dec = PeelingDecoder(code)
         dec.receive(0, 1)
-        assert dec.receive(1, 0).status is Status.CONTRADICTION
+        assert dec.receive(1, 0) is Status.CONTRADICTION
         with pytest.raises(ValueError, match="symbol 2: decoder is in a contradiction"):
             dec.receive(2, 1)
 
@@ -438,7 +438,7 @@ class TestPeeling:
             cw = code.encode(rng.integers(0, 2, code.K, dtype=np.uint8))
             dec = PeelingDecoder(code)
             for v in rng.permutation(code.N).tolist():
-                status = dec.receive(v, int(cw[v])).status
+                status = dec.receive(v, int(cw[v]))
                 for c, row in enumerate(rows):
                     open_ = [u for u in row if dec.values[u] is None]
                     acc = 0
@@ -459,7 +459,7 @@ class TestPerCodeConstants:
         dec = code.start_decoder()
         for v in range(code.N):
             dec.receive(v, int(cw[v]))
-        assert dec.outcome().status is Status.SUCCESS
+        assert dec.outcome() is Status.SUCCESS
         fresh = code.start_decoder()
         assert fresh._var_checks is dec._var_checks is code.left_cols
         h = code.parity_check_matrix()

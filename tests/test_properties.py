@@ -149,7 +149,7 @@ def test_turbo_closure_is_order_independent_and_sound(spec, data):
                                          spec.table.arc_bit)
 
     feed(dec, order[len(subset):], cw)
-    assert dec.outcome().status is Status.SUCCESS
+    assert dec.outcome() is Status.SUCCESS
     assert dec.determined_bits() == info
 
 
@@ -199,7 +199,7 @@ def arrival(code, word, order):
     dec = code.start_decoder()
     trace = [dec.known_count()
              for _ in dec.feed((i, int(word[i])) for i in order)]
-    return trace, dec.outcome().status, dec
+    return trace, dec.outcome(), dec
 
 
 @SETTINGS

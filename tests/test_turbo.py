@@ -69,6 +69,18 @@ class TestInterleaver:
         with pytest.raises(ValueError, match="entry 3 out of range for K=3"):
             load_interleaver(p)
 
+    def test_entries_are_plain_ints(self):
+        il = Interleaver(tuple(np.arange(4)[::-1]), "x")
+        assert il.pi == (3, 2, 1, 0) and il.pi_inv == (3, 2, 1, 0)
+        assert all(type(e) is int for e in il.pi)
+        # The decoder's slot positions are built from ``pi``.
+        assert all(type(e) is int for e in turbo_spec(4, interleaver=il)._positions)
+
+    @pytest.mark.parametrize("pi", [(0.0, 1.0), (0, "1"), (0, None)])
+    def test_non_integer_entries_rejected(self, pi):
+        with pytest.raises(TypeError, match="entries must be integers"):
+            Interleaver(pi, "x")
+
 
 class TestPunctureMap:
     def test_rate_third_keeps_everything(self):
@@ -123,6 +135,14 @@ class TestPunctureMap:
     def test_unequal_patterns_rejected(self):
         with pytest.raises(ValueError, match="share one period"):
             PunctureMap((True,), (True, False))
+
+    # "0" is a truthy string: taken as a flag, it would keep its parity.
+    @pytest.mark.parametrize("p1, p2, name", [(("1", "0"), ("0", "1"), "p1"),
+                                              ((1, 0), (0, 2), "p2"),
+                                              ((True,), (None,), "p2")])
+    def test_flags_other_than_0_or_1_rejected(self, p1, p2, name):
+        with pytest.raises(ValueError, match=f"{name} pattern .* 0 or 1"):
+            PunctureMap(p1, p2)
 
     def test_pattern_override(self):
         pm = parse_puncture_patterns("p1=10,p2=01")
@@ -229,7 +249,7 @@ class TestEncoder:
             outcome = dec.outcome()
             for i in range(spec.N):
                 outcome = dec.receive(i, int(cw[i]))
-                if outcome.status is Status.SUCCESS:
+                if outcome is Status.SUCCESS:
                     break
-            assert outcome.status is Status.SUCCESS
+            assert outcome is Status.SUCCESS
             assert dec.determined_bits() == list(info)
