@@ -5,8 +5,13 @@ one checked loop, ``feed``, and says where the decode stands with a bare
 :class:`Status` member: still going, done, or in a contradiction.
 ``_CheckedDecoder.feed`` is the one place that checks a reception,
 counts r and decides when a decode is over; it sends each checked pair
-to the decoder's own propagation coroutine, which settles it.  Each
-decoder lives beside its code: ``TurboErasureDecoder`` in
+to the decoder's own propagation coroutine, which settles it.
+``_CheckedDecoder._receive_batch`` takes many pairs at once, for the
+arrivals within which no decode can end: it checks them all with numpy,
+raises ``feed``'s own message for the first bad pair, and settles them
+together with one fresh run of the same coroutine.  Removals only shrink
+a decoder's state, so any order of the same receptions reaches the same
+state.  Each decoder lives beside its code: ``TurboErasureDecoder`` in
 :mod:`turbobec.turbo`, ``PeelingDecoder`` in :mod:`turbobec.ldpc`.
 ``_text_lines`` reads the line-oriented input files of both code
 families and of the command line.
@@ -16,6 +21,8 @@ from __future__ import annotations
 
 import operator
 from enum import Enum
+
+import numpy as np
 
 
 class Status(Enum):
@@ -43,7 +50,9 @@ class _CheckedDecoder:
     ``unknown``, then waits at a bare ``yield`` for the next checked
     (index, value) pair, reads ``unknown`` back and pushes that pair's
     op.  ``__init__`` settles the start state through the same loop with
-    ``next(self._propagate(seed_ops))``.
+    ``next(self._propagate(seed_ops))``.  Subclasses also implement
+    ``_reception_ops(indices, values)``: the ops of the pairs of two
+    index and value arrays, as ``_propagate`` pushes them one at a time.
     """
 
     def __init__(self, k: int, n: int):
@@ -99,6 +108,51 @@ class _CheckedDecoder:
             if self.contradiction or not self.unknown:
                 return
 
+    def _receive_batch(self, indices, values):
+        """Receives the pairs ``(indices[i], values[i])`` of two 1-D
+        integer arrays at once, settled together.
+
+        The batch counts no r and tests no stop rule, so its caller must
+        know that the decode cannot end within it.  Every pair is checked
+        first, with numpy: the index range, the values, repeats within
+        the batch, earlier receptions and a contradiction already
+        reached.  If any check fails, ``feed`` runs the pairs on a
+        stand-in decoder that holds a copy of this one's received
+        symbols and contradiction flag and settles nothing, so the
+        ValueError raised is ``feed``'s for the first bad pair, and no
+        state has changed; arrays whose pairs ``feed`` would all take,
+        but that are not integer arrays, raise TypeError.  Then the
+        batch is marked received and its ops are settled by one fresh
+        ``_propagate``, as ``__init__`` settles the start state.  The
+        state it reaches is the one that feeding the same pairs one at a
+        time reaches, unless they end in a contradiction.
+        """
+        if indices.ndim != 1 or indices.shape != values.shape:
+            raise ValueError("a batch takes two 1-D arrays of one length")
+        if not indices.size:
+            return
+        received = np.frombuffer(self._received, np.uint8)
+        checked = (indices.dtype.kind in "iu" and values.dtype.kind in "iu"
+                   and 0 <= indices.min() and indices.max() < received.size
+                   and 0 <= values.min() and values.max() <= 1)
+        if checked:
+            # In range, so both fit in intp: bincount, ``<<`` and ``|``
+            # then meet one integer type.
+            indices = indices.astype(np.intp, copy=False)
+            values = values.astype(np.intp, copy=False)
+            checked = not (self.contradiction or received[indices].any()
+                           or np.bincount(indices).max() > 1)
+        if not checked:
+            stand_in = _CheckedDecoder(self.K, 0)
+            stand_in._received = bytearray(self._received)
+            stand_in.contradiction = self.contradiction
+            stand_in._propagate = _settle_nothing
+            for _ in stand_in.feed(zip(indices.tolist(), values.tolist())):
+                pass
+            raise TypeError("a batch takes integer index and value arrays")
+        received[indices] = 1
+        next(self._propagate(self._reception_ops(indices, values)))
+
     def receive(self, index: int, value: int) -> Status:
         """Takes one codeword symbol: ``feed`` of one pair."""
         next(self.feed(((index, value),)))
@@ -114,6 +168,13 @@ class _CheckedDecoder:
     def known_count(self) -> int:
         """How many entries of ``determined_bits()`` are not None."""
         return self.K - self.unknown
+
+
+def _settle_nothing(ops):
+    """The ``_propagate`` of a stand-in decoder, which only runs
+    ``feed``'s checks: it takes each pair and settles nothing."""
+    while True:
+        yield
 
 
 def _text_lines(path):

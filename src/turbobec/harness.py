@@ -10,6 +10,13 @@ Campaign aggregates give the average inefficiency, the estimated
 recovery threshold p_th = 1 - mu_av * R_c, and the gap to the channel
 capacity p = 1 - R_c.
 
+Both code families have dimension K, so no decode ends on fewer than K
+symbols: r_stop >= K.  An untraced trial therefore receives its first
+K-1 arrivals, the held prefix, as one checked batch, and feeds the rest
+one symbol at a time.  Removals only shrink a decoder's state, so the
+order of the held receptions does not matter, and r_stop is the one a
+trial that feeds every symbol finds.
+
 Per-trial seeds are SeedSequence([base_seed, trial_index]), so campaigns
 are reproducible and order-independent under any parallel schedule.
 """
@@ -19,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -68,17 +75,33 @@ def run_trial(code, base_seed: int, index: int = 0,
     word sent.  The trial therefore feeds the all-zero codeword.  It
     still draws the uniform information word first, so each seed's
     random stream, and with it the arrival order, is the one a genuine
-    word's trial would use, and CSVs stay byte-identical.  The whole
-    arrival order goes to the decoder's ``feed``, and r_stop is the
-    count of symbols it took when it stopped.  ``trace``, if given,
+    word's trial would use, and CSVs stay byte-identical.
+
+    K-1 symbols determine at most K-1 of the K free information bits, so
+    no decode ends within the first K-1 arrivals.  Without ``trace``,
+    those arrivals, the held prefix, go to the decoder as one checked
+    batch; the decode ending within them is a decoder bug and raises
+    RuntimeError.  The rest of the order goes to the decoder's ``feed``
+    one symbol at a time, and r_stop counts the held arrivals and the
+    symbols ``feed`` took before it stopped.  ``trace``, if given,
     collects the decoder's known_count() (determined information bits)
-    after each reception.
+    after each reception, and then every symbol goes through ``feed``.
     """
     rng = trial_rng(base_seed, index)
     rng.integers(0, 2, code.K, dtype=np.uint8)  # drawn to keep the seed's stream
     order = rng.permutation(code.N)
     decoder = code.start_decoder()
-    for r_stop in decoder.feed(zip(order.tolist(), repeat(0))):
+    held = 0 if trace is not None else code.K - 1
+    if held:
+        decoder._receive_batch(order[:held], np.zeros(held, np.intp))
+        if decoder.outcome() in (Status.SUCCESS, Status.CONTRADICTION):
+            raise RuntimeError(f"the decode ended within the first {held} "
+                               f"symbols, fewer than K; decoder bug")
+    # The order is listed as plain ints only up to 5K/4, past which few
+    # decodes read; ``feed`` converts the numpy ints past there.
+    listed = code.K + code.K // 4
+    arrivals = chain(order[held:listed].tolist(), order[listed:])
+    for r in decoder.feed(zip(arrivals, repeat(0))):
         if trace is not None:
             trace.append(decoder.known_count())
     status = decoder.outcome()
@@ -86,6 +109,7 @@ def run_trial(code, base_seed: int, index: int = 0,
         raise RuntimeError("contradiction while decoding a codeword; decoder bug")
     if status is not Status.SUCCESS:
         raise RuntimeError("full reception did not reach success; decoder bug")
+    r_stop = held + r
     return TrialRecord(index, r_stop, r_stop / code.K)
 
 

@@ -288,8 +288,8 @@ class PeelingDecoder(_CheckedDecoder):
     ``acc`` is a contradiction.  Success means all K information
     variables are known.  The graph is the code's columns and ``tanner``,
     built once and shared by all of its decoders.  One loop, the coroutine
-    ``_propagate``, peels both the start state and every reception
-    ``feed`` sends it.
+    ``_propagate``, peels the start state, every reception ``feed`` sends
+    it and, run afresh, the ops of a batch.
     """
 
     def __init__(self, code: StaircaseCode):
@@ -339,6 +339,8 @@ class PeelingDecoder(_CheckedDecoder):
                 if known is not None:
                     if known != value:
                         self.contradiction = True
+                        # Ops can be left here only from a batch, whose
+                        # receptions are all pushed before any settles.
                         ops.clear()
                     continue
                 values[v] = value
@@ -381,6 +383,11 @@ class PeelingDecoder(_CheckedDecoder):
             self.unknown = unknown
             index, value = yield
             push(index << 1 | value)
+
+    def _reception_ops(self, indices, values):
+        """The ops of a batch's pairs, as plain ints: ``index << 1 |
+        value``, the op ``_propagate`` pushes for one pair."""
+        return (indices << 1 | values).tolist()
 
     def determined_bits(self) -> list[int | None]:
         return self.values[: self.code.K]

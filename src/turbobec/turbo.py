@@ -19,7 +19,8 @@ The decoder keeps both trellises' steps in one list of slots, chain
 over a stack of (slot, AND mask) ops, and it is the decoder's only
 loop: the coroutine ``_propagate`` drains the stack, then waits for
 ``feed`` to send it the next checked reception, pushes that
-reception's op and drains again.
+reception's op and drains again; a batch of receptions runs it afresh
+on all of their ops at once.
 An op that changes its step walks from it along its chain, first left,
 then right: each next step ANDs in the keep mask of the step before
 it, and the walk stops at the first step that does not change.  A
@@ -285,6 +286,30 @@ class TurboCodeSpec:
         n = self.K + self.rsc.constraint_length - 1
         return (*range(n), *self.interleaver.pi, *range(self.K, n), 0)
 
+    @cached_property
+    def _reception_table(self):
+        """The op of every reception, shared by every decoder of this code.
+
+        Entry ``index << 1 | value`` is the ``(slot, mask)`` op that
+        receiving ``value`` at transmitted symbol ``index`` pushes: its
+        stream's lookup mask for that bit, ANDed into its step's slot of
+        chain 0 (systematic and parity 1) or chain 1 (parity 2).  A
+        systematic op goes to chain 0 only; the closure carries the
+        forced bit into chain 1.  Kept as a tuple, for one subscript per
+        reception, and as a numpy object array of the same ops, for one
+        gather per batch.  Decoders read it at their first reception,
+        never at start, so a code's set-up does not build it.
+        """
+        n = self.K + self.rsc.constraint_length - 1
+        lm = self.lookup
+        # Per stream, SYSTEMATIC, PARITY1, PARITY2: its chain's first slot
+        # and its lookup masks.
+        base, labels = (0, 0, n), (lm.info, lm.parity, lm.parity)
+        ops = tuple((base[stream] + step, labels[stream][value])
+                    for stream, step in zip(self.streams, self.steps)
+                    for value in (0, 1))
+        return ops, np.fromiter(ops, object, len(ops))
+
     def start_decoder(self) -> TurboErasureDecoder:
         return TurboErasureDecoder(self)
 
@@ -371,8 +396,8 @@ class TurboErasureDecoder(_CheckedDecoder):
         information bit pushes its injection into the other chain as an
         op.  The closure ends at the fixpoint or when an op empties its
         own step, which sets ``contradiction``, drops the ops left and
-        leaves every other mask as it is.  A systematic reception's op
-        goes to chain 0; the closure carries the forced bit into chain 1.
+        leaves every other mask as it is.  A reception's op is the entry
+        of ``spec._reception_table`` for its index and value.
 
         A walked step never empties, so that is the only exit.  Between
         ops each chain is at its row/column fixpoint: at step s a state
@@ -408,11 +433,10 @@ class TurboErasureDecoder(_CheckedDecoder):
         slots, determined, n = self._slots, self.determined, self.n_steps
         spec, lm = self.spec, self.lm
         position, pi_inv = spec._positions, spec.interleaver.pi_inv
-        streams, steps = spec.streams, spec.steps
         memo, rule, info = lm.memo, lm.rule, lm.info
-        # Per stream, SYSTEMATIC, PARITY1, PARITY2: its chain's first slot
-        # and its lookup masks.
-        base, labels = (0, 0, n), (info, lm.parity, lm.parity)
+        # ``spec._reception_table``, read at the first reception, so that
+        # starting a decoder does not build it.
+        reception = None
         pop, push = ops.pop, ops.append
         while True:
             unknown = self.unknown
@@ -466,8 +490,14 @@ class TurboErasureDecoder(_CheckedDecoder):
                             push((p if s >= n else n + pi_inv[p], info[b]))
             self.unknown = unknown
             index, value = yield
-            stream = streams[index]
-            push((base[stream] + steps[index], labels[stream][value]))
+            if reception is None:
+                reception = spec._reception_table[0]
+            push(reception[index << 1 | value])
+
+    def _reception_ops(self, indices, values):
+        """The ops of a batch's pairs, read from ``spec._reception_table``
+        as ``_propagate`` reads one pair's."""
+        return self.spec._reception_table[1][indices << 1 | values].tolist()
 
     def determined_bits(self) -> list[int | None]:
         """Per-position information-bit knowledge, None where unknown."""

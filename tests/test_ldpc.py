@@ -214,6 +214,12 @@ class TestValidation:
                                match="check indices must be integers"):
                 StaircaseCode(2, 4, (col, (0,)), kind="hand")
 
+    def test_a_non_integer_column_is_named_before_a_later_range_fault(self):
+        # The first bad column names the fault: its index is no integer,
+        # though a later column holds an index out of range.
+        with pytest.raises(TypeError, match="^check indices must be integers$"):
+            StaircaseCode(2, 4, (("x",), (9,)), kind="hand")
+
     def test_kind_is_required(self):
         # A default label would print a hand-made code's fingerprint as
         # if a builder had made it.

@@ -122,6 +122,14 @@ class TestPunctureMap:
         with pytest.raises(ValueError, match="rate 1/3"):
             turbo_spec(16, Fraction(1, 2))
 
+    def test_rate_may_be_any_value_fraction_reads(self):
+        # Any value Fraction reads names the rate.
+        for rate in ("1/3", "2/3", 0.5):
+            spec = make_turbo_spec(RSC75, 16, identity_interleaver(16),
+                                   rate=rate)
+            assert spec.rate == Fraction(rate)
+            assert type(spec.rate) is Fraction
+
     def test_override_with_wrong_rate_rejected(self):
         with pytest.raises(ValueError, match="gives rate 1/3, requested 1/2"):
             make_turbo_spec(RSC75, 16, identity_interleaver(16),
