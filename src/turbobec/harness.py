@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -97,11 +97,7 @@ def run_trial(code, base_seed: int, index: int = 0,
         if decoder.outcome() in (Status.SUCCESS, Status.CONTRADICTION):
             raise RuntimeError(f"the decode ended within the first {held} "
                                f"symbols, fewer than K; decoder bug")
-    # The order is listed as plain ints only up to 5K/4, past which few
-    # decodes read; ``feed`` converts the numpy ints past there.
-    listed = code.K + code.K // 4
-    arrivals = chain(order[held:listed].tolist(), order[listed:])
-    for r in decoder.feed(zip(arrivals, repeat(0))):
+    for r in decoder.feed(zip(order[held:].tolist(), repeat(0))):
         if trace is not None:
             trace.append(decoder.known_count())
     status = decoder.outcome()
@@ -150,11 +146,16 @@ def sweep(code_factory, k_list, rate_list, code_names, trials: int,
 
     ``code_factory(code_name, k, rate)`` builds the code under test.
     Every point's code is built before any campaign runs, so a point that
-    cannot be built fails the sweep before it spends any trials.
+    cannot be built fails the sweep before it spends any trials.  Each
+    point is dropped once its campaign is done, and with it the tables
+    its trials built, so a sweep holds one point's tables at a time.
     """
     points = [(name, k, *code_factory(name, k, Fraction(rate)))
               for name in code_names for rate in rate_list for k in k_list]
-    return [CSV_HEADER] + [
-        stats_row(name, k, interleaver_tag, base_seed,
-                  run_campaign(code, trials, base_seed))
-        for name, k, code, interleaver_tag in points]
+    points.reverse()
+    rows = [CSV_HEADER]
+    while points:
+        name, k, code, interleaver_tag = points.pop()
+        rows.append(stats_row(name, k, interleaver_tag, base_seed,
+                              run_campaign(code, trials, base_seed)))
+    return rows

@@ -295,20 +295,17 @@ class TurboCodeSpec:
         stream's lookup mask for that bit, ANDed into its step's slot of
         chain 0 (systematic and parity 1) or chain 1 (parity 2).  A
         systematic op goes to chain 0 only; the closure carries the
-        forced bit into chain 1.  Kept as a tuple, for one subscript per
-        reception, and as a numpy object array of the same ops, for one
-        gather per batch.  Decoders read it at their first reception,
-        never at start, so a code's set-up does not build it.
+        forced bit into chain 1.  Decoders read it at their first
+        reception, never at start, so a code's set-up does not build it.
         """
         n = self.K + self.rsc.constraint_length - 1
         lm = self.lookup
         # Per stream, SYSTEMATIC, PARITY1, PARITY2: its chain's first slot
         # and its lookup masks.
         base, labels = (0, 0, n), (lm.info, lm.parity, lm.parity)
-        ops = tuple((base[stream] + step, labels[stream][value])
-                    for stream, step in zip(self.streams, self.steps)
-                    for value in (0, 1))
-        return ops, np.fromiter(ops, object, len(ops))
+        return tuple((base[stream] + step, labels[stream][value])
+                     for stream, step in zip(self.streams, self.steps)
+                     for value in (0, 1))
 
     def start_decoder(self) -> TurboErasureDecoder:
         return TurboErasureDecoder(self)
@@ -491,13 +488,14 @@ class TurboErasureDecoder(_CheckedDecoder):
             self.unknown = unknown
             index, value = yield
             if reception is None:
-                reception = spec._reception_table[0]
+                reception = spec._reception_table
             push(reception[index << 1 | value])
 
     def _reception_ops(self, indices, values):
         """The ops of a batch's pairs, read from ``spec._reception_table``
         as ``_propagate`` reads one pair's."""
-        return self.spec._reception_table[1][indices << 1 | values].tolist()
+        table = self.spec._reception_table
+        return [table[i] for i in (indices << 1 | values).tolist()]
 
     def determined_bits(self) -> list[int | None]:
         """Per-position information-bit knowledge, None where unknown."""

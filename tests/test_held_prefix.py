@@ -9,13 +9,15 @@ arrivals as one batch, stops where a traced one, which feeds every
 symbol, stops.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from turbobec import (RscSpec, build_irregular_staircase,
+from turbobec import (RscSpec, harness, build_irregular_staircase,
                       build_regular_staircase, load_degree_distribution,
                       make_pr_interleaver, make_turbo_spec, run_trial)
 
@@ -305,6 +307,27 @@ def test_the_turbo_op_table_is_built_at_the_first_reception(family):
     table = vars(code)["_reception_table"]
     run_trial(code, 1, 0)
     assert vars(code)["_reception_table"] is table
-    ops, array = table
-    assert len(ops) == array.size == 2 * code.N
-    assert all(a is b for a, b in zip(ops, array.tolist()))
+    assert len(table) == 2 * code.N
+
+
+def test_a_sweep_drops_each_point_after_its_campaign(monkeypatch):
+    # A turbo code keeps its op table, so a sweep that held every point
+    # to its end would hold every point's table at once.
+    refs = []
+
+    def factory(name, k, rate):
+        code = make_turbo_spec(RscSpec(0o7, 0o5, 3), k,
+                               make_pr_interleaver(k, 1), rate=rate)
+        refs.append(weakref.ref(code))
+        return code, "pr:1"
+
+    alive, campaign = [], harness.run_campaign
+
+    def counting(code, trials, base_seed):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        return campaign(code, trials, base_seed)
+
+    monkeypatch.setattr(harness, "run_campaign", counting)
+    rows = harness.sweep(factory, [8, 16], ["1/3", "1/2"], ["turbo"], 2, 1)
+    assert len(rows) == 5 and alive == [4, 3, 2, 1]
