@@ -11,21 +11,19 @@ __version__ = "0.1.0"
 from .decoder import Status
 from .harness import RunStats, TrialRecord, run_campaign, run_trial, sweep
 from .ldpc import (PeelingDecoder, StaircaseCode, build_irregular_staircase,
-                   build_regular_staircase, load_degree_distribution)
+                   build_regular_staircase)
 from .trellis import (LookupMasks, RscSpec, TransitionTable, UNKNOWN,
                       format_mask)
 from .turbo import (Interleaver, PunctureMap, TurboCodeSpec,
                     TurboErasureDecoder, boundary_masks, identity_interleaver,
-                    load_interleaver, make_pr_interleaver, make_puncture_map,
-                    make_turbo_spec, parse_puncture_patterns)
+                    make_pr_interleaver, make_puncture_map, make_turbo_spec)
 
 __all__ = [
     "Status", "TurboErasureDecoder", "boundary_masks",
     "RunStats", "TrialRecord", "run_campaign", "run_trial", "sweep",
     "PeelingDecoder", "StaircaseCode", "build_irregular_staircase",
-    "build_regular_staircase", "load_degree_distribution", "LookupMasks",
-    "RscSpec", "TransitionTable", "UNKNOWN", "format_mask", "Interleaver",
-    "PunctureMap", "TurboCodeSpec", "identity_interleaver",
-    "load_interleaver", "make_pr_interleaver", "make_puncture_map",
-    "make_turbo_spec", "parse_puncture_patterns",
+    "build_regular_staircase", "LookupMasks", "RscSpec", "TransitionTable",
+    "UNKNOWN", "format_mask", "Interleaver", "PunctureMap", "TurboCodeSpec",
+    "identity_interleaver", "make_pr_interleaver", "make_puncture_map",
+    "make_turbo_spec",
 ]

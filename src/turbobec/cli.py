@@ -4,6 +4,13 @@ Subcommands: table, encode, decode, trial, simulate, sweep.  Every run
 is reproducible from its flags (or a JSON --config file, with flags
 taking precedence); the resolved configuration and the code fingerprint
 are echoed to stderr so outputs carry their own provenance.
+
+This module is the package's one reader of outside text: flags, config
+files and the interleaver, degree, received and hex files.  Every
+integer in them is read by ``_integer`` (ASCII digits of its base), and
+every rate or degree fraction by ``_fraction`` (plain ASCII that
+Python's own grammar reads), so no ``_`` separator, surrounding blank,
+``+`` sign or non-ASCII digit gets through.
 """
 
 from __future__ import annotations
@@ -16,14 +23,12 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
-from .decoder import Status, _text_lines
+from .decoder import Status
 from .harness import run_trial, sweep
-from .ldpc import (build_irregular_staircase, build_regular_staircase,
-                   load_degree_distribution)
+from .ldpc import build_irregular_staircase, build_regular_staircase
 from .trellis import LookupMasks, RscSpec, TransitionTable, UNKNOWN, format_mask
-from .turbo import (identity_interleaver, load_interleaver,
-                    make_pr_interleaver, make_turbo_spec,
-                    parse_puncture_patterns)
+from .turbo import (Interleaver, PunctureMap, identity_interleaver,
+                    make_pr_interleaver, make_turbo_spec)
 
 
 # A step mask has 2^L bits, two per state, so each added register cell
@@ -36,53 +41,142 @@ _MAX_K = 1 << 20
 # The same for the length N = K/R, so a tiny rate fails at its flag; it
 # still admits K = 2^20 at rate 1/3.
 _MAX_N = 1 << 22
-_DIGITS = {"octal": set("01234567"), "binary": set("01")}
+_HEX_DIGITS = "0123456789abcdef"
+
+
+def _integer(text: str, base: int = 10, signed: bool = False) -> int:
+    """``text`` read as ASCII digits of ``base`` (either case for hex),
+    after one leading '-' only where ``signed`` lets a negative value
+    reach a message of its own; anything else raises ValueError."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    if not digits or digits.strip(_HEX_DIGITS[:base]
+                                  + _HEX_DIGITS[10:base].upper()):
+        raise ValueError(f"{text!r} is not a base-{base} integer")
+    return int(text, base)
+
+
+def _fraction(text: str, exact: bool = True):
+    """A rate (``exact``: a Fraction) or a degree fraction (a float), read
+    by Python's own grammar once ``text`` is plain ASCII with no '_', no
+    surrounding blank and an exponent of at most four digits (Fraction
+    takes seconds on '1e9999999'); so '1/3', '0.5', '1e-400' and 'inf'
+    parse."""
+    if (not text.isascii() or "_" in text or text != text.strip()
+            or len(text.lower().partition("e")[2].lstrip("+-")) > 4):
+        raise ValueError(f"{text!r} is not a plain ASCII number")
+    return Fraction(text) if exact else float(text)
 
 
 def _parse_poly(text: str, base: str, flag: str) -> RscSpec:
     """"7,5" -> the RscSpec of (feedback, forward), whose constraint
-    length, the longer polynomial's, is at most ``_MAX_CONSTRAINT_LENGTH``.
-    Each half is only digits of ``base``."""
-    halves = text.split(",")
-    if len(halves) != 2 or not all(h and set(h) <= _DIGITS[base] for h in halves):
-        raise ValueError(f"{flag}: '{text}' is not a feedback,forward pair "
-                         f"of {base} polynomials")
-    fb, fw = (int(h, 8 if base == "octal" else 2) for h in halves)
+    length, the longer polynomial's, is at most ``_MAX_CONSTRAINT_LENGTH``."""
+    try:
+        fb, fw = (_integer(h, 8 if base == "octal" else 2)
+                  for h in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag}: {text!r} is not a feedback,forward pair "
+                         f"of {base} polynomials") from None
     length = max(fb.bit_length(), fw.bit_length())
     if length > _MAX_CONSTRAINT_LENGTH:
-        raise ValueError(f"{flag}: '{text}' has constraint length {length}, "
+        raise ValueError(f"{flag}: {text!r} has constraint length {length}, "
                          f"above the limit of {_MAX_CONSTRAINT_LENGTH}")
     try:
         return RscSpec(fb, fw, length)
     except ValueError as exc:
-        raise ValueError(f"{flag}: '{text}': {exc}") from None
+        raise ValueError(f"{flag}: {text!r}: {exc}") from None
 
 
 def _parse_rate(text, flag: str = "--rate") -> Fraction:
     try:
-        return Fraction(text)
+        return _fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{flag}: '{text}' is not a rate fraction") from None
+        raise ValueError(f"{flag}: {text!r} is not a rate fraction") from None
 
 
-def _int_at_least(minimum: int, complaint: str):
-    """An argparse type: an integer >= ``minimum``; ``complaint``, with
-    ``{}`` for the value, says why a smaller one is rejected."""
+def _int_at_least(minimum: int | None, complaint: str = ""):
+    """An argparse type: an integer, >= ``minimum`` unless that is None;
+    ``complaint``, with ``{}`` for the value, says why a smaller one is
+    rejected."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = _integer(text, signed=True)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid int value: {text!r}") from None
-        if value < minimum:
+        if minimum is not None and value < minimum:
             raise argparse.ArgumentTypeError(complaint.format(value))
         return value
     return parse
 
 
+# --k: a K below 1 is named by the code builders.
+_k = _int_at_least(None)
 # --seed and --index: numpy seeds only from integers >= 0.
 _seed = _int_at_least(0, "{} is negative; it must be >= 0")
 _trials = _int_at_least(1, "{} is below 1; a campaign needs at least one trial")
+
+
+def _text_lines(path):
+    """(number, text) of each line of the UTF-8 file at ``path``, from 1.
+
+    Each line is decoded only when drawn, so bytes after the last line
+    drawn are never checked; a line that is not UTF-8 raises ValueError
+    naming the file and the line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}, line {lineno}: not UTF-8 text") from None
+        yield lineno, line
+
+
+def load_interleaver(path) -> Interleaver:
+    """Reads one permutation image per line; blank lines are skipped."""
+    entries = []
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            entries.append(_integer(line, signed=True))
+        except ValueError:
+            raise ValueError(f"{path}, line {lineno} {line!r}: "
+                             f"not an integer") from None
+    return Interleaver(tuple(entries), kind=f"file:{path}")
+
+
+def load_degree_distribution(path) -> dict[int, float]:
+    """Reads "degree probability" pairs, one per line; '#' starts a comment."""
+    dist = {}
+    for lineno, line in _text_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            d, p = line.split()
+            d, p = _integer(d, signed=True), _fraction(p, exact=False)
+        except ValueError:
+            raise ValueError(f"{path}, line {lineno} {line!r}: expected "
+                             f"an integer degree and a fraction") from None
+        if d in dist:
+            raise ValueError(f"{path}, line {lineno}: degree {d} given twice")
+        dist[d] = p
+    return dist
+
+
+def parse_puncture_patterns(text: str) -> PunctureMap:
+    """Parses an override like "p1=1010,p2=0101"."""
+    parts = [p.partition("=") for p in text.split(",")]
+    if any(not eq or set(bits) - {"0", "1"} for _, eq, bits in parts):
+        raise ValueError(f"puncture override {text!r} is not p1=BITS,p2=BITS "
+                         f"with BITS of 0s and 1s")
+    if sorted(name for name, _, _ in parts) != ["p1", "p2"]:
+        raise ValueError("puncture override must define p1 and p2")
+    parts = {name: tuple(c == "1" for c in bits) for name, _, bits in parts}
+    return PunctureMap(parts["p1"], parts["p2"])
 
 
 def _parse_interleaver(text: str):
@@ -95,7 +189,7 @@ def _parse_interleaver(text: str):
         try:
             seed = _seed(arg)
         except argparse.ArgumentTypeError:
-            raise ValueError(f"--interleaver: '{text}' needs an integer "
+            raise ValueError(f"--interleaver: {text!r} needs an integer "
                              f"seed >= 0") from None
         return functools.partial(make_pr_interleaver, seed=seed)
     if kind == "file":
@@ -107,7 +201,7 @@ def _parse_interleaver(text: str):
                                  f"expected {k}")
             return pi
         return sized
-    raise ValueError(f"unknown interleaver spec '{text}'")
+    raise ValueError(f"unknown interleaver spec {text!r}")
 
 
 def _make_code(args, name: str, k: int, rate: Fraction):
@@ -139,7 +233,7 @@ def _make_code(args, name: str, k: int, rate: Fraction):
         dist = load_degree_distribution(name.split(":", 1)[1])
         code, tag = build_irregular_staircase(k, rate, dist, args.seed), "-"
     else:
-        raise ValueError(f"unknown code family '{name}'")
+        raise ValueError(f"unknown code family {name!r}")
     print(f"# code: {code.fingerprint()}", file=sys.stderr)
     return code, tag
 
@@ -156,9 +250,9 @@ def _read_bits(path: str, count: int) -> list[int]:
     bits = []
     for ch in text:
         try:
-            v = int(ch, 16)
+            v = _integer(ch, 16)
         except ValueError:
-            raise ValueError(f"{path}: '{ch}' is not a hex digit") from None
+            raise ValueError(f"{path}: {ch!r} is not a hex digit") from None
         bits.extend((v >> s) & 1 for s in (3, 2, 1, 0))
     if len(bits) < count:
         raise ValueError(f"{path}: expected at least {count} bits, found {len(bits)}")
@@ -208,7 +302,7 @@ def _receptions(path: str, lines: list):
         if line:
             lines.append((lineno, line))
             idx_s, bit_s = line.split()
-            yield int(idx_s), int(bit_s)
+            yield _integer(idx_s, signed=True), _integer(bit_s, signed=True)
 
 
 def cmd_decode(args) -> int:
@@ -271,9 +365,9 @@ def cmd_sweep(args) -> int:
     _echo_config(args)
     rates = [_parse_rate(r, "--rate-list") for r in args.rate_list.split(",")]
     try:
-        ks = [int(k) for k in args.k_list.split(",")]
+        ks = [_integer(k, signed=True) for k in args.k_list.split(",")]
     except ValueError:
-        raise ValueError(f"--k-list: '{args.k_list}' is not a comma separated "
+        raise ValueError(f"--k-list: {args.k_list!r} is not a comma separated "
                          f"list of integers") from None
     _campaign(args, args.code_list.split(","), ks, rates)
     if args.emit_plot:
@@ -304,7 +398,7 @@ def _add_point_flags(p: argparse.ArgumentParser) -> None:
     """The one code, K and rate of a single-point command."""
     p.add_argument("--code", default="turbo",
                    help="turbo | ldpc-regular | ldpc-irregular:FILE")
-    p.add_argument("--k", type=int, help="information length K")
+    p.add_argument("--k", type=_k, help="information length K")
     p.add_argument("--rate", default="1/3", help="code rate as a fraction")
     _add_code_flags(p)
 
@@ -397,9 +491,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     tokens = []
     for key, value in defaults.items():
         if key in ("command", "config", "func") or not hasattr(args, key):
-            raise ValueError(f"config key '{key}' is not a known flag")
+            raise ValueError(f"config key {key!r} is not a known flag")
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            raise ValueError(f"config key '{key}': {json.dumps(value)} is not "
+            raise ValueError(f"config key {key!r}: {json.dumps(value)} is not "
                              f"a JSON string or number")
         tokens.append(f"{_flag(key)}={value}")
     return parser.parse_args([args.command, *tokens, *argv[1:]])

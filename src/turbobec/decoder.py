@@ -13,8 +13,6 @@ together with one fresh run of the same coroutine.  Removals only shrink
 a decoder's state, so any order of the same receptions reaches the same
 state.  Each decoder lives beside its code: ``TurboErasureDecoder`` in
 :mod:`turbobec.turbo`, ``PeelingDecoder`` in :mod:`turbobec.ldpc`.
-``_text_lines`` reads the line-oriented input files of both code
-families and of the command line.
 """
 
 from __future__ import annotations
@@ -175,20 +173,3 @@ def _settle_nothing(ops):
     ``feed``'s checks: it takes each pair and settles nothing."""
     while True:
         yield
-
-
-def _text_lines(path):
-    """(number, text) of each line of the UTF-8 file at ``path``, from 1.
-
-    Each line is decoded only when drawn, so bytes after the last line
-    drawn are never checked; a line that is not UTF-8 raises ValueError
-    naming the file and the line.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    for lineno, raw in enumerate(data.splitlines(), start=1):
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}, line {lineno}: not UTF-8 text") from None
-        yield lineno, line

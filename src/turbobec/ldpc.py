@@ -27,7 +27,7 @@ import operator
 
 import numpy as np
 
-from .decoder import _CheckedDecoder, _text_lines
+from .decoder import _CheckedDecoder
 
 
 @dataclass(frozen=True)
@@ -256,25 +256,6 @@ def build_irregular_staircase(k: int, rate: Fraction,
     shuffled[rng.permutation(k)] = weights
     cols = _assign_columns(shuffled.tolist(), m, rng)
     return StaircaseCode(k, m, tuple(cols), kind="ldpc-irregular")
-
-
-def load_degree_distribution(path) -> dict[int, float]:
-    """Reads "degree probability" pairs, one per line; '#' starts a comment."""
-    dist = {}
-    for lineno, line in _text_lines(path):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            d, p = line.split()
-            d, p = int(d), float(p)
-        except ValueError:
-            raise ValueError(f"{path}, line {lineno} {line!r}: expected "
-                             f"an integer degree and a fraction") from None
-        if d in dist:
-            raise ValueError(f"{path}, line {lineno}: degree {d} given twice")
-        dist[d] = p
-    return dist
 
 
 class PeelingDecoder(_CheckedDecoder):

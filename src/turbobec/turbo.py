@@ -68,7 +68,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .decoder import _CheckedDecoder, _text_lines
+from .decoder import _CheckedDecoder
 from .trellis import UNKNOWN, LookupMasks, RscSpec, TransitionTable
 
 SYSTEMATIC, PARITY1, PARITY2 = 0, 1, 2
@@ -133,20 +133,6 @@ def make_pr_interleaver(k: int, seed: int) -> Interleaver:
     return Interleaver(tuple(rng.permutation(k).tolist()), kind=f"pr:{seed}")
 
 
-def load_interleaver(path) -> Interleaver:
-    """Reads one permutation image per line (ASCII integers)."""
-    entries = []
-    for lineno, line in _text_lines(path):
-        if not line.strip():
-            continue
-        try:
-            entries.append(int(line))
-        except ValueError:
-            raise ValueError(f"{path}, line {lineno} {line.strip()!r}: "
-                             f"not an integer") from None
-    return Interleaver(tuple(entries), kind=f"file:{path}")
-
-
 @dataclass(frozen=True)
 class PunctureMap:
     """Periodic keep-pattern over the two parity streams.
@@ -196,18 +182,6 @@ def make_puncture_map(rate: Fraction, k: int) -> PunctureMap:
     if k % pm.period:
         raise ValueError(f"K={k} is not divisible by the pattern period {pm.period}")
     return pm
-
-
-def parse_puncture_patterns(text: str) -> PunctureMap:
-    """Parses an override like "p1=1010,p2=0101"."""
-    parts = [p.partition("=") for p in text.split(",")]
-    if any(not eq or set(bits) - {"0", "1"} for _, eq, bits in parts):
-        raise ValueError(f"puncture override '{text}' is not p1=BITS,p2=BITS "
-                         f"with BITS of 0s and 1s")
-    if sorted(name for name, _, _ in parts) != ["p1", "p2"]:
-        raise ValueError("puncture override must define p1 and p2")
-    parts = {name: tuple(c == "1" for c in bits) for name, _, bits in parts}
-    return PunctureMap(parts["p1"], parts["p2"])
 
 
 @dataclass(frozen=True)

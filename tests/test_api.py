@@ -12,8 +12,9 @@ that ends a decode stays in ``decoder.py``, the reception checks, the
 r count and the stop rule keep one copy in ``feed``, each decoder keeps
 one propagation loop, the turbo closure keeps one contradiction exit,
 its walks test no bound and its ops name one slot, no import outlives
-the code that used it, and no code outside the benchmark reads the
-``.status`` alias of a decoder's bare ``Status``.
+the code that used it, no code outside the benchmark reads the
+``.status`` alias of a decoder's bare ``Status``, and only ``cli.py``
+reads outside text, its numbers only through its number helpers.
 """
 
 import ast
@@ -429,3 +430,57 @@ def test_unused_import_check_finds_a_leftover():
 @pytest.mark.parametrize("module", sorted(PACKAGE))
 def test_no_unused_import(module):
     assert not unused_imports(PACKAGE[module]), f"{module}.py"
+
+
+NUMBER_READERS = {"int", "float", "Fraction"}
+NUMBER_HELPERS = {"_integer", "_fraction"}
+
+
+def calls_of(node, names, exempt=frozenset()):
+    """Line numbers of the calls of the bare names ``names`` under an AST
+    node, outside the functions named in ``exempt``."""
+    if isinstance(node, ast.FunctionDef) and node.name in exempt:
+        return
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in names):
+        yield node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from calls_of(child, names, exempt)
+
+
+def test_number_reads_are_found():
+    tree = ast.parse("def _integer(t): return int(t)\n"
+                     "def f(t):\n    return int(t), x.int(t)\n"
+                     "def g(t): return float(t) + Fraction(t)\n")
+    assert list(calls_of(tree, NUMBER_READERS, NUMBER_HELPERS)) == [3, 4, 4]
+
+
+def test_a_number_read_put_back_in_the_cli_is_found():
+    source = (ROOT / "src" / "turbobec" / "cli.py").read_text()
+    assert source.count("_integer(ch, 16)") == 1
+    tree = ast.parse(source.replace("_integer(ch, 16)", "int(ch, 16)"))
+    assert len(list(calls_of(tree, NUMBER_READERS, NUMBER_HELPERS))) == 1
+
+
+def test_outside_text_is_read_only_by_the_cli():
+    # cli.py is the one reader of files and flags, and within it every
+    # number goes through the number helpers and their one grammar.
+    assert list(calls_of(PACKAGE["cli"], {"open"}))
+    for module, tree in PACKAGE.items():
+        if module != "cli":
+            lines = list(calls_of(tree, {"open"}))
+            assert not lines, f"{module}.py calls open at {lines}"
+    lines = list(calls_of(PACKAGE["cli"], NUMBER_READERS, NUMBER_HELPERS))
+    assert not lines, f"cli.py reads a number outside its helpers at {lines}"
+
+
+def test_importing_the_package_leaves_the_cli_out():
+    graph = {module: set(package_imports(tree)) - {module}
+             for module, tree in PACKAGE.items()}
+    reached, todo = set(), ["__init__"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo += graph[module]
+    assert "decoder" in reached and "cli" not in reached

@@ -1,8 +1,13 @@
+import hashlib
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turbobec import make_pr_interleaver
 from turbobec.cli import main
@@ -475,6 +480,27 @@ class TestMalformedInput:
           "--rate-list", "1/3,1/10000000", "--trials", "1"],
          "--rate-list: rate 1e-7 at K=1024 gives a length above the limit "
          f"of {1 << 22}"),
+        (["simulate", "--k", "8", "--interleaver", "pr:0_7"],
+         "--interleaver: 'pr:0_7' needs an integer seed >= 0"),
+        (["simulate", "--k", "8", "--rate", "1_0/3_0"],
+         "--rate: '1_0/3_0' is not a rate fraction"),
+        (["simulate", "--k", "8", "--rate", " 1/3"],
+         "--rate: ' 1/3' is not a rate fraction"),
+        (["sweep", "--k-list", "1_6", "--trials", "1"],
+         "--k-list: '1_6' is not a comma separated list of integers"),
+        (["sweep", "--k-list", "8, 16", "--trials", "1"],
+         "--k-list: '8, 16' is not a comma separated list of integers"),
+        (["simulate", "--k", "3", "--interleaver", "file:{tmp}/pi-underscore.txt"],
+         "pi-underscore.txt, line 2 '1_0': not an integer"),
+        (["simulate", "--k", "3", "--interleaver", "file:{tmp}/pi-arabic.txt"],
+         "pi-arabic.txt, line 1 '\u0663': not an integer"),
+        (["decode", "--k", "8", "--received", "{tmp}/rx-underscore.txt"],
+         "rx-underscore.txt, line 1 '0_1 0'"),
+        (["simulate", "--k", "8", "--rate", "1/2",
+          "--code", "ldpc-irregular:{tmp}/deg-underscore.txt"],
+         "deg-underscore.txt, line 1 '2 0.2_5': expected an integer degree"),
+        (["encode", "--k", "8", "--in", "{tmp}/info-arabic.hex",
+          "--out", "{tmp}/cw.hex"], "info-arabic.hex: '\u0663' is not a hex digit"),
     ], ids=["config-not-json", "config-not-object", "config-missing",
             "unknown-interleaver", "interleaver-length",
             "too-few-bits", "missing-k", "config-null", "config-bool",
@@ -495,7 +521,11 @@ class TestMalformedInput:
             "poly-octal-prefix", "poly-zero-feedback", "ldpc-k-above-limit",
             "k-above-limit", "k-list-above-limit", "degree-above-check-count",
             "edge-count-above-limit", "length-above-limit",
-            "length-above-limit-tiny-rate", "rate-list-length-above-limit"])
+            "length-above-limit-tiny-rate", "rate-list-length-above-limit",
+            "interleaver-seed-underscore", "rate-underscore", "rate-blank",
+            "k-list-underscore", "k-list-blank", "interleaver-file-underscore",
+            "interleaver-file-arabic-digit", "received-underscore",
+            "degree-file-underscore", "hex-arabic-digit"])
     def test_exit_code_two(self, tmp_path, capsys, argv, message):
         (tmp_path / "bad.json").write_text("{\"k\": 8,")
         (tmp_path / "list.json").write_text("[8]")
@@ -515,6 +545,12 @@ class TestMalformedInput:
         (tmp_path / "bin.json").write_bytes(b'{"k": 8, "seed": "\xff"}')
         (tmp_path / "deg-huge.txt").write_text(f"{10**30} 1.0\n")
         (tmp_path / "deg-dense.txt").write_text("1048576 1.0\n")
+        (tmp_path / "pi-underscore.txt").write_text("0\n1_0\n2\n")
+        (tmp_path / "pi-arabic.txt").write_text("\u0663\n0\n1\n",
+                                                 encoding="utf-8")
+        (tmp_path / "rx-underscore.txt").write_text("0_1 0\n")
+        (tmp_path / "deg-underscore.txt").write_text("2 0.2_5\n1_0 0.7_5\n")
+        (tmp_path / "info-arabic.hex").write_text("\u0663a\n", encoding="utf-8")
         argv = [a.format(tmp=tmp_path) for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == 2
@@ -548,6 +584,27 @@ class TestMalformedInput:
         if config is not None:
             (tmp_path / "run.json").write_text(json.dumps(config))
             argv = [*argv, "--config", str(tmp_path / "run.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message in err
+        assert "# code:" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--k", "\uff18"], "argument --k: invalid int value: '\uff18'"),
+        (["simulate", "--k", " 8 "], "argument --k: invalid int value: ' 8 '"),
+        (["simulate", "--k", "8", "--trials", "\u0663"],
+         "argument --trials: invalid int value: '\u0663'"),
+        (["simulate", "--k", "8", "--seed", "1_0"],
+         "argument --seed: invalid int value: '1_0'"),
+        (["trial", "--k", "8", "--index", "1_0"],
+         "argument --index: invalid int value: '1_0'"),
+    ], ids=["k-fullwidth-digit", "k-blank", "trials-arabic-digit",
+            "seed-underscore", "index-underscore"])
+    def test_flag_integers_are_ascii_digits(self, capsys, argv, message):
+        # argparse's own usage error, exit 2, naming the flag.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -602,3 +659,148 @@ class TestVersion:
             main(["--version"])
         assert exc.value.code == 0
         assert "turbobec" in capsys.readouterr().out
+
+
+# The fuzzed argv below: per command, the flags it always gets (with
+# --trials, so no campaign runs its default 1,000 trials) and those it
+# may get; each value is drawn from the pool of that flag's kind.
+CODE_FLAGS = [("--poly", "poly"), ("--base", "base"),
+              ("--interleaver", "interleaver"), ("--puncture", "puncture"),
+              ("--seed", "seed"), ("--config", "config")]
+POINT_FLAGS = [("--code", "code"), ("--rate", "rate"), *CODE_FLAGS]
+FUZZED_COMMANDS = {
+    "table": ([], [("--code", "poly"), ("--base", "base"),
+                   ("--config", "config")]),
+    "encode": ([("--k", "k"), ("--in", "hex"), ("--out", "out")],
+               POINT_FLAGS),
+    "decode": ([("--k", "k"), ("--received", "received")], POINT_FLAGS),
+    "trial": ([("--k", "k")], [*POINT_FLAGS, ("--index", "seed")]),
+    "simulate": ([("--k", "k"), ("--trials", "trials")],
+                 [*POINT_FLAGS, ("--out", "out")]),
+    "sweep": ([("--k-list", "k_list"), ("--trials", "trials")],
+              [*CODE_FLAGS, ("--rate-list", "rate_list"),
+               ("--code-list", "code_list"), ("--out", "out"),
+               ("--emit-plot", "out")]),
+}
+# Values: valid ones, then malformed ones, including every case of
+# TestMalformedInput that once ran or was misread.  K stays <= 16 and
+# --trials <= 2; a K above the limit fails before any code is built.
+FUZZ_VALUES = {
+    "k": ["8", "4", "16", "12", "1", "0", "-2", "８", " 8 ", "1_6", "+8",
+          "0x8", "8.0", "", "8\n", "99999999999999999999"],
+    "trials": ["1", "2", "0", "-1", "٣", "1_0", " 2", "x"],
+    "seed": ["0", "5", "07", "99999999999999999999", "-1", "1_0", "٣",
+             " 1", "x"],
+    "rate": ["1/3", "1/2", "2/3", "0.5", "1/100", "1", "2", "0", "-1/3",
+             "1e-400", "1e400", "1e99999999", "1/0", "abc", " 1/3",
+             "1_0/3_0", "١/3", "inf", "nan", "1/3\n"],
+    "rate_list": ["1/3", "1/3,1/2", "2/3", "1/0", " 1/3", "1_0/3_0",
+                  "1/3,abc", ""],
+    "k_list": ["8", "8,16", "4,12", "8, 16", "1_6", "8,x", "", ",",
+               "８", "-2,8"],
+    "poly": ["7,5", "13,15", "111,101", "7", "9,5", "7_7,5", "0o7,5", "0,5",
+             "777,5", "٧,5", " 7,5", "-7,5", ",", "7,5\n"],
+    "base": ["octal", "binary", "hex"],
+    "puncture": ["p1=10,p2=01", "p1=1,p2=1", "p1=1000,p2=0010", "garbage",
+                 "p1=,p2=", "p1=12,p2=01", "p1=1_0,p2=01"],
+    "interleaver": ["id", "identity", "pr:1", "pr:07", "pr:0_7", "pr:-1",
+                    "pr:", "pr:٣", "pr:99999999999999999999", "shuffle",
+                    "file:{pi8}", "file:{pi_underscore}", "file:{pi_arabic}",
+                    "file:{pi_binary}", "file:{missing}", "file:{drawn}"],
+    "code": ["turbo", "ldpc-regular", "ldpc-irregular:{degrees}",
+             "ldpc-irregular:{degrees_underscore}",
+             "ldpc-irregular:{degrees_inf}", "ldpc-irregular:{degrees_binary}",
+             "ldpc-irregular:{missing}", "ldpc-irregular:{drawn}", "bogus"],
+    "code_list": ["turbo", "ldpc-regular", "turbo,ldpc-regular",
+                  "ldpc-irregular:{degrees}", "bogus", ""],
+    "hex": ["{hex8}", "{hex16}", "{hex_arabic}", "{hex_g}", "{hex_binary}",
+            "{empty}", "{missing}", "{drawn}"],
+    "received": ["{received}", "{received_underscore}", "{received_range}",
+                 "{received_binary}", "{received_repeat}", "{empty}",
+                 "{missing}", "{drawn}"],
+    "out": ["{folder}/out.txt", "{folder}", "{missing}/out.txt"],
+    "config": ["{config}", "{config_not_json}", "{config_list}",
+               "{config_bool}", "{config_null}", "{config_float}",
+               "{config_nan}", "{config_key}", "{config_binary}",
+               "{config_seed}", "{config_k}", "{missing}", "{drawn}"],
+}
+FUZZ_FILES = {
+    "pi8": b"3\n4\n2\n7\n6\n1\n5\n0\n",
+    "pi_underscore": b"0\n1_0\n2\n",
+    "pi_arabic": "٣\n0\n1\n".encode(),
+    "pi_binary": b"2\n0\xc3\n1\n",
+    "degrees": b"# left degrees\n2 0.5\n3 0.5\n",
+    "degrees_underscore": b"2 0.2_5\n1_0 0.7_5\n",
+    "degrees_inf": b"2 inf\n3 -inf\n",
+    "degrees_binary": b"2 0.5\n3 0.5 # \xff\n",
+    "hex8": b"a7\n",
+    "hex16": b"a7 3c\n",
+    "hex_arabic": "٣a\n".encode(),
+    "hex_g": b"a7g\n",
+    "hex_binary": b"a7\n\xe9\n",
+    "empty": b"",
+    "received": b"# a prefix\n0 0\n1 0\n2 0\n3 0\n",
+    "received_underscore": b"0_1 0\n",
+    "received_range": b"999 0\n",
+    "received_binary": b"0 0\n1 \xff\n",
+    "received_repeat": b"0 0\n0 0\n",
+    "config": b'{"k": 8, "trials": 1, "rate": "1/2"}',
+    "config_not_json": b'{"k": 8,',
+    "config_list": b"[8]",
+    "config_bool": b'{"k": true}',
+    "config_null": b'{"interleaver": null}',
+    "config_float": b'{"k": 8.5, "seed": 1e400}',
+    "config_nan": b'{"rate": NaN}',
+    "config_key": b'{"bogus\\n": 1}',
+    "config_binary": b'{"k": 8, "seed": "\xff"}',
+    "config_seed": b'{"seed": "1_0"}',
+    "config_k": b'{"k": "\xef\xbc\x98"}',
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_folder(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    for name, body in FUZZ_FILES.items():
+        (folder / name).write_bytes(body)
+    return folder
+
+
+class TestFuzzedArgv:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(data=st.data())
+    def test_every_exit_is_0_1_or_2_with_one_error_line(self, fuzz_folder,
+                                                        data):
+        # A file flag may also read a drawn body: any bytes at all.
+        body = data.draw(st.binary(max_size=24), label="drawn body")
+        drawn = fuzz_folder / f"drawn-{hashlib.sha1(body).hexdigest()}"
+        drawn.write_bytes(body)
+        paths = {name: fuzz_folder / name for name in FUZZ_FILES}
+        paths.update(folder=fuzz_folder, missing=fuzz_folder / "missing",
+                     drawn=drawn)
+
+        command = data.draw(st.sampled_from(sorted(FUZZED_COMMANDS)))
+        always, optional = FUZZED_COMMANDS[command]
+        flags = always + data.draw(st.lists(st.sampled_from(optional),
+                                            max_size=4, unique=True))
+        argv = [command]
+        for flag, kind in flags:
+            value = data.draw(st.sampled_from(FUZZ_VALUES[kind]),
+                              label=flag).format(**paths)
+            argv += ([f"{flag}={value}"] if data.draw(st.booleans())
+                     else [flag, value])
+
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                assert "error: argument --" in err.getvalue(), argv
+                return
+        assert code in ((0, 1, 2) if command == "decode" else (0, 2)), argv
+        err = err.getvalue()
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.splitlines()[-1].startswith("error: "), (argv, err)

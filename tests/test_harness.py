@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from turbobec import (RscSpec, RunStats, Status, build_irregular_staircase,
-                      load_degree_distribution, make_pr_interleaver,
-                      make_turbo_spec, run_campaign, run_trial)
+                      make_pr_interleaver, make_turbo_spec, run_campaign,
+                      run_trial)
+from turbobec.cli import load_degree_distribution
 from turbobec.harness import CSV_HEADER, stats_row, sweep, trial_rng
 from turbobec.ldpc import build_regular_staircase
 from turbobec.turbo import PARITY1, PARITY2, SYSTEMATIC

@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from turbobec import (RscSpec, harness, build_irregular_staircase,
-                      build_regular_staircase, load_degree_distribution,
-                      make_pr_interleaver, make_turbo_spec, run_trial)
+                      build_regular_staircase, make_pr_interleaver,
+                      make_turbo_spec, run_trial)
+from turbobec.cli import load_degree_distribution
 
 from conftest import rng_for
 from test_ldpc import StoppingPeel

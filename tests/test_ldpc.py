@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from turbobec import (PeelingDecoder, StaircaseCode, Status,
-                      build_irregular_staircase, build_regular_staircase,
-                      load_degree_distribution)
+                      build_irregular_staircase, build_regular_staircase)
+from turbobec.cli import load_degree_distribution
 
 from conftest import peel_oracle, rng_for
 

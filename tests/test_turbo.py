@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from turbobec import (Interleaver, PunctureMap, RscSpec, Status,
-                      TurboCodeSpec, identity_interleaver, load_interleaver,
-                      make_pr_interleaver, make_puncture_map, make_turbo_spec,
-                      parse_puncture_patterns, turbo)
+                      TurboCodeSpec, identity_interleaver, make_pr_interleaver,
+                      make_puncture_map, make_turbo_spec, turbo)
+from turbobec.cli import load_interleaver, parse_puncture_patterns
 from turbobec.turbo import PARITY1, PARITY2, SYSTEMATIC
 
 from conftest import RegisterOracle, layout, rng_for
