@@ -41,6 +41,10 @@ _MAX_K = 1 << 20
 # The same for the length N = K/R, so a tiny rate fails at its flag; it
 # still admits K = 2^20 at rate 1/3.
 _MAX_N = 1 << 22
+# CPython's default limit on the decimal digits ``int`` reads; a seed
+# or config integer longer than this is refused by its length, with
+# its flag or key named.
+_MAX_DIGITS = 4300
 _HEX_DIGITS = "0123456789abcdef"
 
 
@@ -109,7 +113,7 @@ def _int_at_least(minimum: int | None, complaint: str = ""):
     return parse
 
 
-# --k: a K below 1 is named by the code builders.
+# --k: ``_make_code`` names a K below 1 or above ``_MAX_K`` with its flag.
 _k = _int_at_least(None)
 # --seed and --index: numpy seeds only from integers >= 0.
 _seed = _int_at_least(0, "{} is negative; it must be >= 0")
@@ -186,6 +190,10 @@ def _parse_interleaver(text: str):
         return identity_interleaver
     kind, _, arg = text.partition(":")
     if kind == "pr":
+        if len(arg) > _MAX_DIGITS:
+            raise ValueError(f"--interleaver: the pr: seed is too long: "
+                             f"{len(arg)} characters, above the limit of "
+                             f"{_MAX_DIGITS} digits")
         try:
             seed = _seed(arg)
         except argparse.ArgumentTypeError:
@@ -211,8 +219,10 @@ def _make_code(args, name: str, k: int, rate: Fraction):
     The turbo flags are checked for every family, so a malformed one
     fails an LDPC run too; a well-formed one is unused there.
     """
+    flag = "--k-list" if args.command == "sweep" else "--k"
+    if k < 1:
+        raise ValueError(f"{flag}: K must be >= 1, not {k}")
     if k > _MAX_K:
-        flag = "--k-list" if args.command == "sweep" else "--k"
         raise ValueError(f"{flag}: K={k} is above the limit of {_MAX_K}")
     if rate > 0 and k / rate > _MAX_N:
         # In decimal: the exact fraction of a tiny rate can have hundreds
@@ -480,12 +490,29 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
         return args
     with open(args.config, "rb") as fh:
         data = fh.read()
+    long_ints = []
+
+    def read_int(text):
+        # An integer too long to read stays text, kept to be named below.
+        if len(text.lstrip("-")) > _MAX_DIGITS:
+            long_ints.append(text)
+            return text
+        return _integer(text, signed=True)
+
     try:
-        defaults = json.loads(data.decode("utf-8"))
+        defaults = json.loads(data.decode("utf-8"), parse_int=read_int)
     except UnicodeDecodeError:
         raise ValueError(f"{args.config}: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
+    if long_ints:
+        text = long_ints[0]
+        keys = [key for key, value in defaults.items()
+                if value is text] if isinstance(defaults, dict) else []
+        where = f"config key {keys[0]!r}: " if keys else ""
+        raise ValueError(f"{args.config}: {where}an integer of "
+                         f"{len(text.lstrip('-'))} digits, above the limit "
+                         f"of {_MAX_DIGITS}")
     if not isinstance(defaults, dict):
         raise ValueError(f"{args.config}: expected a JSON object of flag values")
     tokens = []

@@ -7,14 +7,18 @@ substitution through D; decoding is standard BEC peeling, resolving any
 check that has exactly one unknown incident variable.
 
 A code stores the columns of A, each a tuple of strictly ascending
-check indices, and one edge array, built from them once, with numpy,
-when the code is made.  That array serves three uses: it validates the
-columns, it gives the check degrees and XOR starts of the Tanner graph
-the decoders share, and the encoder reads it.  The decoders read each
-information variable's checks from the code's own column tuples, so a
-build makes no container per variable; a parity's two checks follow
-from its index.  ``parity_check_matrix()`` builds H on its own, as the
-reference the tests check both against.
+check indices, and one edge array of (variable, check) pairs.  A code
+made from its columns builds that array from them, with numpy; a
+builder draws the array itself, in one sort of its pool (see
+``_assign_columns``), cuts the column tuples from it and hands both to
+the code, which checks the array as it checks any.  The array serves
+three uses: it validates the columns, it gives the check degrees and
+XOR starts of the Tanner graph the decoders share, and the encoder
+reads it.  The decoders read each information variable's checks from
+the code's own column tuples, so a build makes no container per
+variable; a parity's two checks follow from its index.
+``parity_check_matrix()`` builds H on its own, as the reference the
+tests check both against.
 """
 
 from __future__ import annotations
@@ -53,6 +57,25 @@ class StaircaseCode:
             edges = self._edge_array()
         except (TypeError, ValueError, OverflowError):
             edges = None
+        self._adopt(edges)
+
+    @classmethod
+    def _from_edges(cls, m: int, edges: np.ndarray,
+                    left_cols: tuple[tuple[int, ...], ...],
+                    kind: str) -> StaircaseCode:
+        """A builder's code: ``left_cols`` cut from ``edges``, the edge
+        array ``_edge_array`` would build from them, which is checked,
+        not built again."""
+        code = object.__new__(cls)
+        for name, value in (("K", len(left_cols)), ("M", m),
+                            ("left_cols", left_cols), ("kind", kind)):
+            object.__setattr__(code, name, value)
+        code._adopt(edges)
+        return code
+
+    def _adopt(self, edges: np.ndarray | None) -> None:
+        """Keeps ``edges`` as the code's edge array if it is valid;
+        otherwise raises the first bad column's fault."""
         if edges is None or not self._edges_valid(edges):
             # Name the first bad column's fault; an index that cannot be
             # compared with an int is not an integer.
@@ -168,58 +191,100 @@ def _parity_count(k: int, rate: Fraction) -> int:
 _MAX_EDGES = 1 << 24
 
 
-def _assign_columns(col_weights: list[int], m: int, rng) -> list[tuple[int, ...]]:
-    """Draws each column's check indices from a balanced shuffled pool.
+def _assign_columns(col_weights, m: int, rng) -> np.ndarray:
+    """Draws each column's check indices from a balanced shuffled pool;
+    returns the edge array, one (variable, check) column per edge,
+    variables ascending and each column's checks ascending.
 
     The pool round-robins over all checks so row degrees stay near
-    uniform.  A column takes the next w pool entries when they are
-    distinct.  Otherwise it takes them one at a time: each is the first
-    entry from the cursor on that the column does not yet hold, swapped
-    to the cursor.  When no such entry is left, the column draws fresh
-    distinct checks and the pool is spent.  Each weight is at most m:
-    both builders check that first.  The total weight is at most
-    ``_MAX_EDGES``, checked here before the pool of about that many
-    entries is drawn.
+    uniform.  Column j's window is the next w_j pool entries, and the
+    column takes them when they are distinct.  Otherwise it takes them
+    one at a time: each is the first entry from the cursor on that the
+    column does not yet hold, swapped to the cursor.  When no such entry
+    is left, the column draws fresh distinct checks, the pool is spent,
+    and every later column draws fresh checks of its own.
+
+    Until the pool is spent each window starts where the last one ends,
+    so one sort of ``j * m + check`` over the pool gives every window's
+    checks in order and marks each window that holds a repeated check.
+    Only the marked windows, and those a repair swapped an entry into,
+    are redrawn, in ascending order, so the columns and the generator's
+    state are those of drawing every column in turn.  Each weight is at
+    most m: both builders check that first.  The total weight is at
+    most ``_MAX_EDGES``, checked here before the pool of about that
+    many entries is drawn.
     """
-    total = sum(col_weights)
+    weights = np.asarray(col_weights, dtype=np.intp)
+    total = int(weights.sum())
     if total > _MAX_EDGES:
         raise ValueError(f"the code has {total} edges, above the limit of "
                          f"{_MAX_EDGES}")
+    var = np.repeat(np.arange(weights.size), weights)
     reps = -(-total // m)
-    pool = rng.permutation(np.tile(np.arange(m), reps)).tolist()[:total]
-    cols = []
-    pos = 0
-    for w in col_weights:
-        col = set(pool[pos:pos + w])
-        if len(col) == w:
-            pos += w
-            cols.append(tuple(sorted(col)))
-            continue
-        col = set()
-        while len(col) < w:
-            swap = next((s for s in range(pos, len(pool)) if pool[s] not in col),
-                        None)
-            if swap is None:
-                extra = [r for r in rng.permutation(m).tolist() if r not in col]
-                col.update(extra[: w - len(col)])
-                pos = len(pool)
-                break
-            pool[pos], pool[swap] = pool[swap], pool[pos]
-            col.add(pool[pos])
-            pos += 1
-        cols.append(tuple(sorted(col)))
-    return cols
+    pool = rng.permutation(np.tile(np.arange(m), reps))[:total]
+    keys = np.sort(var * m + pool)
+    chk = keys - var * m
+    marked = np.zeros(weights.size, dtype=np.uint8)
+    marked[var[1:][keys[1:] == keys[:-1]]] = 1
+    marked = bytearray(marked)
+    pool = pool.tolist()
+    starts = np.cumsum(weights) - weights
+    j = marked.find(1)
+    while j >= 0:
+        pos, w = starts.item(j), weights.item(j)
+        start, end = pos, pos + w
+        col = set(pool[start:end])
+        if len(col) < w:
+            col = set()
+            while len(col) < w:
+                swap = next((s for s in range(pos, total) if pool[s] not in col),
+                            None)
+                if swap is None:
+                    extra = [r for r in rng.permutation(m).tolist() if r not in col]
+                    col.update(extra[: w - len(col)])
+                    chk[start:end] = sorted(col)
+                    for j in range(j + 1, weights.size):
+                        start, w = starts.item(j), weights.item(j)
+                        if w:
+                            chk[start:start + w] = np.sort(rng.permutation(m)[:w])
+                    return np.stack([var, chk])
+                if swap >= end:
+                    # The entry at the cursor moves to a later window.
+                    marked[var.item(swap)] = 1
+                pool[pos], pool[swap] = pool[swap], pool[pos]
+                col.add(pool[pos])
+                pos += 1
+        chk[start:end] = sorted(col)
+        j = marked.find(1, j + 1)
+    return np.stack([var, chk])
 
 
 def build_regular_staircase(k: int, rate: Fraction, seed: int,
                             column_weight: int = 4) -> StaircaseCode:
-    """Regular staircase code: every left column has the same weight."""
+    """Regular staircase code: every left column has the same weight.
+
+    The column tuples are cut from the edge array ``_assign_columns``
+    draws, and the code keeps that array.
+    """
     m = _parity_count(k, rate)
     if k < column_weight or m < column_weight:
         raise ValueError("block too short for the requested column weight")
     rng = np.random.default_rng(seed)
-    cols = _assign_columns([column_weight] * k, m, rng)
-    return StaircaseCode(k, m, tuple(cols), kind="ldpc-regular")
+    weights = np.full(k, column_weight, dtype=np.intp)
+    edges = _assign_columns(weights, m, rng)
+    return StaircaseCode._from_edges(m, edges, _cut(edges[1], weights),
+                                     kind="ldpc-regular")
+
+
+def _cut(chk: np.ndarray, weights: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """One tuple per column, cut from ``chk`` in turn by ``weights``."""
+    k = weights.size
+    if k and weights.min() == weights.max() > 0:
+        # One list per check slot, zipped: no list per column.
+        return tuple(zip(*chk.reshape(k, -1).T.tolist()))
+    flat = chk.tolist()
+    ends = np.cumsum(weights).tolist()
+    return tuple(map(tuple, map(flat.__getitem__, map(slice, [0, *ends], ends))))
 
 
 def build_irregular_staircase(k: int, rate: Fraction,
@@ -229,7 +294,9 @@ def build_irregular_staircase(k: int, rate: Fraction,
 
     ``degree_distribution`` maps column weight to the fraction of
     columns carrying it; fractions must sum to 1.  Counts are rounded by
-    largest remainder so exactly K columns are produced.
+    largest remainder so exactly K columns are produced, and shuffled.
+    As in the regular builder, the code keeps the edge array drawn for
+    its columns.
     """
     if not degree_distribution:
         raise ValueError("empty degree distribution")
@@ -254,8 +321,9 @@ def build_irregular_staircase(k: int, rate: Fraction,
     rng = np.random.default_rng(seed)
     shuffled = np.empty(k, dtype=np.intp)
     shuffled[rng.permutation(k)] = weights
-    cols = _assign_columns(shuffled.tolist(), m, rng)
-    return StaircaseCode(k, m, tuple(cols), kind="ldpc-irregular")
+    edges = _assign_columns(shuffled, m, rng)
+    return StaircaseCode._from_edges(m, edges, _cut(edges[1], shuffled),
+                                     kind="ldpc-irregular")
 
 
 class PeelingDecoder(_CheckedDecoder):

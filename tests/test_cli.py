@@ -391,7 +391,8 @@ class TestMalformedInput:
          "rate 0 must be positive"),
         (["simulate", "--k", "8", "--puncture", "p1=,p2="],
          "puncture period 0 must be >= 1"),
-        (["simulate", "--k", "0", "--interleaver", "id"], "K must be >= 1"),
+        (["simulate", "--k", "0", "--interleaver", "id"],
+         "--k: K must be >= 1, not 0"),
         (["simulate", "--k", "8", "--poly", "7"],
          "--poly: '7' is not a feedback,forward pair of octal polynomials"),
         (["simulate", "--k", "8", "--poly", "9,5"],
@@ -434,7 +435,7 @@ class TestMalformedInput:
         (["simulate", "--code", f"ldpc-irregular:{IRREGULAR}", "--k", "8",
           "--rate", "1"], "rate 1 leaves no parity checks; it must be below 1"),
         (["simulate", "--code", f"ldpc-irregular:{IRREGULAR}", "--k", "0",
-          "--rate", "1/2"], "K must be >= 1"),
+          "--rate", "1/2"], "--k: K must be >= 1, not 0"),
         (["simulate", "--code", f"ldpc-irregular:{IRREGULAR}", "--k", "8",
           "--rate", "2"], "rate 2 leaves no parity checks; it must be below 1"),
         (["simulate", "--k", "8", "--interleaver", "pr:-1"],
@@ -501,6 +502,18 @@ class TestMalformedInput:
          "deg-underscore.txt, line 1 '2 0.2_5': expected an integer degree"),
         (["encode", "--k", "8", "--in", "{tmp}/info-arabic.hex",
           "--out", "{tmp}/cw.hex"], "info-arabic.hex: '\u0663' is not a hex digit"),
+        (["simulate", "--config", "{tmp}/long-int.json"],
+         "long-int.json: config key 'k': an integer of 5000 digits, above "
+         "the limit of 4300"),
+        (["simulate", "--config", "{tmp}/long-int-nested.json", "--k", "8"],
+         "long-int-nested.json: an integer of 5000 digits, above the limit "
+         "of 4300"),
+        (["simulate", "--k", "8", "--interleaver", "pr:" + "7" * 5000],
+         "--interleaver: the pr: seed is too long: 5000 characters"),
+        (["sweep", "--k-list", "0", "--trials", "1"],
+         "--k-list: K must be >= 1, not 0"),
+        (["simulate", "--config", "{tmp}/k-0.json"],
+         "--k: K must be >= 1, not 0"),
     ], ids=["config-not-json", "config-not-object", "config-missing",
             "unknown-interleaver", "interleaver-length",
             "too-few-bits", "missing-k", "config-null", "config-bool",
@@ -525,7 +538,9 @@ class TestMalformedInput:
             "interleaver-seed-underscore", "rate-underscore", "rate-blank",
             "k-list-underscore", "k-list-blank", "interleaver-file-underscore",
             "interleaver-file-arabic-digit", "received-underscore",
-            "degree-file-underscore", "hex-arabic-digit"])
+            "degree-file-underscore", "hex-arabic-digit",
+            "config-integer-too-long", "config-nested-integer-too-long",
+            "interleaver-seed-too-long", "k-list-0", "config-k-0"])
     def test_exit_code_two(self, tmp_path, capsys, argv, message):
         (tmp_path / "bad.json").write_text("{\"k\": 8,")
         (tmp_path / "list.json").write_text("[8]")
@@ -551,6 +566,10 @@ class TestMalformedInput:
         (tmp_path / "rx-underscore.txt").write_text("0_1 0\n")
         (tmp_path / "deg-underscore.txt").write_text("2 0.2_5\n1_0 0.7_5\n")
         (tmp_path / "info-arabic.hex").write_text("\u0663a\n", encoding="utf-8")
+        (tmp_path / "long-int.json").write_text(f'{{"k": {"9" * 5000}}}')
+        (tmp_path / "long-int-nested.json").write_text(
+            f'{{"trials": [{"9" * 5000}]}}')
+        (tmp_path / "k-0.json").write_text(json.dumps({"k": 0}))
         argv = [a.format(tmp=tmp_path) for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == 2
