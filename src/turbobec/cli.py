@@ -41,11 +41,14 @@ _MAX_K = 1 << 20
 # The same for the length N = K/R, so a tiny rate fails at its flag; it
 # still admits K = 2^20 at rate 1/3.
 _MAX_N = 1 << 22
-# CPython's default limit on the decimal digits ``int`` reads; a seed
-# or config integer longer than this is refused by its length, with
-# its flag or key named.
-_MAX_DIGITS = 4300
 _HEX_DIGITS = "0123456789abcdef"
+
+
+def _digit_limit() -> int:
+    """The most decimal digits this interpreter's ``int`` reads, 0 for no
+    limit (set by PYTHONINTMAXSTRDIGITS or -X int_max_str_digits)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
 
 
 def _integer(text: str, base: int = 10, signed: bool = False) -> int:
@@ -190,10 +193,11 @@ def _parse_interleaver(text: str):
         return identity_interleaver
     kind, _, arg = text.partition(":")
     if kind == "pr":
-        if len(arg) > _MAX_DIGITS:
+        limit = _digit_limit()
+        if limit and len(arg) > limit:
             raise ValueError(f"--interleaver: the pr: seed is too long: "
                              f"{len(arg)} characters, above the limit of "
-                             f"{_MAX_DIGITS} digits")
+                             f"{limit} digits")
         try:
             seed = _seed(arg)
         except argparse.ArgumentTypeError:
@@ -493,11 +497,14 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     long_ints = []
 
     def read_int(text):
-        # An integer too long to read stays text, kept to be named below.
-        if len(text.lstrip("-")) > _MAX_DIGITS:
+        # JSON hands only well-formed integers here, so ``int`` refuses
+        # just one too long for the interpreter: it stays text, kept to
+        # be named below.
+        try:
+            return _integer(text, signed=True)
+        except ValueError:
             long_ints.append(text)
             return text
-        return _integer(text, signed=True)
 
     try:
         defaults = json.loads(data.decode("utf-8"), parse_int=read_int)
@@ -512,7 +519,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
         where = f"config key {keys[0]!r}: " if keys else ""
         raise ValueError(f"{args.config}: {where}an integer of "
                          f"{len(text.lstrip('-'))} digits, above the limit "
-                         f"of {_MAX_DIGITS}")
+                         f"of {_digit_limit()}")
     if not isinstance(defaults, dict):
         raise ValueError(f"{args.config}: expected a JSON object of flag values")
     tokens = []

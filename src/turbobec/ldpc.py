@@ -280,7 +280,9 @@ def _cut(chk: np.ndarray, weights: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """One tuple per column, cut from ``chk`` in turn by ``weights``."""
     k = weights.size
     if k and weights.min() == weights.max() > 0:
-        # One list per check slot, zipped: no list per column.
+        # One list per check slot, zipped: no list per column.  A cold
+        # ldpc-r13-k1024 set-up read 0.96 ms this way against 1.14 ms
+        # with the slices below (BENCH_33.json, "cut_paths").
         return tuple(zip(*chk.reshape(k, -1).T.tolist()))
     flat = chk.tolist()
     ends = np.cumsum(weights).tolist()

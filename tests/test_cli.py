@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -577,6 +578,27 @@ class TestMalformedInput:
         assert err.splitlines()[-1].startswith("error: ")
         assert message in err
         assert not (tmp_path / "plot.gp").exists()
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this interpreter reads integers of any length")
+    def test_lowered_digit_limit(self, tmp_path, capsys):
+        """The interpreter's own limit on integer digits is the one named,
+        when it is set below CPython's default of 4,300."""
+        (tmp_path / "long-int.json").write_text(f'{{"k": {"9" * 1000}}}')
+        default = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            config = run(capsys, "simulate", "--config",
+                         str(tmp_path / "long-int.json"))
+            seed = run(capsys, "simulate", "--k", "8",
+                       "--interleaver", "pr:" + "7" * 1000)
+        finally:
+            sys.set_int_max_str_digits(default)
+        assert config[0] == seed[0] == 2
+        assert ("long-int.json: config key 'k': an integer of 1000 digits, "
+                "above the limit of 640") in config[2]
+        assert ("--interleaver: the pr: seed is too long: 1000 characters, "
+                "above the limit of 640 digits") in seed[2]
 
 
     @pytest.mark.parametrize("argv, config, message", [

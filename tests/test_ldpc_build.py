@@ -15,7 +15,7 @@ import pytest
 
 from turbobec import (StaircaseCode, build_irregular_staircase,
                       build_regular_staircase)
-from turbobec.ldpc import _assign_columns
+from turbobec.ldpc import _assign_columns, _cut
 
 
 def sequential_columns(col_weights, m, rng):
@@ -111,6 +111,17 @@ def test_columns_and_generator_state_match_the_sequential_draw(kind):
         spent += old.draws > 1
     # Every kind but the large codes meets the fresh-draw branch.
     assert spent or kind == "large"
+
+
+@pytest.mark.parametrize("kind", ["regular", "irregular", "zeros"])
+def test_cut_gives_each_column_in_turn(kind):
+    """Equal positive weights take ``_cut``'s zipped path, the others its
+    slices; both give the columns the edges hold, as tuples of ints."""
+    for seed, (weights, m) in enumerate(weight_lists(kind)):
+        edges = _assign_columns(weights, m, np.random.default_rng(seed))
+        cols = _cut(edges[1], np.asarray(weights, dtype=np.intp))
+        assert cols == tuple(edge_columns(edges, weights))
+        assert all(type(r) is int for c in cols for r in c)
 
 
 BUILDS = {
