@@ -5,7 +5,8 @@ one checked loop, ``feed``, and says where the decode stands with a bare
 :class:`Status` member: still going, done, or in a contradiction.
 ``_CheckedDecoder.feed`` is the one place that checks a reception,
 counts r and decides when a decode is over; it sends each checked pair
-to the decoder's own propagation coroutine, which settles it.
+to the decoder's own propagation coroutine as one int, the key
+``index << 1 | value``, and the coroutine settles it.
 ``_CheckedDecoder._receive_batch`` takes many pairs at once, for the
 arrivals within which no decode can end: it checks them all with numpy,
 raises ``feed``'s own message for the first bad pair, and settles them
@@ -45,12 +46,11 @@ class _CheckedDecoder:
     Subclasses implement ``determined_bits()`` and the coroutine
     ``_propagate(ops)``, their whole propagation loop: it drains its
     stack ``ops``, stores its count of undetermined symbols in
-    ``unknown``, then waits at a bare ``yield`` for the next checked
-    (index, value) pair, reads ``unknown`` back and pushes that pair's
-    op.  ``__init__`` settles the start state through the same loop with
-    ``next(self._propagate(seed_ops))``.  Subclasses also implement
-    ``_reception_ops(indices, values)``: the ops of the pairs of two
-    index and value arrays, as ``_propagate`` pushes them one at a time.
+    ``unknown``, then waits at a bare ``yield`` for the key ``index << 1
+    | value`` of the next checked reception, reads ``unknown`` back and
+    pushes its op.  ``__init__`` settles the start state through the same
+    loop with ``next(self._propagate(seed_ops))``.  ``_reception_ops``
+    maps an array of keys to their ops; by default an op is its key.
     """
 
     def __init__(self, k: int, n: int):
@@ -68,10 +68,10 @@ class _CheckedDecoder:
         integer or is outside 0..N-1, its value is not 0 or 1, the symbol
         was received before, or the decoder is already in a contradiction;
         the pairs before it stay received.  A pair that passes is marked
-        received and sent, with its index as a plain int and its value as
-        the int 0 or 1, to the decoder's ``_propagate`` coroutine, which
-        settles it before r is yielded; the stop rule is tested when the
-        feed resumes.  So a feed may be abandoned after any r, or left
+        received, and its key, the plain int ``index << 1 | value``, is
+        sent to the decoder's ``_propagate`` coroutine, which settles it
+        before r is yielded; the stop rule is tested when the feed
+        resumes.  So a feed may be abandoned after any r, or left
         suspended while other receptions reach the decoder.
         """
         # The coroutine lives in this frame only: one kept on the decoder
@@ -100,7 +100,7 @@ class _CheckedDecoder:
                 raise ValueError(
                     f"symbol {index}: decoder is in a contradiction state")
             received[index] = 1
-            settle((index, 1 if value else 0))
+            settle(index << 1 | (1 if value else 0))
             r += 1
             yield r
             if self.contradiction or not self.unknown:
@@ -120,10 +120,10 @@ class _CheckedDecoder:
         ValueError raised is ``feed``'s for the first bad pair, and no
         state has changed; arrays whose pairs ``feed`` would all take,
         but that are not integer arrays, raise TypeError.  Then the
-        batch is marked received and its ops are settled by one fresh
-        ``_propagate``, as ``__init__`` settles the start state.  The
-        state it reaches is the one that feeding the same pairs one at a
-        time reaches, unless they end in a contradiction.
+        batch is marked received and its keys' ops are settled by one
+        fresh ``_propagate``, as ``__init__`` settles the start state.
+        The state it reaches is the one that feeding the same pairs one
+        at a time reaches, unless they end in a contradiction.
         """
         if indices.ndim != 1 or indices.shape != values.shape:
             raise ValueError("a batch takes two 1-D arrays of one length")
@@ -149,7 +149,11 @@ class _CheckedDecoder:
                 pass
             raise TypeError("a batch takes integer index and value arrays")
         received[indices] = 1
-        next(self._propagate(self._reception_ops(indices, values)))
+        next(self._propagate(self._reception_ops(indices << 1 | values)))
+
+    def _reception_ops(self, keys):
+        """The ops of an array of reception keys: the keys, as ints."""
+        return keys.tolist()
 
     def receive(self, index: int, value: int) -> Status:
         """Takes one codeword symbol: ``feed`` of one pair."""
@@ -170,6 +174,6 @@ class _CheckedDecoder:
 
 def _settle_nothing(ops):
     """The ``_propagate`` of a stand-in decoder, which only runs
-    ``feed``'s checks: it takes each pair and settles nothing."""
+    ``feed``'s checks: it takes each key and settles nothing."""
     while True:
         yield

@@ -360,17 +360,18 @@ class PeelingDecoder(_CheckedDecoder):
         next(self._propagate(seed))
 
     def _propagate(self, ops):
-        """Peels from a stack of ops, then from each (index, value) pair
-        sent to it, settling each one before it waits for the next.
+        """Peels from a stack of ops, then from each reception key sent
+        to it, settling each one before it waits for the next.
 
         The op that sets variable v to b is the int ``v << 1 | b``, so a
-        check left with one unknown variable pushes its accumulator.  An
-        op sets an unknown variable and XORs itself into the variable's
-        checks: an information variable's column, parity K + i's check
-        i, then check i + 1 if i + 1 < M.  An op that disagrees with a
-        known value, or a check left with no unknown variable and a
-        nonzero accumulator, sets ``contradiction`` and drops the ops
-        left, and the op updates no further check.
+        reception's key is its op, and a check left with one unknown
+        variable pushes its accumulator.  An op sets an unknown variable
+        and XORs itself into the variable's checks: an information
+        variable's column, parity K + i's check i, then check i + 1 if
+        i + 1 < M.  An op that disagrees with a known value, or a check
+        left with no unknown variable and a nonzero accumulator, sets
+        ``contradiction`` and drops the ops left, and the op updates no
+        further check.
 
         The parity's two check updates are written out: a shared loop
         over its checks measured about 7% slower per K = 1024 trial
@@ -432,13 +433,7 @@ class PeelingDecoder(_CheckedDecoder):
                         self.contradiction = True
                         ops.clear()
             self.unknown = unknown
-            index, value = yield
-            push(index << 1 | value)
-
-    def _reception_ops(self, indices, values):
-        """The ops of a batch's pairs, as plain ints: ``index << 1 |
-        value``, the op ``_propagate`` pushes for one pair."""
-        return (indices << 1 | values).tolist()
+            push((yield))
 
     def determined_bits(self) -> list[int | None]:
         return self.values[: self.code.K]

@@ -264,8 +264,8 @@ class TurboCodeSpec:
     def _reception_table(self):
         """The op of every reception, shared by every decoder of this code.
 
-        Entry ``index << 1 | value`` is the ``(slot, mask)`` op that
-        receiving ``value`` at transmitted symbol ``index`` pushes: its
+        At reception key ``index << 1 | value`` lies the ``(slot, mask)``
+        op that receiving ``value`` at symbol ``index`` pushes: its
         stream's lookup mask for that bit, ANDed into its step's slot of
         chain 0 (systematic and parity 1) or chain 1 (parity 2).  A
         systematic op goes to chain 0 only; the closure carries the
@@ -357,8 +357,8 @@ class TurboErasureDecoder(_CheckedDecoder):
 
     def _propagate(self, ops):
         """Runs the closure from a stack of ``(slot, and_mask)`` ops, then
-        from each (index, value) pair sent to it, settling each one
-        before it waits for the next.
+        from each reception key sent to it, settling each one before it
+        waits for the next.
 
         An op ANDs its mask into a slot.  A changed step starts two
         walks along its chain, first left, then right: each walked step
@@ -368,7 +368,7 @@ class TurboErasureDecoder(_CheckedDecoder):
         op.  The closure ends at the fixpoint or when an op empties its
         own step, which sets ``contradiction``, drops the ops left and
         leaves every other mask as it is.  A reception's op is the entry
-        of ``spec._reception_table`` for its index and value.
+        of ``spec._reception_table`` at its key.
 
         A walked step never empties, so that is the only exit.  Between
         ops each chain is at its row/column fixpoint: at step s a state
@@ -460,16 +460,16 @@ class TurboErasureDecoder(_CheckedDecoder):
                             unknown -= 1
                             push((p if s >= n else n + pi_inv[p], info[b]))
             self.unknown = unknown
-            index, value = yield
+            key = yield
             if reception is None:
                 reception = spec._reception_table
-            push(reception[index << 1 | value])
+            push(reception[key])
 
-    def _reception_ops(self, indices, values):
-        """The ops of a batch's pairs, read from ``spec._reception_table``
-        as ``_propagate`` reads one pair's."""
+    def _reception_ops(self, keys):
+        """The ops of a batch's keys, read from ``spec._reception_table``
+        as ``_propagate`` reads one key's."""
         table = self.spec._reception_table
-        return [table[i] for i in (indices << 1 | values).tolist()]
+        return [table[key] for key in keys.tolist()]
 
     def determined_bits(self) -> list[int | None]:
         """Per-position information-bit knowledge, None where unknown."""

@@ -9,9 +9,10 @@ every ``turbobec`` example in README, so a renamed or removed flag
 cannot stay in the docs, and it reads the package's own imports, so
 each module's dependencies stay one-way, and its names, so the rule
 that ends a decode stays in ``decoder.py``, the reception checks, the
-r count and the stop rule keep one copy in ``feed``, each decoder keeps
-one propagation loop, the turbo closure keeps one contradiction exit,
-its walks test no bound and its ops name one slot, no import outlives
+r count and the stop rule keep one copy in ``feed``, only ``decoder.py``
+encodes a reception as its key, each decoder keeps one propagation
+loop, the turbo closure keeps one contradiction exit, its walks test no
+bound and its ops name one slot, no import outlives
 the code that used it, no code outside the benchmark reads the
 ``.status`` alias of a decoder's bare ``Status``, and only ``cli.py``
 reads outside text, its numbers only through its number helpers.
@@ -315,6 +316,26 @@ def test_only_feed_counts_receptions_and_stops():
                     assert isinstance(y, ast.Yield) and y.value is None, (
                         f"{module}.py line {y.lineno}: _propagate yields a value")
     assert propagators == 2
+
+
+def key_encodings(tree):
+    """Lines of ``tree`` that compute a reception key, ``... << 1 | ...``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr)
+            and any(isinstance(side, ast.BinOp)
+                    and isinstance(side.op, ast.LShift)
+                    and isinstance(side.right, ast.Constant)
+                    and side.right.value == 1
+                    for side in (node.left, node.right))]
+
+
+def test_only_the_decoder_contract_encodes_a_reception():
+    # The key ``index << 1 | value`` belongs to the reception contract:
+    # ``feed``'s scalar key and the batch's key array are its only two
+    # copies, and each decoder only maps a key to its op.
+    assert len(key_encodings(PACKAGE["decoder"])) == 2
+    for module in ("turbo", "ldpc"):
+        assert key_encodings(PACKAGE[module]) == [], f"{module}.py"
 
 
 def test_turbo_closure_has_one_contradiction_exit():

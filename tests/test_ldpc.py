@@ -46,9 +46,9 @@ class StoppingPeel(PeelingDecoder):
     def _propagate(self, ops):
         self._peel([(op >> 1, op & 1) for op in ops])
         while True:
-            pair = yield
+            op = yield
             self.peeled += 1
-            self._peel([pair])
+            self._peel([(op >> 1, op & 1)])
 
     def _peel(self, stack):
         while stack:

@@ -111,6 +111,25 @@ def test_values_reach_the_decoder_as_plain_ints(family):
 
 
 @pytest.mark.parametrize("family", BUILDERS)
+def test_feed_sends_each_reception_as_one_int_key(family):
+    # The send protocol is one plain int per reception, its key
+    # ``index << 1 | value``, whatever types the pair arrived in.
+    pairs = [(3, True), (np.int64(0), np.uint8(1)), (np.intp(7), 1.0),
+             (np.uint16(5), 0), (2, np.int8(0)), (np.int32(9), False)]
+    dec = BUILDERS[family](5).start_decoder()
+    sent = []
+
+    def record(ops):
+        while True:
+            sent.append((yield))
+
+    dec._propagate = record
+    assert take(dec, *zip(*pairs)) == len(pairs)
+    assert sent == [int(i) << 1 | int(v) for i, v in pairs]
+    assert all(type(key) is int for key in sent)
+
+
+@pytest.mark.parametrize("family", BUILDERS)
 @pytest.mark.parametrize("index", [1.5, 2.0, "3", None])
 def test_an_index_that_is_not_an_integer_raises_before_any_change(
         family, index):
