@@ -25,7 +25,8 @@ from fractions import Fraction
 from . import __version__
 from .decoder import Status
 from .harness import run_trial, sweep
-from .ldpc import build_irregular_staircase, build_regular_staircase
+from .ldpc import (_COLUMN_WEIGHT, _parity_count, build_irregular_staircase,
+                   build_regular_staircase)
 from .trellis import LookupMasks, RscSpec, TransitionTable, UNKNOWN, format_mask
 from .turbo import (Interleaver, PunctureMap, identity_interleaver,
                     make_pr_interleaver, make_turbo_spec)
@@ -216,35 +217,55 @@ def _parse_interleaver(text: str):
     raise ValueError(f"unknown interleaver spec {text!r}")
 
 
+def _naming(flag: str, make, *args):
+    """``make(*args)``; a ValueError it raises is raised again with
+    ``flag``, the flag whose value it refused, in front of its text."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _make_code(args, name: str, k: int, rate: Fraction):
     """Builds the code ``name`` at (K, rate) from the resolved flags and
     echoes its ``# code:`` line; returns (code, interleaver tag).
 
     The turbo flags are checked for every family, so a malformed one
-    fails an LDPC run too; a well-formed one is unused there.
+    fails an LDPC run too; a well-formed one is unused there.  A K, rate
+    or puncture pattern the library refuses is named by its flag.
     """
-    flag = "--k-list" if args.command == "sweep" else "--k"
+    k_flag, rate_flag = (("--k-list", "--rate-list") if args.command == "sweep"
+                         else ("--k", "--rate"))
     if k < 1:
-        raise ValueError(f"{flag}: K must be >= 1, not {k}")
+        raise ValueError(f"{k_flag}: K must be >= 1, not {k}")
     if k > _MAX_K:
-        raise ValueError(f"{flag}: K={k} is above the limit of {_MAX_K}")
+        raise ValueError(f"{k_flag}: K={k} is above the limit of {_MAX_K}")
     if rate > 0 and k / rate > _MAX_N:
         # In decimal: the exact fraction of a tiny rate can have hundreds
         # of digits.
         shown = format(Decimal(rate.numerator) / rate.denominator, ".3g")
-        flag = "--rate-list" if args.command == "sweep" else "--rate"
-        raise ValueError(f"{flag}: rate {shown} at K={k} gives a length "
+        raise ValueError(f"{rate_flag}: rate {shown} at K={k} gives a length "
                          f"above the limit of {_MAX_N}")
     rsc = _parse_poly(args.poly, args.base, "--poly")
     interleaver = _parse_interleaver(args.interleaver)
-    puncture = parse_puncture_patterns(args.puncture) if args.puncture else None
+    puncture = (_naming("--puncture", parse_puncture_patterns, args.puncture)
+                if args.puncture else None)
     if name == "turbo":
-        code = make_turbo_spec(rsc, k, interleaver(k), rate, puncture)
+        pi = interleaver(k)
+        # Without --puncture the rate picks the preset pattern.
+        code = _naming("--puncture" if puncture else rate_flag,
+                       make_turbo_spec, rsc, k, pi, rate, puncture)
         tag = args.interleaver
     elif name == "ldpc-regular":
-        code, tag = build_regular_staircase(k, rate, args.seed), "-"
+        _naming(rate_flag, _parity_count, k, rate)
+        # A K below the column weight is short at any rate; a longer one
+        # is short when its rate leaves fewer checks than that.
+        short = k_flag if k < _COLUMN_WEIGHT else rate_flag
+        code, tag = _naming(short, build_regular_staircase, k, rate,
+                            args.seed), "-"
     elif name.startswith("ldpc-irregular:"):
         dist = load_degree_distribution(name.split(":", 1)[1])
+        _naming(rate_flag, _parity_count, k, rate)
         code, tag = build_irregular_staircase(k, rate, dist, args.seed), "-"
     else:
         raise ValueError(f"unknown code family {name!r}")

@@ -235,9 +235,13 @@ def _assign_columns(col_weights, m: int, rng) -> np.ndarray:
         start, end = pos, pos + w
         col = set(pool[start:end])
         if len(col) < w:
-            col = set()
+            col, scan = set(), pos
             while len(col) < w:
-                swap = next((s for s in range(pos, total) if pool[s] not in col),
+                # Every entry from the cursor to just before ``scan`` is
+                # in ``col``: the last scan passed it, or it is the
+                # cursor's old entry, swapped there.  So a column's scans
+                # pass each pool entry once between them.
+                swap = next((s for s in range(scan, total) if pool[s] not in col),
                             None)
                 if swap is None:
                     extra = [r for r in rng.permutation(m).tolist() if r not in col]
@@ -253,19 +257,31 @@ def _assign_columns(col_weights, m: int, rng) -> np.ndarray:
                     marked[var.item(swap)] = 1
                 pool[pos], pool[swap] = pool[swap], pool[pos]
                 col.add(pool[pos])
-                pos += 1
+                pos, scan = pos + 1, swap + 1
         chk[start:end] = sorted(col)
         j = marked.find(1, j + 1)
     return np.stack([var, chk])
 
 
+# The weight of every column of a regular code unless asked otherwise.
+_COLUMN_WEIGHT = 4
+
+
 def build_regular_staircase(k: int, rate: Fraction, seed: int,
-                            column_weight: int = 4) -> StaircaseCode:
-    """Regular staircase code: every left column has the same weight.
+                            column_weight: int = _COLUMN_WEIGHT) -> StaircaseCode:
+    """Regular staircase code: every left column has the same weight,
+    ``column_weight``, an integer >= 1.
 
     The column tuples are cut from the edge array ``_assign_columns``
     draws, and the code keeps that array.
     """
+    try:
+        column_weight = operator.index(column_weight)
+    except TypeError:
+        raise TypeError(f"column_weight {column_weight!r} must be an "
+                        f"integer") from None
+    if column_weight < 1:
+        raise ValueError(f"column_weight {column_weight} must be >= 1")
     m = _parity_count(k, rate)
     if k < column_weight or m < column_weight:
         raise ValueError("block too short for the requested column weight")

@@ -389,9 +389,9 @@ class TestMalformedInput:
         (["sweep", "--k-list", "8", "--rate-list", "1/3,1/0"],
          "--rate-list: '1/0' is not a rate fraction"),
         (["simulate", "--k", "8", "--code", "ldpc-regular", "--rate", "0"],
-         "rate 0 must be positive"),
+         "--rate: rate 0 must be positive"),
         (["simulate", "--k", "8", "--puncture", "p1=,p2="],
-         "puncture period 0 must be >= 1"),
+         "--puncture: puncture period 0 must be >= 1"),
         (["simulate", "--k", "0", "--interleaver", "id"],
          "--k: K must be >= 1, not 0"),
         (["simulate", "--k", "8", "--poly", "7"],
@@ -408,13 +408,14 @@ class TestMalformedInput:
          "--code: '7777777777,5' has constraint length 30, above the limit of 8"),
         (["simulate", "--k", "8", "--interleaver", "id", "--puncture",
           "p1=10,p2=01", "--rate", "1/3"],
-         "puncture pattern gives rate 1/2, requested 1/3"),
+         "--puncture: puncture pattern gives rate 1/2, requested 1/3"),
         (["simulate", "--k", "8", "--rate", "1/2", "--puncture", "p1=12,p2=01"],
-         "puncture override 'p1=12,p2=01' is not p1=BITS,p2=BITS"),
+         "--puncture: puncture override 'p1=12,p2=01' is not p1=BITS,p2=BITS"),
         (["simulate", "--k", "8", "--puncture", "garbage"],
-         "puncture override 'garbage' is not p1=BITS,p2=BITS"),
+         "--puncture: puncture override 'garbage' is not p1=BITS,p2=BITS"),
         (["simulate", "--k", "8", "--rate", "1/2", "--puncture",
-          "p1=11,p1=10,p2=01"], "puncture override must define p1 and p2"),
+          "p1=11,p1=10,p2=01"],
+         "--puncture: puncture override must define p1 and p2"),
         (["simulate", "--k", "8", "--code", "ldpc-irregular:{tmp}/inf.txt"],
          "degree fractions must lie in [0, 1]"),
         (["simulate", "--k", "8", "--interleaver", "pr:abc"],
@@ -427,18 +428,20 @@ class TestMalformedInput:
          "--k-list: '8,x' is not a comma separated list of integers"),
         (["simulate", "--code", "ldpc-regular", "--k", "8", "--rate", "1/2",
           "--puncture", "garbage"],
-         "puncture override 'garbage' is not p1=BITS,p2=BITS"),
+         "--puncture: puncture override 'garbage' is not p1=BITS,p2=BITS"),
         (["simulate", "--code", "ldpc-regular", "--k", "8", "--rate", "1/2",
           "--interleaver", "bogus"], "unknown interleaver spec 'bogus'"),
         (["simulate", "--code", "ldpc-regular", "--k", "8", "--rate", "1/2",
           "--poly", "9,5"],
          "--poly: '9,5' is not a feedback,forward pair of octal polynomials"),
         (["simulate", "--code", f"ldpc-irregular:{IRREGULAR}", "--k", "8",
-          "--rate", "1"], "rate 1 leaves no parity checks; it must be below 1"),
+          "--rate", "1"],
+         "--rate: rate 1 leaves no parity checks; it must be below 1"),
         (["simulate", "--code", f"ldpc-irregular:{IRREGULAR}", "--k", "0",
           "--rate", "1/2"], "--k: K must be >= 1, not 0"),
         (["simulate", "--code", f"ldpc-irregular:{IRREGULAR}", "--k", "8",
-          "--rate", "2"], "rate 2 leaves no parity checks; it must be below 1"),
+          "--rate", "2"],
+         "--rate: rate 2 leaves no parity checks; it must be below 1"),
         (["simulate", "--k", "8", "--interleaver", "pr:-1"],
          "--interleaver: 'pr:-1' needs an integer seed >= 0"),
         (["sweep", "--k-list", "8", "--trials", "2", "--emit-plot",
@@ -515,6 +518,23 @@ class TestMalformedInput:
          "--k-list: K must be >= 1, not 0"),
         (["simulate", "--config", "{tmp}/k-0.json"],
          "--k: K must be >= 1, not 0"),
+        (["simulate", "--k", "8", "--rate", "1", "--code", "ldpc-regular"],
+         "--rate: rate 1 leaves no parity checks; it must be below 1"),
+        (["simulate", "--k", "8", "--rate", "0"],
+         "--rate: unsupported rate 0; presets are 1/3, 1/2, 2/3"),
+        (["sweep", "--k-list", "8", "--rate-list", "0"],
+         "--rate-list: unsupported rate 0; presets are 1/3, 1/2, 2/3"),
+        (["simulate", "--k", "8", "--puncture", "p1=1,p2=10"],
+         "--puncture: p1 and p2 patterns must share one period"),
+        (["simulate", "--k", "8", "--rate", "1/2", "--puncture", "p1=0,p2=0"],
+         "--puncture: puncture pattern gives rate 1, requested 1/2"),
+        (["simulate", "--k", "3", "--rate", "1/2", "--code", "ldpc-regular"],
+         "--k: block too short for the requested column weight"),
+        (["simulate", "--k", "8", "--rate", "4/5", "--code", "ldpc-regular"],
+         "--rate: block too short for the requested column weight"),
+        (["sweep", "--k-list", "3", "--rate-list", "1/2",
+          "--code-list", "ldpc-regular"],
+         "--k-list: block too short for the requested column weight"),
     ], ids=["config-not-json", "config-not-object", "config-missing",
             "unknown-interleaver", "interleaver-length",
             "too-few-bits", "missing-k", "config-null", "config-bool",
@@ -541,7 +561,11 @@ class TestMalformedInput:
             "interleaver-file-arabic-digit", "received-underscore",
             "degree-file-underscore", "hex-arabic-digit",
             "config-integer-too-long", "config-nested-integer-too-long",
-            "interleaver-seed-too-long", "k-list-0", "config-k-0"])
+            "interleaver-seed-too-long", "k-list-0", "config-k-0",
+            "ldpc-regular-rate-1", "turbo-rate-0", "rate-list-0",
+            "puncture-periods-differ", "puncture-rate-1",
+            "ldpc-k-below-column-weight", "ldpc-rate-leaves-too-few-checks",
+            "k-list-below-column-weight"])
     def test_exit_code_two(self, tmp_path, capsys, argv, message):
         (tmp_path / "bad.json").write_text("{\"k\": 8,")
         (tmp_path / "list.json").write_text("[8]")

@@ -134,6 +134,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="rate 0 must be positive"):
             build_regular_staircase(8, Fraction(0), 1)
 
+    @pytest.mark.parametrize("weight, error, message", [
+        (0, ValueError, "column_weight 0 must be >= 1"),
+        (-1, ValueError, "column_weight -1 must be >= 1"),
+        (2.5, TypeError, "column_weight 2.5 must be an integer"),
+    ], ids=["column-weight-0", "column-weight-negative", "column-weight-2.5"])
+    def test_column_weight_checked_before_any_draw(self, monkeypatch, weight,
+                                                   error, message):
+        def no_draw(seed):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(error, match=message):
+            build_regular_staircase(8, Fraction(1, 2), 1, column_weight=weight)
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             build_regular_staircase(2, Fraction(1, 2), seed=0)
