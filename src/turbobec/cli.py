@@ -11,6 +11,12 @@ integer in them is read by ``_integer`` (ASCII digits of its base), and
 every rate or degree fraction by ``_fraction`` (plain ASCII that
 Python's own grammar reads), so no ``_`` separator, surrounding blank,
 ``+`` sign or non-ASCII digit gets through.
+
+Every refused value names its flag, and its file when it comes from one:
+"--interleaver: pi.txt: interleaver entry 0 appears twice".  ``_naming``
+alone puts the flag in front, at the call that reads the flag's value.
+The received and ``--in`` files, which the commands read themselves,
+are named with the line at fault, without their flag.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -75,30 +82,45 @@ def _fraction(text: str, exact: bool = True):
     return Fraction(text) if exact else float(text)
 
 
-def _parse_poly(text: str, base: str, flag: str) -> RscSpec:
+def _naming(name, make, *args):
+    """``make(*args)``; a ValueError it raises is raised again with
+    ``name`` in front of its text: the flag whose value it refused, or
+    the file or value that flag gave."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _parse_poly(text: str, base: str) -> RscSpec:
     """"7,5" -> the RscSpec of (feedback, forward), whose constraint
     length, the longer polynomial's, is at most ``_MAX_CONSTRAINT_LENGTH``."""
     try:
         fb, fw = (_integer(h, 8 if base == "octal" else 2)
                   for h in text.split(","))
     except ValueError:
-        raise ValueError(f"{flag}: {text!r} is not a feedback,forward pair "
+        raise ValueError(f"{text!r} is not a feedback,forward pair "
                          f"of {base} polynomials") from None
     length = max(fb.bit_length(), fw.bit_length())
     if length > _MAX_CONSTRAINT_LENGTH:
-        raise ValueError(f"{flag}: {text!r} has constraint length {length}, "
+        raise ValueError(f"{text!r} has constraint length {length}, "
                          f"above the limit of {_MAX_CONSTRAINT_LENGTH}")
-    try:
-        return RscSpec(fb, fw, length)
-    except ValueError as exc:
-        raise ValueError(f"{flag}: {text!r}: {exc}") from None
+    return _naming(repr(text), RscSpec, fb, fw, length)
 
 
-def _parse_rate(text, flag: str = "--rate") -> Fraction:
+def _parse_rate(text: str) -> Fraction:
     try:
         return _fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{flag}: {text!r} is not a rate fraction") from None
+        raise ValueError(f"{text!r} is not a rate fraction") from None
+
+
+def _parse_k_list(text: str) -> list[int]:
+    try:
+        return [_integer(k, signed=True) for k in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{text!r} is not a comma separated list of "
+                         f"integers") from None
 
 
 def _int_at_least(minimum: int | None, complaint: str = ""):
@@ -142,7 +164,8 @@ def _text_lines(path):
 
 
 def load_interleaver(path) -> Interleaver:
-    """Reads one permutation image per line; blank lines are skipped."""
+    """Reads one permutation image per line; blank lines are skipped.  A
+    repeated or out-of-range entry is named with the file."""
     entries = []
     for lineno, line in _text_lines(path):
         line = line.strip()
@@ -153,7 +176,7 @@ def load_interleaver(path) -> Interleaver:
         except ValueError:
             raise ValueError(f"{path}, line {lineno} {line!r}: "
                              f"not an integer") from None
-    return Interleaver(tuple(entries), kind=f"file:{path}")
+    return _naming(path, Interleaver, tuple(entries), f"file:{path}")
 
 
 def load_degree_distribution(path) -> dict[int, float]:
@@ -188,42 +211,43 @@ def parse_puncture_patterns(text: str) -> PunctureMap:
 
 
 def _parse_interleaver(text: str):
-    """Checks an --interleaver value; returns the function of K that
-    builds it."""
+    """Checks an interleaver spec (id, pr:SEED or file:PATH); returns the
+    function of K that builds it."""
     if text in ("id", "identity"):
         return identity_interleaver
     kind, _, arg = text.partition(":")
     if kind == "pr":
         limit = _digit_limit()
         if limit and len(arg) > limit:
-            raise ValueError(f"--interleaver: the pr: seed is too long: "
-                             f"{len(arg)} characters, above the limit of "
-                             f"{limit} digits")
+            raise ValueError(f"the pr: seed is too long: {len(arg)} "
+                             f"characters, above the limit of {limit} digits")
         try:
             seed = _seed(arg)
         except argparse.ArgumentTypeError:
-            raise ValueError(f"--interleaver: {text!r} needs an integer "
-                             f"seed >= 0") from None
+            raise ValueError(f"{text!r} needs an integer seed >= 0") from None
         return functools.partial(make_pr_interleaver, seed=seed)
     if kind == "file":
         pi = load_interleaver(arg)
 
         def sized(k):
             if len(pi) != k:
-                raise ValueError(f"interleaver file has length {len(pi)}, "
-                                 f"expected {k}")
+                raise ValueError(f"{arg}: interleaver file has length "
+                                 f"{len(pi)}, expected {k}")
             return pi
         return sized
     raise ValueError(f"unknown interleaver spec {text!r}")
 
 
-def _naming(flag: str, make, *args):
-    """``make(*args)``; a ValueError it raises is raised again with
-    ``flag``, the flag whose value it refused, in front of its text."""
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
+def _parse_code(name: str):
+    """(family, degree file, degree law) of a --code value; the law is
+    read from FILE of ``ldpc-irregular:FILE``, and is None for the other
+    families."""
+    if name in ("turbo", "ldpc-regular"):
+        return name, "", None
+    family, colon, path = name.partition(":")
+    if family != "ldpc-irregular" or not colon:
+        raise ValueError(f"unknown code family {name!r}")
+    return family, path, load_degree_distribution(path)
 
 
 def _make_code(args, name: str, k: int, rate: Fraction):
@@ -232,10 +256,11 @@ def _make_code(args, name: str, k: int, rate: Fraction):
 
     The turbo flags are checked for every family, so a malformed one
     fails an LDPC run too; a well-formed one is unused there.  A K, rate
-    or puncture pattern the library refuses is named by its flag.
+    or puncture pattern the library refuses is named by its flag, and a
+    degree law by the flag and its file.
     """
-    k_flag, rate_flag = (("--k-list", "--rate-list") if args.command == "sweep"
-                         else ("--k", "--rate"))
+    plural = "_list" if args.command == "sweep" else ""
+    k_flag, rate_flag, code_flag = (_flag(d + plural) for d in ("k", "rate", "code"))
     if k < 1:
         raise ValueError(f"{k_flag}: K must be >= 1, not {k}")
     if k > _MAX_K:
@@ -246,31 +271,29 @@ def _make_code(args, name: str, k: int, rate: Fraction):
         shown = format(Decimal(rate.numerator) / rate.denominator, ".3g")
         raise ValueError(f"{rate_flag}: rate {shown} at K={k} gives a length "
                          f"above the limit of {_MAX_N}")
-    rsc = _parse_poly(args.poly, args.base, "--poly")
-    interleaver = _parse_interleaver(args.interleaver)
+    rsc = _naming("--poly", _parse_poly, args.poly, args.base)
+    interleaver = _naming("--interleaver", _parse_interleaver, args.interleaver)
     puncture = (_naming("--puncture", parse_puncture_patterns, args.puncture)
                 if args.puncture else None)
-    if name == "turbo":
-        pi = interleaver(k)
+    family, path, dist = _naming(code_flag, _parse_code, name)
+    if family == "turbo":
+        pi = _naming("--interleaver", interleaver, k)
         # Without --puncture the rate picks the preset pattern.
         code = _naming("--puncture" if puncture else rate_flag,
                        make_turbo_spec, rsc, k, pi, rate, puncture)
-        tag = args.interleaver
-    elif name == "ldpc-regular":
-        _naming(rate_flag, _parity_count, k, rate)
-        # A K below the column weight is short at any rate; a longer one
-        # is short when its rate leaves fewer checks than that.
-        short = k_flag if k < _COLUMN_WEIGHT else rate_flag
-        code, tag = _naming(short, build_regular_staircase, k, rate,
-                            args.seed), "-"
-    elif name.startswith("ldpc-irregular:"):
-        dist = load_degree_distribution(name.split(":", 1)[1])
-        _naming(rate_flag, _parity_count, k, rate)
-        code, tag = build_irregular_staircase(k, rate, dist, args.seed), "-"
     else:
-        raise ValueError(f"unknown code family {name!r}")
+        _naming(rate_flag, _parity_count, k, rate)
+        if family == "ldpc-regular":
+            # A K below the column weight is short at any rate; a longer
+            # one is short when its rate leaves fewer checks than that.
+            short = k_flag if k < _COLUMN_WEIGHT else rate_flag
+            code = _naming(short, build_regular_staircase, k, rate, args.seed)
+        else:
+            # The flag, then its file, in front of a degree law refused.
+            code = _naming(code_flag, _naming, path, build_irregular_staircase,
+                           k, rate, dist, args.seed)
     print(f"# code: {code.fingerprint()}", file=sys.stderr)
-    return code, tag
+    return code, args.interleaver if family == "turbo" else "-"
 
 
 def _echo_config(args) -> None:
@@ -304,9 +327,18 @@ def _write_bits(path: str, bits) -> None:
         fh.write(digits + "\n")
 
 
+def _point(args, *required) -> tuple[str, int, Fraction]:
+    """The one (code, K, rate) point of a single-point command, read once
+    --k and the ``required`` flags are checked and the configuration is
+    echoed."""
+    _require(args, "k", *required)
+    _echo_config(args)
+    return args.code, args.k, _naming("--rate", _parse_rate, args.rate)
+
+
 def cmd_table(args) -> int:
     _echo_config(args)
-    rsc = _parse_poly(args.code, args.base, "--code")
+    rsc = _naming("--code", _parse_poly, args.code, args.base)
     table = TransitionTable(rsc)
     masks = LookupMasks(table)
     print(f"transition table of RSC ({rsc.feedback_poly:o},"
@@ -321,9 +353,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    _require(args, "k", "in", "out")
-    _echo_config(args)
-    code, _ = _make_code(args, args.code, args.k, _parse_rate(args.rate))
+    code, _ = _make_code(args, *_point(args, "in", "out"))
     info = _read_bits(getattr(args, "in"), args.k)  # ``in`` is a keyword
     _write_bits(args.out, code.encode(info))
     return 0
@@ -341,9 +371,7 @@ def _receptions(path: str, lines: list):
 
 
 def cmd_decode(args) -> int:
-    _require(args, "k", "received")
-    _echo_config(args)
-    code, _ = _make_code(args, args.code, args.k, _parse_rate(args.rate))
+    code, _ = _make_code(args, *_point(args, "received"))
     decoder = code.start_decoder()
     lines, r = [], 0
     try:
@@ -366,9 +394,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_trial(args) -> int:
-    _require(args, "k")
-    _echo_config(args)
-    code, _ = _make_code(args, args.code, args.k, _parse_rate(args.rate))
+    code, _ = _make_code(args, *_point(args))
     trace: list[int] = []
     record = run_trial(code, args.seed, args.index, trace=trace)
     print("reception,determined")
@@ -386,9 +412,8 @@ def _campaign(args, codes, ks, rates) -> None:
 
 
 def cmd_simulate(args) -> int:
-    _require(args, "k")
-    _echo_config(args)
-    _campaign(args, [args.code], [args.k], [_parse_rate(args.rate)])
+    name, k, rate = _point(args)
+    _campaign(args, [name], [k], [rate])
     return 0
 
 
@@ -397,13 +422,14 @@ def cmd_sweep(args) -> int:
     if args.emit_plot and not args.out:
         raise ValueError("--emit-plot needs --out: the plot script reads "
                          "the CSV from that file")
+    if args.emit_plot and (os.path.realpath(args.emit_plot)
+                           == os.path.realpath(args.out)):
+        raise ValueError("--emit-plot and --out name the same file: the plot "
+                         "script would overwrite the CSV")
     _echo_config(args)
-    rates = [_parse_rate(r, "--rate-list") for r in args.rate_list.split(",")]
-    try:
-        ks = [_integer(k, signed=True) for k in args.k_list.split(",")]
-    except ValueError:
-        raise ValueError(f"--k-list: {args.k_list!r} is not a comma separated "
-                         f"list of integers") from None
+    rates = [_naming("--rate-list", _parse_rate, r)
+             for r in args.rate_list.split(",")]
+    ks = _naming("--k-list", _parse_k_list, args.k_list)
     _campaign(args, args.code_list.split(","), ks, rates)
     if args.emit_plot:
         _write_plot_script(args.emit_plot, args.out)
@@ -420,12 +446,14 @@ def _emit(rows, out_path) -> None:
 
 
 def _write_plot_script(script_path: str, csv_path: str) -> None:
+    # Inside gnuplot's single quotes, '' stands for one '.
+    quoted = csv_path.replace("'", "''")
     with open(script_path, "w") as fh:
         fh.write(
             "set datafile separator ','\n"
             "set key autotitle columnhead\n"
             "set xlabel 'K'\nset ylabel 'mu_av'\nset logscale x 2\n"
-            f"plot '{csv_path}' using 3:7 with linespoints\n"
+            f"plot '{quoted}' using 3:7 with linespoints\n"
         )
 
 

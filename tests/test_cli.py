@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -222,7 +224,7 @@ class TestSimulate:
     def test_unknown_code_family(self, capsys):
         code, _, err = run(capsys, "simulate", "--code", "nope", "--k", "8")
         assert code == 2
-        assert "error: unknown code family 'nope'" in err
+        assert "error: --code: unknown code family 'nope'" in err
 
 
 class TestSweep:
@@ -274,6 +276,20 @@ class TestSweep:
         lines = out_csv.read_text().splitlines()
         assert len(lines) == 5  # header + 2 codes x 2 sizes
         assert plot.read_text().startswith("set datafile separator")
+
+    def test_plot_script_quotes_the_csv_path(self, tmp_path, capsys):
+        # Inside gnuplot's single quotes, '' stands for one '.
+        out_csv, plot = tmp_path / "it's.csv", tmp_path / "plot.gp"
+        code, _, _ = run(capsys, "sweep", "--k-list", "8", "--trials", "1",
+                         "--out", str(out_csv), "--emit-plot", str(plot))
+        assert code == 0
+        assert out_csv.read_text().startswith("code,rate,K,")
+        quoted = str(out_csv).replace("'", "''")
+        assert plot.read_text() == (
+            "set datafile separator ','\n"
+            "set key autotitle columnhead\n"
+            "set xlabel 'K'\nset ylabel 'mu_av'\nset logscale x 2\n"
+            f"plot '{quoted}' using 3:7 with linespoints\n")
 
 
 class TestConfig:
@@ -362,7 +378,9 @@ class TestConfig:
 class TestMalformedInput:
     """Every malformed file or flag ends in exit 2 and one error line.
 
-    An unknown --code and an unknown config key are covered above.
+    A message that starts with "error: " is the whole last line of
+    stderr; any other is a part of it.  An unknown config key is covered
+    above.
     """
 
     @pytest.mark.parametrize("argv, message", [
@@ -370,9 +388,10 @@ class TestMalformedInput:
         (["simulate", "--config", "{tmp}/list.json"], "expected a JSON object"),
         (["simulate", "--config", "{tmp}/missing.json"], "missing.json"),
         (["simulate", "--k", "8", "--interleaver", "shuffle"],
-         "unknown interleaver spec 'shuffle'"),
+         "error: --interleaver: unknown interleaver spec 'shuffle'"),
         (["simulate", "--k", "8", "--interleaver", "file:{tmp}/pi.txt"],
-         "interleaver file has length 3, expected 8"),
+         "error: --interleaver: {tmp}/pi.txt: interleaver file has length 3, "
+         "expected 8"),
         (["encode", "--k", "16", "--in", "{tmp}/info.hex",
           "--out", "{tmp}/cw.hex"], "expected at least 16 bits, found 8"),
         (["simulate", "--trials", "1"], "--k is required"),
@@ -417,11 +436,12 @@ class TestMalformedInput:
           "p1=11,p1=10,p2=01"],
          "--puncture: puncture override must define p1 and p2"),
         (["simulate", "--k", "8", "--code", "ldpc-irregular:{tmp}/inf.txt"],
-         "degree fractions must lie in [0, 1]"),
+         "error: --code: {tmp}/inf.txt: degree fractions must lie in [0, 1]"),
         (["simulate", "--k", "8", "--interleaver", "pr:abc"],
          "--interleaver: 'pr:abc' needs an integer seed"),
         (["simulate", "--k", "3", "--interleaver", "file:{tmp}/pi-text.txt"],
-         "pi-text.txt, line 2 'one': not an integer"),
+         "error: --interleaver: {tmp}/pi-text.txt, line 2 'one': not an "
+         "integer"),
         (["encode", "--k", "8", "--in", "{tmp}/info-g.hex",
           "--out", "{tmp}/cw.hex"], "info-g.hex: 'g' is not a hex digit"),
         (["sweep", "--k-list", "8,x"],
@@ -430,7 +450,8 @@ class TestMalformedInput:
           "--puncture", "garbage"],
          "--puncture: puncture override 'garbage' is not p1=BITS,p2=BITS"),
         (["simulate", "--code", "ldpc-regular", "--k", "8", "--rate", "1/2",
-          "--interleaver", "bogus"], "unknown interleaver spec 'bogus'"),
+          "--interleaver", "bogus"],
+         "error: --interleaver: unknown interleaver spec 'bogus'"),
         (["simulate", "--code", "ldpc-regular", "--k", "8", "--rate", "1/2",
           "--poly", "9,5"],
          "--poly: '9,5' is not a feedback,forward pair of octal polynomials"),
@@ -451,9 +472,9 @@ class TestMalformedInput:
         (["encode", "--k", "8", "--in", "{tmp}/info-bin.hex",
           "--out", "{tmp}/cw.hex"], "info-bin.hex, line 2: not UTF-8 text"),
         (["simulate", "--k", "3", "--interleaver", "file:{tmp}/pi-bin.txt"],
-         "pi-bin.txt, line 2: not UTF-8 text"),
+         "error: --interleaver: {tmp}/pi-bin.txt, line 2: not UTF-8 text"),
         (["simulate", "--k", "8", "--code", "ldpc-irregular:{tmp}/deg-bin.txt"],
-         "deg-bin.txt, line 2: not UTF-8 text"),
+         "error: --code: {tmp}/deg-bin.txt, line 2: not UTF-8 text"),
         (["simulate", "--config", "{tmp}/bin.json"], "bin.json: not UTF-8 text"),
         (["simulate", "--k", "8", "--poly", "7_7,5"],
          "--poly: '7_7,5' is not a feedback,forward pair of octal polynomials"),
@@ -469,10 +490,12 @@ class TestMalformedInput:
          "--k-list: K=99999999999999999999 is above the limit of 1048576"),
         (["simulate", "--k", "8", "--rate", "1/2",
           "--code", "ldpc-irregular:{tmp}/deg-huge.txt"],
-         f"column weight {10**30} exceeds the check count 8"),
+         f"error: --code: {{tmp}}/deg-huge.txt: column weight {10**30} "
+         f"exceeds the check count 8"),
         (["simulate", "--k", "1048576", "--rate", "1/2",
           "--code", "ldpc-irregular:{tmp}/deg-dense.txt"],
-         f"the code has {1 << 40} edges, above the limit of {1 << 24}"),
+         f"error: --code: {{tmp}}/deg-dense.txt: the code has {1 << 40} edges, "
+         f"above the limit of {1 << 24}"),
         (["simulate", "--code", "ldpc-regular", "--k", "1024",
           "--rate", "1/10000000", "--trials", "1"],
          "--rate: rate 1e-7 at K=1024 gives a length above the limit of "
@@ -496,14 +519,17 @@ class TestMalformedInput:
         (["sweep", "--k-list", "8, 16", "--trials", "1"],
          "--k-list: '8, 16' is not a comma separated list of integers"),
         (["simulate", "--k", "3", "--interleaver", "file:{tmp}/pi-underscore.txt"],
-         "pi-underscore.txt, line 2 '1_0': not an integer"),
+         "error: --interleaver: {tmp}/pi-underscore.txt, line 2 '1_0': not an "
+         "integer"),
         (["simulate", "--k", "3", "--interleaver", "file:{tmp}/pi-arabic.txt"],
-         "pi-arabic.txt, line 1 '\u0663': not an integer"),
+         "error: --interleaver: {tmp}/pi-arabic.txt, line 1 '\u0663': not an "
+         "integer"),
         (["decode", "--k", "8", "--received", "{tmp}/rx-underscore.txt"],
          "rx-underscore.txt, line 1 '0_1 0'"),
         (["simulate", "--k", "8", "--rate", "1/2",
           "--code", "ldpc-irregular:{tmp}/deg-underscore.txt"],
-         "deg-underscore.txt, line 1 '2 0.2_5': expected an integer degree"),
+         "error: --code: {tmp}/deg-underscore.txt, line 1 '2 0.2_5': expected "
+         "an integer degree and a fraction"),
         (["encode", "--k", "8", "--in", "{tmp}/info-arabic.hex",
           "--out", "{tmp}/cw.hex"], "info-arabic.hex: '\u0663' is not a hex digit"),
         (["simulate", "--config", "{tmp}/long-int.json"],
@@ -535,6 +561,30 @@ class TestMalformedInput:
         (["sweep", "--k-list", "3", "--rate-list", "1/2",
           "--code-list", "ldpc-regular"],
          "--k-list: block too short for the requested column weight"),
+        (["simulate", "--k", "3", "--interleaver", "file:{tmp}/pi-twice.txt"],
+         "error: --interleaver: {tmp}/pi-twice.txt: interleaver entry 0 "
+         "appears twice"),
+        (["simulate", "--k", "3", "--interleaver", "file:{tmp}/pi-range.txt"],
+         "error: --interleaver: {tmp}/pi-range.txt: interleaver entry 5 out "
+         "of range for K=3"),
+        (["simulate", "--k", "8", "--code", "nope"],
+         "error: --code: unknown code family 'nope'"),
+        (["sweep", "--k-list", "8", "--code-list", "turbo,nope"],
+         "error: --code-list: unknown code family 'nope'"),
+        (["simulate", "--k", "8", "--code", "ldpc-irregular:{tmp}/deg-0.txt"],
+         "error: --code: {tmp}/deg-0.txt: degrees must be positive"),
+        (["sweep", "--k-list", "8", "--rate-list", "1/2",
+          "--code-list", "ldpc-irregular:{tmp}/deg-500.txt"],
+         "error: --code-list: {tmp}/deg-500.txt: column weight 500 exceeds "
+         "the check count 8"),
+        (["sweep", "--k-list", "8", "--trials", "1", "--out", "{tmp}/plot.gp",
+          "--emit-plot", "{tmp}/plot.gp"],
+         "error: --emit-plot and --out name the same file: the plot script "
+         "would overwrite the CSV"),
+        (["sweep", "--k-list", "8", "--trials", "1", "--out", "{tmp}/plot.gp",
+          "--emit-plot", "{tmp}/./plot.gp"],
+         "error: --emit-plot and --out name the same file: the plot script "
+         "would overwrite the CSV"),
     ], ids=["config-not-json", "config-not-object", "config-missing",
             "unknown-interleaver", "interleaver-length",
             "too-few-bits", "missing-k", "config-null", "config-bool",
@@ -565,7 +615,11 @@ class TestMalformedInput:
             "ldpc-regular-rate-1", "turbo-rate-0", "rate-list-0",
             "puncture-periods-differ", "puncture-rate-1",
             "ldpc-k-below-column-weight", "ldpc-rate-leaves-too-few-checks",
-            "k-list-below-column-weight"])
+            "k-list-below-column-weight", "interleaver-entry-twice",
+            "interleaver-entry-out-of-range", "unknown-code",
+            "sweep-unknown-code", "degree-not-positive",
+            "sweep-degree-above-check-count", "emit-plot-is-out",
+            "emit-plot-is-out-by-another-path"])
     def test_exit_code_two(self, tmp_path, capsys, argv, message):
         (tmp_path / "bad.json").write_text("{\"k\": 8,")
         (tmp_path / "list.json").write_text("[8]")
@@ -595,12 +649,19 @@ class TestMalformedInput:
         (tmp_path / "long-int-nested.json").write_text(
             f'{{"trials": [{"9" * 5000}]}}')
         (tmp_path / "k-0.json").write_text(json.dumps({"k": 0}))
+        (tmp_path / "pi-twice.txt").write_text("0\n0\n1\n")
+        (tmp_path / "pi-range.txt").write_text("0\n5\n1\n")
+        (tmp_path / "deg-0.txt").write_text("0 1.0\n")
+        (tmp_path / "deg-500.txt").write_text("500 1.0\n")
         argv = [a.format(tmp=tmp_path) for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith("error: ")
+        message = message.replace("{tmp}", str(tmp_path))
         assert message in err
+        if message.startswith("error: "):
+            assert err.splitlines()[-1] == message
         assert not (tmp_path / "plot.gp").exists()
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -716,6 +777,34 @@ class TestMalformedInput:
                         failed.append((" ".join(argv), status))
         capsys.readouterr()
         assert failed == []
+
+
+class TestEntryPoint:
+    """``python -m turbobec.cli``, a fresh interpreter whose ``main()``
+    reads ``sys.argv``, as the ``turbobec`` script does."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        return subprocess.run([sys.executable, "-m", "turbobec.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    def test_table_exits_0(self, capsys):
+        done = self.run_module("table", "--code", "7,5")
+        assert done.returncode == 0
+        assert (done.stdout, done.stderr) == run(capsys, "table", "--code",
+                                                 "7,5")[1:]
+
+    def test_malformed_flag_exits_2_with_one_error_line(self):
+        done = self.run_module("simulate", "--k", "8", "--interleaver", "bogus")
+        assert done.returncode == 2
+        assert done.stdout == "" and "Traceback" not in done.stderr
+        assert [line for line in done.stderr.splitlines()
+                if line.startswith("error:")] == [
+            "error: --interleaver: unknown interleaver spec 'bogus'"]
 
 
 class TestVersion:

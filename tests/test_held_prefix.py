@@ -297,6 +297,50 @@ def test_a_decode_that_ends_in_the_held_prefix_raises(family, contradiction):
     assert run_trial(code, 1, 0, trace=[]) == run_trial(code.code, 1, 0)
 
 
+def settles_nothing(ops):
+    """A ``_propagate`` that takes every op and determines nothing."""
+    while True:
+        yield
+
+
+class FailsAfterThePrefix:
+    """A code whose decoders, past the held prefix, end the decode in a
+    contradiction at their first reception, or settle nothing and so run
+    out of symbols without success."""
+
+    def __init__(self, code, contradiction):
+        self.code, self.contradiction = code, contradiction
+        self.K, self.N = code.K, code.N
+
+    def start_decoder(self):
+        dec = self.code.start_decoder()
+        if not self.contradiction:
+            dec._propagate = settles_nothing
+            return dec
+        feed = dec.feed
+
+        def contradicting(pairs):
+            for r in feed(pairs):
+                dec.contradiction = True
+                yield r
+
+        dec.feed = contradicting
+        return dec
+
+
+@pytest.mark.parametrize("family", BUILDERS)
+@pytest.mark.parametrize("trace", [None, []], ids=["untraced", "traced"])
+@pytest.mark.parametrize("contradiction, message", [
+    (True, "contradiction while decoding a codeword; decoder bug"),
+    (False, "full reception did not reach success; decoder bug"),
+], ids=["contradiction", "runs-out"])
+def test_a_decode_that_fails_after_the_held_prefix_raises(
+        family, trace, contradiction, message):
+    code = FailsAfterThePrefix(BUILDERS[family](3), contradiction)
+    with pytest.raises(RuntimeError, match=message):
+        run_trial(code, 1, 0, trace=trace)
+
+
 @pytest.mark.parametrize("family", ["turbo75", "turbo1315", "turbo75-r23"])
 def test_the_turbo_op_table_is_built_at_the_first_reception(family):
     # ``start_decoder`` does not build it, so a code's set-up does not

@@ -31,6 +31,18 @@ class TestInterleaver:
         for seed in (0, 1, 99):
             assert make_pr_interleaver(1, seed).pi == (0,)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_pr_interleaver_needs_k_of_at_least_1(self, k):
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            make_pr_interleaver(k, 1)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_spec_needs_k_of_at_least_1(self, k):
+        # Checked before the interleaver's length, which is 0 here.
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            TurboCodeSpec(RSC75, k, Interleaver((), "empty"),
+                          make_puncture_map(Fraction(1, 3), 1))
+
     def test_bijective(self):
         for seed in range(5):
             pi = make_pr_interleaver(100, seed).pi
