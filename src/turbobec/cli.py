@@ -83,12 +83,13 @@ def _fraction(text: str, exact: bool = True):
 
 
 def _naming(name, make, *args):
-    """``make(*args)``; a ValueError it raises is raised again with
-    ``name`` in front of its text: the flag whose value it refused, or
-    the file or value that flag gave."""
+    """``make(*args)``; a ValueError it raises, or an OSError of a file it
+    cannot open, is raised again as a ValueError with ``name`` in front
+    of its text: the flag whose value it refused, or the file or value
+    that flag gave."""
     try:
         return make(*args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ValueError(f"{name}: {exc}") from None
 
 
@@ -366,7 +367,10 @@ def _receptions(path: str, lines: list):
         line = line.split("#", 1)[0].strip()
         if line:
             lines.append((lineno, line))
-            idx_s, bit_s = line.split()
+            fields = line.split()
+            if len(fields) != 2:
+                raise ValueError("expected an index and a bit")
+            idx_s, bit_s = fields
             yield _integer(idx_s, signed=True), _integer(bit_s, signed=True)
 
 

@@ -7,13 +7,14 @@ one checked loop, ``feed``, and says where the decode stands with a bare
 counts r and decides when a decode is over; it sends each checked pair
 to the decoder's own propagation coroutine as one int, the key
 ``index << 1 | value``, and the coroutine settles it.
-``_CheckedDecoder._receive_batch`` takes many pairs at once, for the
-arrivals within which no decode can end: it checks them all with numpy,
-raises ``feed``'s own message for the first bad pair, and settles them
-together with one fresh run of the same coroutine.  Removals only shrink
-a decoder's state, so any order of the same receptions reaches the same
-state.  Each decoder lives beside its code: ``TurboErasureDecoder`` in
-:mod:`turbobec.turbo`, ``PeelingDecoder`` in :mod:`turbobec.ldpc`.
+``_CheckedDecoder._receive_batch`` takes a trial's held prefix, the
+arrivals within which no decode can end: the all-zero word at distinct
+positions of a decoder that has received nothing.  It checks them with
+numpy and settles them together with one fresh run of the same
+coroutine.  Removals only shrink a decoder's state, so any order of the
+same receptions reaches the same state.  Each decoder lives beside its
+code: ``TurboErasureDecoder`` in :mod:`turbobec.turbo`,
+``PeelingDecoder`` in :mod:`turbobec.ldpc`.
 """
 
 from __future__ import annotations
@@ -106,50 +107,37 @@ class _CheckedDecoder:
             if self.contradiction or not self.unknown:
                 return
 
-    def _receive_batch(self, indices, values):
-        """Receives the pairs ``(indices[i], values[i])`` of two 1-D
-        integer arrays at once, settled together.
+    def _receive_batch(self, indices):
+        """Receives the all-zero word at ``indices``, a 1-D integer array
+        of distinct symbol indices, on a decoder that has received
+        nothing, settled together.
 
-        The batch counts no r and tests no stop rule, so its caller must
-        know that the decode cannot end within it.  Every pair is checked
-        first, with numpy: the index range, the values, repeats within
-        the batch, earlier receptions and a contradiction already
-        reached.  If any check fails, ``feed`` runs the pairs on a
-        stand-in decoder that holds a copy of this one's received
-        symbols and contradiction flag and settles nothing, so the
-        ValueError raised is ``feed``'s for the first bad pair, and no
-        state has changed; arrays whose pairs ``feed`` would all take,
-        but that are not integer arrays, raise TypeError.  Then the
-        batch is marked received and its keys' ops are settled by one
-        fresh ``_propagate``, as ``__init__`` settles the start state.
-        The state it reaches is the one that feeding the same pairs one
-        at a time reaches, unless they end in a contradiction.
+        The all-zero word is a codeword and a fresh decoder holds only its
+        start state, so no batch ends in a contradiction.  The batch
+        counts no r and tests no stop rule, so its caller must know that
+        the decode cannot end within it.  It is checked first, with
+        numpy; any check that fails raises ValueError with no state
+        changed.  Then the batch is marked received and its keys' ops
+        are settled by one fresh ``_propagate``, as ``__init__`` settles
+        the start state.  The state it reaches is the one that feeding
+        the same pairs one at a time reaches.
         """
-        if indices.ndim != 1 or indices.shape != values.shape:
-            raise ValueError("a batch takes two 1-D arrays of one length")
-        if not indices.size:
-            return
-        received = np.frombuffer(self._received, np.uint8)
-        checked = (indices.dtype.kind in "iu" and values.dtype.kind in "iu"
-                   and 0 <= indices.min() and indices.max() < received.size
-                   and 0 <= values.min() and values.max() <= 1)
-        if checked:
-            # In range, so both fit in intp: bincount, ``<<`` and ``|``
-            # then meet one integer type.
-            indices = indices.astype(np.intp, copy=False)
-            values = values.astype(np.intp, copy=False)
-            checked = not (self.contradiction or received[indices].any()
-                           or np.bincount(indices).max() > 1)
-        if not checked:
-            stand_in = _CheckedDecoder(self.K, 0)
-            stand_in._received = bytearray(self._received)
-            stand_in.contradiction = self.contradiction
-            stand_in._propagate = _settle_nothing
-            for _ in stand_in.feed(zip(indices.tolist(), values.tolist())):
-                pass
-            raise TypeError("a batch takes integer index and value arrays")
-        received[indices] = 1
-        next(self._propagate(self._reception_ops(indices << 1 | values)))
+        n = len(self._received)
+        fine = (indices.ndim == 1 and indices.dtype.kind in "iu"
+                and 1 not in self._received)
+        if fine and indices.size:
+            fine = 0 <= indices.min() and indices.max() < n
+            if fine:
+                # In range, so they fit in intp: bincount and ``<<`` then
+                # meet one integer type.
+                indices = indices.astype(np.intp, copy=False)
+                fine = np.bincount(indices).max() == 1
+        if not fine:
+            raise ValueError(f"a batch takes a 1-D integer array of distinct "
+                             f"indices in 0..{n - 1}, on a decoder that has "
+                             f"received nothing")
+        np.frombuffer(self._received, np.uint8)[indices] = 1
+        next(self._propagate(self._reception_ops(indices << 1)))
 
     def _reception_ops(self, keys):
         """The ops of an array of reception keys: the keys, as ints."""
@@ -170,10 +158,3 @@ class _CheckedDecoder:
     def known_count(self) -> int:
         """How many entries of ``determined_bits()`` are not None."""
         return self.K - self.unknown
-
-
-def _settle_nothing(ops):
-    """The ``_propagate`` of a stand-in decoder, which only runs
-    ``feed``'s checks: it takes each key and settles nothing."""
-    while True:
-        yield

@@ -79,13 +79,14 @@ def run_trial(code, base_seed: int, index: int = 0,
 
     K-1 symbols determine at most K-1 of the K free information bits, so
     no decode ends within the first K-1 arrivals.  Without ``trace``,
-    those arrivals, the held prefix, go to the decoder as one checked
-    batch; the decode ending within them is a decoder bug and raises
-    RuntimeError.  The rest of the order goes to the decoder's ``feed``
-    one symbol at a time, and r_stop counts the held arrivals and the
-    symbols ``feed`` took before it stopped.  ``trace``, if given,
-    collects the decoder's known_count() (determined information bits)
-    after each reception, and then every symbol goes through ``feed``.
+    those arrivals, the held prefix, go to the fresh decoder as one
+    batch of distinct positions, all of value 0; the decode ending
+    within them is a decoder bug and raises RuntimeError.  The rest of
+    the order goes to the decoder's ``feed`` one symbol at a time, and
+    r_stop counts the held arrivals and the symbols ``feed`` took before
+    it stopped.  ``trace``, if given, collects the decoder's
+    known_count() (determined information bits) after each reception,
+    and then every symbol goes through ``feed``.
     """
     rng = trial_rng(base_seed, index)
     rng.integers(0, 2, code.K, dtype=np.uint8)  # drawn to keep the seed's stream
@@ -93,7 +94,7 @@ def run_trial(code, base_seed: int, index: int = 0,
     decoder = code.start_decoder()
     held = 0 if trace is not None else code.K - 1
     if held:
-        decoder._receive_batch(order[:held], np.zeros(held, np.intp))
+        decoder._receive_batch(order[:held])
         if decoder.outcome() in (Status.SUCCESS, Status.CONTRADICTION):
             raise RuntimeError(f"the decode ended within the first {held} "
                                f"symbols, fewer than K; decoder bug")

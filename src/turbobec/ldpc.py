@@ -384,10 +384,15 @@ class PeelingDecoder(_CheckedDecoder):
         variable pushes its accumulator.  An op sets an unknown variable
         and XORs itself into the variable's checks: an information
         variable's column, parity K + i's check i, then check i + 1 if
-        i + 1 < M.  An op that disagrees with a known value, or a check
-        left with no unknown variable and a nonzero accumulator, sets
-        ``contradiction`` and drops the ops left, and the op updates no
-        further check.
+        i + 1 < M.  A check left with no unknown variable and a nonzero
+        accumulator sets ``contradiction`` and drops the ops left, and the
+        op updates no further check.  An op that disagrees with a known
+        value sets ``contradiction`` too, with no ops left to drop.  A
+        check's op never disagrees: the op that set its variable first
+        also left that check with no unknown, and so set
+        ``contradiction`` if the two differ.  So only a reception can,
+        and ``feed`` sends each reception to an empty stack; a batch's
+        zero word agrees with every op.
 
         The parity's two check updates are written out: a shared loop
         over its checks measured about 7% slower per K = 1024 trial
@@ -407,9 +412,6 @@ class PeelingDecoder(_CheckedDecoder):
                 if known is not None:
                     if known != value:
                         self.contradiction = True
-                        # Ops can be left here only from a batch, whose
-                        # receptions are all pushed before any settles.
-                        ops.clear()
                     continue
                 values[v] = value
                 if v < k:

@@ -10,12 +10,13 @@ cannot stay in the docs, and it reads the package's own imports, so
 each module's dependencies stay one-way, and its names, so the rule
 that ends a decode stays in ``decoder.py``, the reception checks, the
 r count and the stop rule keep one copy in ``feed``, only ``decoder.py``
-encodes a reception as its key, each decoder keeps one propagation
-loop, the turbo closure keeps one contradiction exit, its walks test no
-bound and its ops name one slot, no import outlives
-the code that used it, no code outside the benchmark reads the
-``.status`` alias of a decoder's bare ``Status``, and only ``cli.py``
-reads outside text, its numbers only through its number helpers.
+encodes a reception as its key, only ``run_trial`` hands a decoder a
+batch, each decoder keeps one propagation loop, the turbo closure keeps
+one contradiction exit, its walks test no bound and its ops name one
+slot, no import outlives the code that used it, no code outside the
+benchmark reads the ``.status`` alias of a decoder's bare ``Status``,
+and only ``cli.py`` reads outside text, its numbers only through its
+number helpers.
 """
 
 import ast
@@ -318,24 +319,66 @@ def test_only_feed_counts_receptions_and_stops():
     assert propagators == 2
 
 
-def key_encodings(tree):
-    """Lines of ``tree`` that compute a reception key, ``... << 1 | ...``."""
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr)
-            and any(isinstance(side, ast.BinOp)
-                    and isinstance(side.op, ast.LShift)
-                    and isinstance(side.right, ast.Constant)
-                    and side.right.value == 1
-                    for side in (node.left, node.right))]
+def shifts_by_one(tree):
+    """(function, a side of ``|``) of each ``... << 1`` in ``tree``: a
+    reception key, with its value or'ed in when it is a side of ``|``."""
+    found = []
+
+    def visit(node, func, or_sides):
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift) and (
+                isinstance(node.right, ast.Constant) and node.right.value == 1):
+            found.append((func, node in or_sides))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            or_sides = (node.left, node.right)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func, or_sides)
+
+    visit(tree, None, ())
+    return found
 
 
 def test_only_the_decoder_contract_encodes_a_reception():
     # The key ``index << 1 | value`` belongs to the reception contract:
-    # ``feed``'s scalar key and the batch's key array are its only two
-    # copies, and each decoder only maps a key to its op.
-    assert len(key_encodings(PACKAGE["decoder"])) == 2
+    # ``feed`` computes it for each pair and the batch its zero-value
+    # form ``indices << 1`` for a whole array; each decoder only maps a
+    # key to its op.
+    assert shifts_by_one(PACKAGE["decoder"]) == [("feed", True),
+                                                 ("_receive_batch", False)]
     for module in ("turbo", "ldpc"):
-        assert key_encodings(PACKAGE[module]) == [], f"{module}.py"
+        keys = [func for func, ored in shifts_by_one(PACKAGE[module]) if ored]
+        assert keys == [], f"{module}.py"
+
+
+def attribute_readers(tree, attr):
+    """The function around each read of the attribute ``attr`` in
+    ``tree``, None at module level."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        if isinstance(node, ast.Attribute) and node.attr == attr:
+            found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_run_trial_receives_a_batch():
+    # A batch takes only what an untraced trial gives it, the zero word
+    # at distinct positions of a fresh decoder; a second caller could
+    # need more.
+    trees = {**{f"src/turbobec/{module}.py": tree
+                for module, tree in PACKAGE.items()},
+             **{path.relative_to(ROOT).as_posix(): ast.parse(path.read_text())
+                for path in CLIENTS}}
+    readers = [(name, func) for name, tree in trees.items()
+               for func in attribute_readers(tree, "_receive_batch")]
+    assert readers == [("src/turbobec/harness.py", "run_trial")]
 
 
 def test_turbo_closure_has_one_contradiction_exit():

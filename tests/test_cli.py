@@ -585,6 +585,20 @@ class TestMalformedInput:
           "--emit-plot", "{tmp}/./plot.gp"],
          "error: --emit-plot and --out name the same file: the plot script "
          "would overwrite the CSV"),
+        (["simulate", "--k", "8", "--interleaver", "file:{tmp}/nofile"],
+         "error: --interleaver: [Errno 2] No such file or directory: "
+         "'{tmp}/nofile'"),
+        (["simulate", "--k", "8", "--code", "ldpc-irregular:{tmp}/nofile"],
+         "error: --code: [Errno 2] No such file or directory: '{tmp}/nofile'"),
+        (["sweep", "--k-list", "8", "--code-list",
+          "ldpc-irregular:{tmp}/nofile"],
+         "error: --code-list: [Errno 2] No such file or directory: "
+         "'{tmp}/nofile'"),
+        (["decode", "--k", "8", "--received", "{tmp}/rx-one.txt"],
+         "error: {tmp}/rx-one.txt, line 2 '1': expected an index and a bit"),
+        (["decode", "--k", "8", "--received", "{tmp}/rx-three.txt"],
+         "error: {tmp}/rx-three.txt, line 2 '1 0 1': expected an index and "
+         "a bit"),
     ], ids=["config-not-json", "config-not-object", "config-missing",
             "unknown-interleaver", "interleaver-length",
             "too-few-bits", "missing-k", "config-null", "config-bool",
@@ -619,7 +633,9 @@ class TestMalformedInput:
             "interleaver-entry-out-of-range", "unknown-code",
             "sweep-unknown-code", "degree-not-positive",
             "sweep-degree-above-check-count", "emit-plot-is-out",
-            "emit-plot-is-out-by-another-path"])
+            "emit-plot-is-out-by-another-path", "interleaver-file-missing",
+            "degree-file-missing", "sweep-degree-file-missing",
+            "received-one-field", "received-three-fields"])
     def test_exit_code_two(self, tmp_path, capsys, argv, message):
         (tmp_path / "bad.json").write_text("{\"k\": 8,")
         (tmp_path / "list.json").write_text("[8]")
@@ -643,6 +659,8 @@ class TestMalformedInput:
         (tmp_path / "pi-arabic.txt").write_text("\u0663\n0\n1\n",
                                                  encoding="utf-8")
         (tmp_path / "rx-underscore.txt").write_text("0_1 0\n")
+        (tmp_path / "rx-one.txt").write_text("0 0\n1\n")
+        (tmp_path / "rx-three.txt").write_text("0 0\n1 0 1\n")
         (tmp_path / "deg-underscore.txt").write_text("2 0.2_5\n1_0 0.7_5\n")
         (tmp_path / "info-arabic.hex").write_text("\u0663a\n", encoding="utf-8")
         (tmp_path / "long-int.json").write_text(f'{{"k": {"9" * 5000}}}')

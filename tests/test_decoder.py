@@ -371,15 +371,21 @@ class TestPerTrellisExactness:
 
 
 class TestTurboExactness:
-    """The two-trellis closure equals forward-backward pruning at K=1024."""
+    """The two-trellis closure equals forward-backward pruning at K=1024,
+    and at smaller K for the longer constraint lengths the CLI admits."""
 
-    # (23,35) has 16 states, so its rule memo is a dict, not a list.
+    # (23,35) has 16 states, so its rule memo is a dict, not a list; the
+    # L = 6, 7 and 8 codes have 32, 64 and 128.
     @pytest.mark.parametrize("polys, rate, k", [
         ((0o7, 0o5, 3), Fraction(1, 2), 1024),
         ((0o13, 0o15, 4), Fraction(1, 2), 1024),
         ((0o7, 0o5, 3), Fraction(2, 3), 1024),
-        ((0o23, 0o35, 5), Fraction(1, 3), 256)],
-        ids=["75-r12", "1315-r12", "75-r23", "2335-r13-k256"])
+        ((0o23, 0o35, 5), Fraction(1, 3), 256),
+        ((0o45, 0o73, 6), Fraction(1, 3), 48),
+        ((0o133, 0o171, 7), Fraction(1, 2), 48),
+        ((0o311, 0o352, 8), Fraction(1, 3), 48)],
+        ids=["75-r12", "1315-r12", "75-r23", "2335-r13-k256", "4573-r13-k48",
+             "133171-r12-k48", "311352-r13-k48"])
     def test_against_forward_backward_fixpoint(self, polys, rate, k):
         spec = make_turbo_spec(RscSpec(*polys), k, make_pr_interleaver(k, 11),
                                rate=rate)
