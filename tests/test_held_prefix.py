@@ -48,6 +48,7 @@ def state(dec):
 FAULTS = {
     "float-index": (lambda o, n: [o[0], o[1]], float),
     "object-index": (lambda o, n: [o[0], o[1]], object),
+    "string-index": (lambda o, n: [o[0], "7"], str),
     "bool-index": (lambda o, n: [True, False], bool),
     "two-d": (lambda o, n: [[o[0], o[1]]], np.intp),
     "negative": (lambda o, n: [o[0], -1, o[1]], np.int64),
@@ -55,6 +56,11 @@ FAULTS = {
     "huge": (lambda o, n: [o[0], 2**63 + 5], np.uint64),
     "repeat": (lambda o, n: [o[0], o[1], o[0]], np.intp),
     "repeat-uint8": (lambda o, n: [1, 1], np.uint8),
+    # Two faults at once: still the batch's own ValueError, so the range
+    # check runs before ``bincount``, which refuses a negative entry with
+    # numpy's text.
+    "repeat-before-range": (lambda o, n: [o[0], o[0], n], np.intp),
+    "range-before-repeat": (lambda o, n: [o[0], -1, o[0]], np.int64),
 }
 
 
@@ -71,19 +77,22 @@ def test_a_bad_batch_raises_and_changes_nothing(family, fault):
 
 
 @pytest.mark.parametrize("family", BUILDERS)
-@pytest.mark.parametrize("contradiction", [False, True],
-                         ids=["received", "contradiction"])
-def test_a_batch_on_a_decoder_that_received_raises(family, contradiction):
-    # Five pairs of the word received one at a time, then, with
-    # ``contradiction``, flipped symbols up to the first contradiction.
+@pytest.mark.parametrize("earlier", ["received", "contradiction", "batched"])
+def test_a_batch_on_a_decoder_that_received_raises(family, earlier):
+    # Five pairs of the word received one at a time, then, for
+    # ``contradiction``, flipped symbols up to the first contradiction;
+    # or, for ``batched``, five zeros received as a batch.
     code, cw, order = instance(BUILDERS[family], rng_for(99), flips=0)
     dec = code.start_decoder()
-    take(dec, order[:5], [cw[i] for i in order[:5]])
-    for idx in order[5:] if contradiction else ():
+    if earlier == "batched":
+        dec._receive_batch(np.array(order[:5], np.intp))
+    else:
+        take(dec, order[:5], [cw[i] for i in order[:5]])
+    for idx in order[5:] if earlier == "contradiction" else ():
         dec.receive(idx, 1 - cw[idx])
         if dec.contradiction:
             break
-    assert dec.contradiction is contradiction
+    assert dec.contradiction is (earlier == "contradiction")
     before = state(dec)
     rest = [i for i in order if not dec._received[i]]
     for indices in (rest[:3], []):
